@@ -579,27 +579,6 @@ Workload make_certify_overhead(bool tiny) {
           }};
 }
 
-Workload make_preset_sweep(bool tiny) {
-  // Every registered ingredient preset (DESIGN.md §14) solving the Table-1
-  // MCF instance back to back — the matrix bench_preset_tune sweeps per
-  // workload. Sketch width is left unpinned so each preset's own
-  // SketchIngredient is part of what is measured; every answer must come
-  // back kOk and carry its preset name in SolveStats.
-  const auto n = static_cast<graph::Vertex>(tiny ? 12 : 28);
-  par::Rng rng(61);
-  auto g = std::make_shared<graph::Digraph>(graph::random_flow_network(n, 8 * n, 6, 6, rng));
-  auto names = std::make_shared<std::vector<std::string>>(core::preset_registry().names());
-  return {"preset_sweep", "table1", [g, n, names] {
-            for (const std::string& preset : *names) {
-              mcf::SolveOptions opts;
-              opts.preset = preset;
-              opts.ipm.mu_end = 1e-3;
-              const auto res = mcf::min_cost_max_flow(*g, 0, n - 1, opts);
-              if (res.status != SolveStatus::kOk || res.stats.preset != preset) std::abort();
-            }
-          }};
-}
-
 Workload make_incremental_resolve(bool tiny) {
   // The cross-solve instance cache (DESIGN.md §15) doing its headline job:
   // after one priming solve, every round perturbs ~1% of the arc costs by ±1
@@ -879,7 +858,6 @@ int main(int argc, char** argv) {
   workloads.push_back(make_engine_batch(opt.tiny));
   workloads.push_back(make_engine_deadline_shed(opt.tiny));
   workloads.push_back(make_certify_overhead(opt.tiny));
-  workloads.push_back(make_preset_sweep(opt.tiny));
   workloads.push_back(make_engine_soak_poisson(opt.tiny));
   workloads.push_back(make_engine_soak_burst(opt.tiny));
   workloads.push_back(make_incremental_resolve(opt.tiny));

@@ -1,176 +1,19 @@
 #pragma once
-// Ingredient registry: pluggable solver strategies + named presets
-// (DESIGN.md §14).
+// The solver's tuned constants (DESIGN.md §14).
 //
-// The solver is a stack of interchangeable ingredients — Newton-system
-// preconditioner tier, CG escalation ladder, degradation-cascade order, IPM
-// step strategy, sketch/leverage sampling config — that the seed hardwired at
-// five separate decision points across linalg/ipm/mcf. This header is the
-// strategy layer that makes those choices runtime-selectable, Uno-style:
-//
-//   Registry<T>        — a string-keyed factory registry; layers register
-//                        their strategy variants under stable names (the
-//                        preconditioner tiers "jacobi"/"ic0" live in
-//                        linalg/preconditioner.cpp, presets live here).
-//   *Ingredient        — one plain-value config struct per decision point.
-//   Ingredients        — the bundle a solve runs under, resolved once at the
-//                        public mcf entry from SolveOptions::preset (or
-//                        EngineConfig::preset) and installed on the solve's
-//                        SolverContext, so nested layers read their knobs
-//                        from ctx.ingredients() and need no new parameters.
-//   preset_registry()  — named Ingredients bundles: "default" (bit-identical
-//                        to the historical hardwired choices), "latency",
-//                        "throughput", "robust", "exact-certify".
-//
-// Option-struct fields that predate this layer (IpmOptions step parameters,
-// LeverageOptions::sketch_dim, ...) keep working: their defaults became
-// preset sentinels (kPresetDouble / kPresetInt / 0), so a field the caller
-// leaves alone resolves against the installed preset while an explicitly
-// pinned value always wins. Under the "default" preset every resolution
-// yields exactly the pre-registry constant, which is what the bit-identity
-// property tests in tests/ingredients_test.cpp assert.
+// The paper's IPMs follow one parameter schedule fixed by the analysis: the
+// step r/√(Στ), the ε accuracies of the maintained approximations, the
+// Lewis fixed point and the sketch widths behind its leverage estimates.
+// This table is the one home of those constants. The IPM and sketch layers
+// read default_ingredients() directly; the option fields callers may set
+// (LeverageOptions::sketch_dim, LewisOptions) take their defaults from it.
 
-#include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <limits>
-#include <map>
-#include <mutex>
-#include <optional>
-#include <string>
-#include <string_view>
-#include <vector>
 
 namespace pmcf::core {
 
-// ---------------------------------------------------------------------------
-// Generic string-keyed strategy registry.
-
-template <typename T>
-class Registry {
- public:
-  using Factory = std::function<T()>;
-
-  /// Register `make` under `name`. Returns false — leaving the existing
-  /// entry untouched — when the name is empty, the factory is empty, or the
-  /// name is already taken: duplicate registration is a caller bug the unit
-  /// tests assert on, never a silent last-wins overwrite.
-  bool add(std::string name, Factory make) {
-    if (name.empty() || !make) return false;
-    const std::lock_guard<std::mutex> lock(mu_);
-    return factories_.emplace(std::move(name), std::move(make)).second;
-  }
-
-  [[nodiscard]] bool contains(std::string_view name) const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return factories_.find(name) != factories_.end();
-  }
-
-  /// Instantiate the named strategy; nullopt for unknown keys (callers turn
-  /// that into kInvalidInput with the offending name in the detail message).
-  /// The factory runs outside the registry lock.
-  [[nodiscard]] std::optional<T> create(std::string_view name) const {
-    Factory make;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      const auto it = factories_.find(name);
-      if (it == factories_.end()) return std::nullopt;
-      make = it->second;
-    }
-    return make();
-  }
-
-  /// Registered names, sorted.
-  [[nodiscard]] std::vector<std::string> names() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::string> out;
-    out.reserve(factories_.size());
-    for (const auto& entry : factories_) out.push_back(entry.first);
-    return out;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return factories_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, Factory, std::less<>> factories_;
-};
-
-// ---------------------------------------------------------------------------
-// Preset sentinels: an option field left at the sentinel resolves against the
-// installed preset; an explicitly pinned value always wins.
-
-inline constexpr double kPresetDouble = std::numeric_limits<double>::quiet_NaN();
-inline constexpr std::int32_t kPresetInt = -1;
-
-[[nodiscard]] inline bool is_preset(double v) { return std::isnan(v); }
-[[nodiscard]] inline bool is_preset(std::int32_t v) { return v < 0; }
-[[nodiscard]] inline double resolved(double v, double preset) {
-  return std::isnan(v) ? preset : v;
-}
-[[nodiscard]] inline std::int32_t resolved(std::int32_t v, std::int32_t preset) {
-  return v < 0 ? preset : v;
-}
-
-// Named constants of the default CG escalation ladder (the values the seed
-// hardwired; consumed by linalg/sdd_solver.hpp). Each rung multiplies the
-// tolerance by the escalation factor — ×100, not a gentle doubling — while
-// the iteration budget is what doubles.
-inline constexpr double kDefaultCgEscalationFactor = 100.0;  ///< tolerance × per rung
-inline constexpr std::int32_t kDefaultCgIterGrowth = 2;      ///< max_iters × per rung
-inline constexpr std::int32_t kDefaultCgMaxEscalations = 2;  ///< retries after rung 0
-inline constexpr std::size_t kDefaultDenseFallbackMaxDim = 2048;  ///< O(dim³) guardrail
-
-// ---------------------------------------------------------------------------
-// One config struct per decision point. Defaults == the "default" preset ==
-// the historical hardwired behavior, bit for bit.
-
-/// (1) Preconditioner tier for the CG call sites. Tier names resolve through
-/// linalg::precond_tier_registry() ("jacobi", "ic0" built in; a future
-/// Cholesky/AMG tier registers there without touching any call site).
-struct PrecondIngredient {
-  /// Tier for the drift-cached sites (Newton, leverage, Lewis maintenance).
-  std::string tier = "ic0";
-  /// Rebuild the cached factor when any weight moved by more than this
-  /// relative to the weights it was built from.
-  double drift_threshold = 0.5;
-  /// Tier for the robust-step systems, whose sparsified support is resampled
-  /// every step — an expensive factorization would be discarded immediately,
-  /// so the historical choice is Jacobi.
-  std::string robust_step_tier = "jacobi";
-};
-
-/// (2) CG escalation ladder (linalg::solve_sdd_resilient).
-struct CgLadderIngredient {
-  std::int32_t max_escalations = kDefaultCgMaxEscalations;
-  double escalation_factor = kDefaultCgEscalationFactor;
-  std::int32_t iter_growth = kDefaultCgIterGrowth;
-  /// Rungs seed from the best iterate any earlier rung produced; off = every
-  /// rung restarts cold.
-  bool warm_start_rungs = true;
-  std::size_t dense_fallback_max_dim = kDefaultDenseFallbackMaxDim;
-};
-
-/// Core-level solver-tier ids for the degradation cascade; mcf maps them onto
-/// mcf::Method (core cannot depend on mcf).
-enum class SolverTier : std::uint8_t {
-  kRobustIpm = 0,
-  kReferenceIpm = 1,
-  kCombinatorial = 2,
-};
-
-/// (3) Degradation-cascade tier order (mcf/min_cost_flow.cpp). The cascade
-/// attempts the suffix of `ladder` starting at the requested method; a method
-/// absent from the ladder runs alone (no degradation targets).
-struct CascadeIngredient {
-  std::vector<SolverTier> ladder = {SolverTier::kRobustIpm, SolverTier::kReferenceIpm,
-                                    SolverTier::kCombinatorial};
-};
-
-/// (4) IPM step strategy / barrier schedule (ipm/*.cpp). `ref_` fields feed
+/// IPM step strategy / barrier schedule (ipm/*.cpp). `ref_` fields feed
 /// reference_ipm, `rob_` fields feed robust_ipm.
 struct IpmStepIngredient {
   double ref_step_fraction = 0.25;    ///< r in mu <- mu(1 - r/sqrt(Στ))
@@ -181,8 +24,8 @@ struct IpmStepIngredient {
   double rob_step_fraction = 0.4;
   double rob_gamma = 0.5;       ///< steepest-descent step scale
   double rob_bucket_eps = 0.1;  ///< bucketing granularity (ds stack)
-  double rob_dual_eps = 0.05;   ///< s̄ accuracy
-  double rob_primal_eps = 0.02; ///< x̄ accuracy
+  double rob_dual_eps = 0.05;   ///< s̄ accuracy (relative to μτ√φ'')
+  double rob_primal_eps = 0.02; ///< x̄ accuracy (relative to capacity)
   /// resync_every = multiplier * ceil(sqrt(n)) when RobustIpmOptions leaves
   /// it on auto (0).
   double rob_resync_multiplier = 4.0;
@@ -191,10 +34,10 @@ struct IpmStepIngredient {
   double rob_recenter_threshold = 0.5;  ///< centrality target at epoch start
 };
 
-/// (5) Sketch dimension / leverage sampling config (linalg/leverage.cpp,
-/// linalg/lewis.cpp, ds/lewis_maintenance.cpp).
+/// Sketch dimension / leverage sampling config (linalg/leverage.cpp,
+/// linalg/lewis.cpp, ipm/robust_ipm.cpp).
 struct SketchIngredient {
-  /// JL rows when the caller left LeverageOptions::sketch_dim at 0.
+  /// JL rows: the default of LeverageOptions::sketch_dim.
   std::int32_t sketch_dim = 48;
   /// Sketch-retry recovery attempts (each retry doubles the JL rows and
   /// reseeds) before the dense oracle / typed kSketchFailure.
@@ -202,7 +45,7 @@ struct SketchIngredient {
   /// Dense exact-leverage fallback guardrail: only instances with at most
   /// this many columns pay the O(n³) oracle.
   std::size_t dense_oracle_max_cols = 512;
-  /// Lewis fixed-point defaults when LewisOptions leaves them at sentinels.
+  /// Lewis fixed-point defaults (LewisOptions).
   std::int32_t lewis_fixpoint_rounds = 40;
   double lewis_fixpoint_tol = 1e-3;
   /// Robust IPM epoch boundaries: Lewis rounds / JL rows for the epoch τ
@@ -212,32 +55,15 @@ struct SketchIngredient {
   std::int32_t lewis_maint_sketch_dim = 8;
 };
 
-/// The bundle a solve runs under. Resolved once at the public mcf entry and
-/// installed on the SolverContext for the solve's duration.
 struct Ingredients {
-  std::string name = "default";  ///< preset name, recorded in SolveStats
-  PrecondIngredient precond;
-  CgLadderIngredient ladder;
-  CascadeIngredient cascade;
   IpmStepIngredient step;
   SketchIngredient sketch;
 };
 
-/// Defect description for a nonsensical bundle ("" = valid). Checked at
-/// preset registration and again at the mcf entry points, which turn a
-/// non-empty answer into kInvalidInput with this text as the typed detail.
-std::string validate(const Ingredients& ing);
-
-/// Process-wide preset registry with the built-ins installed on first use:
-/// "default", "latency", "throughput", "robust", "exact-certify".
-Registry<Ingredients>& preset_registry();
-
-/// Resolve a preset name; "" means "default". nullopt for unknown names.
-std::optional<Ingredients> resolve_preset(std::string_view name);
-
-/// The "default" preset instance backing ctx.ingredients() when no preset
-/// was installed — layer-level callers and tests see exactly the historical
-/// hardwired behavior.
-const Ingredients& default_ingredients();
+/// The library's constants: the one table, every field at its default.
+[[nodiscard]] inline const Ingredients& default_ingredients() {
+  static constexpr Ingredients kTable{};
+  return kTable;
+}
 
 }  // namespace pmcf::core

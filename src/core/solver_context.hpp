@@ -23,7 +23,7 @@
 
 #include "core/deadline.hpp"
 #include "core/exec_bindings.hpp"
-#include "core/ingredients.hpp"
+#include "core/ingredients.hpp"  // solver layers reach the constants through this header
 #include "core/solve_status.hpp"
 #include "parallel/fault_injection.hpp"
 #include "parallel/rng.hpp"
@@ -93,21 +93,6 @@ class SolverContext {
   [[nodiscard]] const RecoveryLog& recovery() const { return recovery_; }
   [[nodiscard]] AccelTelemetry& accel() { return accel_; }
   [[nodiscard]] const AccelTelemetry& accel() const { return accel_; }
-
-  /// The ingredient bundle this solve runs under (DESIGN.md §14). The mcf
-  /// entry points resolve SolveOptions::preset and install the bundle via
-  /// IngredientScope; everything below reads its strategy knobs here, so no
-  /// nested layer needs a new parameter. Without an installed bundle this is
-  /// the "default" preset — the historical hardwired behavior — which keeps
-  /// layer-level callers (linalg/ipm tests, benches) bit-identical.
-  [[nodiscard]] const Ingredients& ingredients() const {
-    return ingredients_ != nullptr ? *ingredients_ : default_ingredients();
-  }
-  /// The installed bundle, or nullptr when running on the implicit default.
-  [[nodiscard]] const Ingredients* ingredients_ptr() const { return ingredients_; }
-  /// Install (or clear, with nullptr) the bundle. `ing` must outlive the
-  /// installation — prefer IngredientScope, which restores on unwind.
-  void set_ingredients(const Ingredients* ing) { ingredients_ = ing; }
 
   /// Lazily-created, type-erased per-solve scratch slot. The linalg
   /// acceleration cache (preconditioners, Laplacian pattern, warm-start
@@ -206,28 +191,9 @@ class SolverContext {
   RecoveryLog recovery_;
   par::Rng rng_;
   AccelTelemetry accel_;
-  const Ingredients* ingredients_ = nullptr;
   void* scratch_ = nullptr;
   void (*scratch_destroy_)(void*) = nullptr;
   bool scratch_preserved_once_ = false;  ///< adopted scratch survives one reset
-};
-
-/// Installs an ingredient bundle on `ctx` for the scope and restores the
-/// previous one on unwind, so a reused or nested context never leaks a
-/// preset into the next solve.
-class IngredientScope {
- public:
-  IngredientScope(SolverContext& ctx, const Ingredients& ing)
-      : ctx_(ctx), prev_(ctx.ingredients_ptr()) {
-    ctx_.set_ingredients(&ing);
-  }
-  ~IngredientScope() { ctx_.set_ingredients(prev_); }
-  IngredientScope(const IngredientScope&) = delete;
-  IngredientScope& operator=(const IngredientScope&) = delete;
-
- private:
-  SolverContext& ctx_;
-  const Ingredients* prev_;
 };
 
 /// Installs `ctx` as the calling thread's current context for the scope

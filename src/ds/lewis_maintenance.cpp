@@ -18,6 +18,9 @@ using linalg::Vec;
 LeverageMaintenance::LeverageMaintenance(core::SolverContext& ctx, const linalg::IncidenceOp& a,
                                          Vec v, Vec z, LeverageMaintenanceOptions opts)
     : ctx_(&ctx), a_(&a), opts_(opts), v_(std::move(v)), z_(std::move(z)), rng_(opts.seed) {
+  if (opts_.leverage.sketch_dim < 1)
+    throw ComponentError(SolveStatus::kInvalidInput, "ds::LeverageMaintenance",
+                         "leverage.sketch_dim must be >= 1");
   period_ = opts_.period > 0
                 ? opts_.period
                 : static_cast<std::int32_t>(std::ceil(std::sqrt(static_cast<double>(a.cols()))));
@@ -27,10 +30,7 @@ LeverageMaintenance::LeverageMaintenance(core::SolverContext& ctx, const linalg:
 
 void LeverageMaintenance::rebuild() {
   const std::size_t m = a_->rows();
-  // 0 = "preset's sketch width", same resolution rule as leverage_scores.
-  const auto k = static_cast<std::size_t>(
-      opts_.leverage.sketch_dim > 0 ? opts_.leverage.sketch_dim
-                                    : ctx_->ingredients().sketch.sketch_dim);
+  const auto k = static_cast<std::size_t>(opts_.leverage.sketch_dim);
   // Normalize scale (leverage scores are scale invariant).
   const double vmax = std::max(linalg::norm_inf(v_), 1e-300);
   const Vec vn = linalg::scale(v_, 1.0 / vmax);

@@ -40,15 +40,7 @@ IpmResult reference_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Vec y
   res.y = std::move(y0);
   res.mu = mu0;
 
-  // Step strategy: sentinel fields resolve against the installed preset
-  // (under "default" these are exactly the historical constants).
-  const core::IpmStepIngredient& stp = ctx.ingredients().step;
-  const double step_fraction = core::resolved(opts.step_fraction, stp.ref_step_fraction);
-  const double centrality_slack =
-      core::resolved(opts.centrality_slack, stp.ref_centrality_slack);
-  const double boundary_margin = core::resolved(opts.boundary_margin, stp.ref_boundary_margin);
-  const std::int32_t lewis_rounds = core::resolved(opts.lewis_rounds, stp.ref_lewis_rounds);
-  const std::int32_t lewis_every = core::resolved(opts.lewis_every, stp.ref_lewis_every);
+  const core::IpmStepIngredient& stp = core::default_ingredients().step;
 
   // Warm-started Lewis weights: keep τ between iterations, refresh with a
   // few fixed-point rounds against the current scaling. A caller-provided
@@ -89,8 +81,8 @@ IpmResult reference_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Vec y
     // Lewis weights drift slowly along the path (Theorem C.1's premise).
     // leverage_scores retries a corrupted sketch internally (reseed + widen);
     // a persistent sketch failure surfaces here as a typed status.
-    const bool refresh_tau = (it % std::max<std::int32_t>(lewis_every, 1)) == 0;
-    for (std::int32_t round = 0; refresh_tau && round < lewis_rounds; ++round) {
+    const bool refresh_tau = (it % std::max<std::int32_t>(stp.ref_lewis_every, 1)) == 0;
+    for (std::int32_t round = 0; refresh_tau && round < stp.ref_lewis_rounds; ++round) {
       par::parallel_for(0, m, [&](std::size_t i) { scaled[i] = std::pow(tau[i], expo) * v[i]; });
       Vec sigma;
       try {
@@ -121,12 +113,12 @@ IpmResult reference_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Vec y
     res.max_primal_residual = std::max(res.max_primal_residual, linalg::norm_inf(rp));
 
     // Only shrink mu when sufficiently centered; otherwise re-center first.
-    if (centrality < centrality_slack) {
+    if (centrality < stp.ref_centrality_slack) {
       if (res.mu <= opts.mu_end) {
         res.converged = true;
         break;
       }
-      res.mu *= 1.0 - step_fraction / std::sqrt(std::max(tau_sum, 1.0));
+      res.mu *= 1.0 - stp.ref_step_fraction / std::sqrt(std::max(tau_sum, 1.0));
       res.mu = std::max(res.mu, opts.mu_end * 0.5);
     }
 
@@ -155,10 +147,9 @@ IpmResult reference_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Vec y
         cache.preconditioner(ctx, linalg::AccelSite::kNewton, lap, dn);
     linalg::Vec& warm_dy = cache.warm_start(linalg::AccelSite::kNewton, 0, n);
     // Newton system with the full recovery ladder: CG, tolerance
-    // escalation, dense elimination — shaped by the installed preset's
-    // CgLadderIngredient. A rung that still fails ends the solve with a
-    // typed status instead of stepping on a garbage direction.
-    linalg::ResilientSolveOptions rso = linalg::ladder_options(ctx);
+    // escalation, dense elimination. A rung that still fails ends the solve
+    // with a typed status instead of stepping on a garbage direction.
+    linalg::ResilientSolveOptions rso;
     rso.base = opts.solve;
     auto sol = linalg::solve_sdd_resilient(ctx, lap, rhsn, rso, &precond, &warm_dy);
     res.cg_escalations += sol.tolerance_escalations;
@@ -178,13 +169,14 @@ IpmResult reference_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Vec y
     a.apply_into(dy, a_dy);
     par::parallel_for(0, m, [&](std::size_t i) { dx[i] = -d[i] * (resid[i] + a_dy[i]); });
 
-    // Damping: stay `boundary_margin` away from the walls multiplicatively.
+    // Damping: stay ref_boundary_margin away from the walls multiplicatively.
+    const double keep = 1.0 - stp.ref_boundary_margin;
     double alpha = 1.0;
     for (std::size_t i = 0; i < m; ++i) {
       if (dx[i] < 0.0) {
-        alpha = std::min(alpha, (1.0 - boundary_margin) * res.x[i] / -dx[i]);
+        alpha = std::min(alpha, keep * res.x[i] / -dx[i]);
       } else if (dx[i] > 0.0) {
-        alpha = std::min(alpha, (1.0 - boundary_margin) * (lp.cap[i] - res.x[i]) / dx[i]);
+        alpha = std::min(alpha, keep * (lp.cap[i] - res.x[i]) / dx[i]);
       }
     }
     if (!std::isfinite(alpha)) {

@@ -39,18 +39,11 @@ struct IpmLp {
   graph::Vertex dropped = -1;  ///< column removed for full rank (-1: last)
 };
 
+/// The step schedule (step fraction, centrality slack, boundary margin,
+/// Lewis refresh cadence) is fixed: core::IpmStepIngredient's ref_* fields.
 struct IpmOptions {
   double mu_end = 1e-4;          ///< terminate when mu drops below this
-  /// Step-strategy knobs. The sentinels resolve to the installed preset's
-  /// IpmStepIngredient ref_* fields — step_fraction 0.25, centrality_slack
-  /// 0.5, boundary_margin 0.05, lewis_rounds 1, lewis_every 3 under
-  /// "default" — while explicit values always win.
-  double step_fraction = core::kPresetDouble;   ///< r in mu <- mu (1 - r/sqrt(Στ))
-  double centrality_slack = core::kPresetDouble; ///< re-center (no mu decrease) above this
-  double boundary_margin = core::kPresetDouble; ///< damping keeps x this fraction off walls
   std::int32_t max_iters = 20000;
-  std::int32_t lewis_rounds = core::kPresetInt;  ///< warm-started Lewis rounds per refresh
-  std::int32_t lewis_every = core::kPresetInt;   ///< refresh τ every this many iterations
   bool exact_leverage = false;         ///< dense oracle (tiny instances only)
   linalg::LeverageOptions leverage;    ///< JL estimator settings
   linalg::SolveOptions solve;          ///< Newton system solver

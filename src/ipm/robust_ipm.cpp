@@ -59,7 +59,7 @@ SolveStatus exact_center_step(core::SolverContext& ctx, const IpmLp& lp,
   const linalg::SddPreconditioner& precond =
       cache.preconditioner(ctx, linalg::AccelSite::kNewton, lap, dn);
   linalg::Vec& warm_dy = cache.warm_start(linalg::AccelSite::kNewton, 0, n);
-  linalg::ResilientSolveOptions rso = linalg::ladder_options(ctx);
+  linalg::ResilientSolveOptions rso;
   rso.base = solve;
   auto sol = linalg::solve_sdd_resilient(ctx, lap, rhsn, rso, &precond, &warm_dy);
   stats.dense_fallbacks += sol.used_dense_fallback ? 1 : 0;
@@ -112,16 +112,8 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
   res.y = std::move(y0);
   res.mu = mu0;
 
-  // Step strategy + epoch sketch config: sentinel fields resolve against the
-  // installed preset (under "default" these are exactly the historical
-  // constants).
-  const core::IpmStepIngredient& stp = ctx.ingredients().step;
-  const core::SketchIngredient& skt = ctx.ingredients().sketch;
-  const double step_fraction = core::resolved(opts.step_fraction, stp.rob_step_fraction);
-  const double gamma = core::resolved(opts.gamma, stp.rob_gamma);
-  const double bucket_eps = core::resolved(opts.bucket_eps, stp.rob_bucket_eps);
-  const double dual_eps = core::resolved(opts.dual_eps, stp.rob_dual_eps);
-  const double primal_eps = core::resolved(opts.primal_eps, stp.rob_primal_eps);
+  const core::IpmStepIngredient& stp = core::default_ingredients().step;
+  const core::SketchIngredient& skt = core::default_ingredients().sketch;
 
   const std::int32_t resync_every =
       opts.resync_every > 0
@@ -191,7 +183,7 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
 
       // z̄ centrality coordinates (clamped to the bucketing range).
       ds::GradientOptions gopts;
-      gopts.eps = bucket_eps;
+      gopts.eps = stp.rob_bucket_eps;
       gopts.c_norm = 4.0 * std::log(4.0 * static_cast<double>(m) / static_cast<double>(n) + 2.72);
       auto z_of = [&](std::size_t i, double s_i, double x_i, double tau_i, double mu) {
         const double h2 = 1.0 / x_i / x_i + 1.0 / (lp.cap[i] - x_i) / (lp.cap[i] - x_i);
@@ -206,12 +198,12 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
       // Primal accuracy budget: fraction of the distance to the walls.
       Vec accuracy(m);
       for (std::size_t i = 0; i < m; ++i)
-        accuracy[i] = primal_eps * std::min(res.x[i], lp.cap[i] - res.x[i]);
+        accuracy[i] = stp.rob_primal_eps * std::min(res.x[i], lp.cap[i] - res.x[i]);
 
       ds::PrimalGradientMaintenance pg(a, res.x, g_primal, tau, z_bar, accuracy, gopts);
 
       ds::DualMaintenanceOptions dopts;
-      dopts.eps = dual_eps;
+      dopts.eps = stp.rob_dual_eps;
       dopts.hh.decomp.static_opts.power_iters = 24;
       dopts.hh.seed += seed_shift;
       Vec dual_weights(m);
@@ -321,12 +313,12 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
 
         //    δy = H^{-1} A^T Φ''^{-1/2} g  with g = -γ ∇Ψ^♭  (dual step)
         std::vector<Vec> step_rhs(2);
-        step_rhs[0] = linalg::scale(v1, -gamma / dmax);
+        step_rhs[0] = linalg::scale(v1, -stp.rob_gamma / dmax);
         step_rhs[0][static_cast<std::size_t>(a.dropped())] = 0.0;
         //    δy + δc adds the feasibility correction H^{-1}(A^T x̄ - b).
         step_rhs[1].resize(n);
         par::parallel_for(0, n, [&](std::size_t i) {
-          step_rhs[1][i] = (-gamma * v1[i] - rp[i]) / dmax;
+          step_rhs[1][i] = (-stp.rob_gamma * v1[i] - rp[i]) / dmax;
         });
         step_rhs[1][static_cast<std::size_t>(a.dropped())] = 0.0;
         linalg::Vec& warm_dy = cache.warm_start(linalg::AccelSite::kRobustStep, 0, n);
@@ -370,7 +362,7 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
           h_idx.push_back(i);
           h_val.push_back(hv);
         }
-        const auto sum_res = pg.query_sum(h_idx, h_val, -gamma);
+        const auto sum_res = pg.query_sum(h_idx, h_val, -stp.rob_gamma);
 
         // 5. Propagate x̄ changes: residual, Lewis scaling, sampler weights.
         {
@@ -420,7 +412,7 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
         }
 
         // 8. Shrink μ.
-        res.mu *= 1.0 - step_fraction / std::sqrt(std::max(tau_sum, 1.0));
+        res.mu *= 1.0 - stp.rob_step_fraction / std::sqrt(std::max(tau_sum, 1.0));
         res.mu = std::max(res.mu, opts.mu_end * 0.5);
         if (!std::isfinite(res.mu) || !std::isfinite(tau_sum)) {
           res.status = SolveStatus::kNumericalFailure;

@@ -30,17 +30,10 @@
 
 namespace pmcf::ipm {
 
+/// The step schedule (step fraction, γ, the bucketing/dual/primal ε
+/// accuracies, re-centering) is fixed: core::IpmStepIngredient's rob_* fields.
 struct RobustIpmOptions {
   double mu_end = 1e-4;
-  /// Step-strategy knobs. The sentinels resolve to the installed preset's
-  /// IpmStepIngredient rob_* fields — step_fraction 0.4, gamma 0.5,
-  /// bucket_eps 0.1, dual_eps 0.05, primal_eps 0.02 under "default" —
-  /// while explicit values always win.
-  double step_fraction = core::kPresetDouble;  ///< r in mu <- mu(1 - r/sqrt(Στ))
-  double gamma = core::kPresetDouble;          ///< steepest-descent step scale
-  double bucket_eps = core::kPresetDouble;     ///< bucketing granularity (ds stack)
-  double dual_eps = core::kPresetDouble;       ///< s̄ accuracy (relative to μτ√φ'')
-  double primal_eps = core::kPresetDouble;     ///< x̄ accuracy (relative to capacity)
   std::int32_t resync_every = 0;  ///< 0 => rob_resync_multiplier*ceil(sqrt(n))
   std::int32_t max_iters = 20000;
   double sparsifier_k = 1.0;      ///< leverage oversampling K'

@@ -32,43 +32,26 @@ double relative_drift(const Vec& w, const Vec& ref) {
       [](double a, double b) { return a > b ? a : b; });
 }
 
-}  // namespace
+/// Refactor once any weight drifted past this relative to the factor's
+/// reference weights.
+constexpr double kDriftThreshold = 0.5;
 
-PrecondRequest precond_request(core::SolverContext& ctx, AccelSite site) {
-  const core::PrecondIngredient& ing = ctx.ingredients().precond;
-  const PrecondTierFactory tier = resolve_precond_tier(
-      site == AccelSite::kRobustStep ? ing.robust_step_tier : ing.tier);
-  PrecondRequest req;
-  req.kind = tier.kind;
-  req.drift_threshold = ing.drift_threshold;
-  req.build = tier.build;
-  return req;
-}
+}  // namespace
 
 const SddPreconditioner& AccelCache::preconditioner(core::SolverContext& ctx, AccelSite site,
                                                     const Csr& m, const Vec& w) {
-  return preconditioner(ctx, site, m, w, precond_request(ctx, site));
-}
-
-const SddPreconditioner& AccelCache::preconditioner(core::SolverContext& ctx, AccelSite site,
-                                                    const Csr& m, const Vec& w,
-                                                    const PrecondRequest& req) {
   PrecondSlot& slot = precond_[static_cast<std::size_t>(site)];
-  const bool shape_ok = slot.built && slot.kind == req.kind && slot.dim == m.dim() &&
-                        slot.nnz == m.nnz() && slot.w_ref.size() == w.size();
-  if (shape_ok && relative_drift(w, slot.w_ref) <= req.drift_threshold) {
+  const bool shape_ok = slot.built && slot.dim == m.dim() && slot.nnz == m.nnz() &&
+                        slot.w_ref.size() == w.size();
+  if (shape_ok && relative_drift(w, slot.w_ref) <= kDriftThreshold) {
     ++ctx.accel().precond_reuses;
     return slot.precond;
   }
-  if (req.build) {
-    req.build(slot.precond, m);
-  } else {
-    slot.precond.build(m, req.kind);
-  }
+  slot.precond.build(m, site == AccelSite::kRobustStep ? PrecondKind::kJacobi
+                                                       : PrecondKind::kIncompleteCholesky);
   slot.w_ref = w;
   slot.dim = m.dim();
   slot.nnz = m.nnz();
-  slot.kind = req.kind;
   slot.built = true;
   ++ctx.accel().precond_builds;
   if (slot.precond.fell_back()) ++ctx.accel().precond_fallbacks;

@@ -19,7 +19,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -42,25 +41,6 @@ enum class AccelSite : std::uint8_t {
 };
 inline constexpr std::size_t kNumAccelSites = 4;
 
-struct PrecondRequest {
-  PrecondKind kind = PrecondKind::kIncompleteCholesky;
-  /// Rebuild when any weight moved by more than this relative to the weights
-  /// the factorization was built from: max_i |w_i - ref_i| / max(|ref_i|, τ).
-  double drift_threshold = 0.5;
-  /// Build recipe a registered tier supplies (PrecondTierFactory::build).
-  /// Empty → SddPreconditioner::build(m, kind), which is what the built-in
-  /// "jacobi"/"ic0" tiers do anyway.
-  std::function<void(SddPreconditioner&, const Csr&)> build;
-};
-
-/// The request the installed preset's PrecondIngredient implies for `site`:
-/// the robust-step site resolves precond.robust_step_tier (its sparsified
-/// support is resampled every step), every other site resolves precond.tier;
-/// both take the ingredient's drift threshold. Throws
-/// ComponentError(kInvalidInput) via resolve_precond_tier on an unknown
-/// tier name.
-PrecondRequest precond_request(core::SolverContext& ctx, AccelSite site);
-
 class AccelCache {
  public:
   /// The reduced Laplacian of (g, d, dropped): a value-only in-place refresh
@@ -69,15 +49,13 @@ class AccelCache {
   const Csr& laplacian(core::SolverContext& ctx, const graph::Digraph& g, const Vec& d,
                        graph::Vertex dropped);
 
-  /// The site's preconditioner for matrix `m` whose weights are `w`:
-  /// reused while (kind, matrix shape, weight drift) all match, refactored
-  /// otherwise. Telemetry lands in ctx.accel().
-  const SddPreconditioner& preconditioner(core::SolverContext& ctx, AccelSite site, const Csr& m,
-                                          const Vec& w, const PrecondRequest& req);
-
-  /// Ingredient-resolving overload: the request comes from the installed
-  /// preset via precond_request(ctx, site). This is what solver call sites
-  /// use; pass an explicit request only to pin a tier regardless of preset.
+  /// The site's preconditioner for matrix `m` whose weights are `w`: Jacobi
+  /// for kRobustStep (its sparsified support is resampled every step, so a
+  /// factorization would be discarded immediately), IC(0) elsewhere. Reused
+  /// while the matrix shape matches and the relative drift of `w` from the
+  /// weights the factor was built from, max_i |w_i - ref_i| / max(|ref_i|, τ),
+  /// stays under the cache's threshold; refactored otherwise. Telemetry
+  /// lands in ctx.accel().
   const SddPreconditioner& preconditioner(core::SolverContext& ctx, AccelSite site, const Csr& m,
                                           const Vec& w);
 
@@ -127,7 +105,6 @@ class AccelCache {
     Vec w_ref;
     std::size_t dim = 0;
     std::size_t nnz = 0;
-    PrecondKind kind = PrecondKind::kJacobi;
     bool built = false;
   };
 

@@ -109,6 +109,9 @@ bool plausible_leverage(const Vec& sigma, std::size_t cols) {
 
 Vec leverage_scores(core::SolverContext& ctx, const IncidenceOp& a, const Vec& v_in, par::Rng& rng,
                     const LeverageOptions& opts) {
+  if (opts.sketch_dim < 1)
+    throw ComponentError(SolveStatus::kInvalidInput, "linalg::leverage_scores",
+                         "sketch_dim must be >= 1");
   // Leverage scores are invariant under uniform scaling of v; normalize so
   // the dropped row's unit pin stays commensurate with the weights.
   const double vmax = std::max(norm_inf(v_in), 1e-300);
@@ -122,13 +125,10 @@ Vec leverage_scores(core::SolverContext& ctx, const IncidenceOp& a, const Vec& v
   const SddPreconditioner& precond = cache.preconditioner(ctx, AccelSite::kLeverage, lap, w);
 
   // Retry-with-reseed recovery: each retry widens the sketch (doubling the
-  // JL rows) and draws fresh Rademacher rows from a split stream. Sketch
-  // width and retry budget come from the installed preset unless the caller
-  // pinned an explicit sketch_dim.
-  const core::SketchIngredient& skt = ctx.ingredients().sketch;
-  const std::int32_t max_attempts = skt.max_attempts;
-  auto k = static_cast<std::size_t>(opts.sketch_dim > 0 ? opts.sketch_dim : skt.sketch_dim);
-  for (std::int32_t attempt = 0; attempt < max_attempts; ++attempt, k *= 2) {
+  // JL rows) and draws fresh Rademacher rows from a split stream.
+  const core::SketchIngredient& skt = core::default_ingredients().sketch;
+  auto k = static_cast<std::size_t>(opts.sketch_dim);
+  for (std::int32_t attempt = 0; attempt < skt.max_attempts; ++attempt, k *= 2) {
     if (attempt > 0) ctx.recovery().note(RecoveryEvent::kSketchRetry);
     // Attempt 0 consumes `rng` exactly as the non-resilient version did;
     // retries keep drawing from the same stream, i.e. fresh Rademacher rows.

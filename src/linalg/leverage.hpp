@@ -19,15 +19,14 @@ namespace pmcf::linalg {
 Vec leverage_scores_exact(const IncidenceOp& a, const Vec& v);
 
 struct LeverageOptions {
-  /// JL rows; error ~ 1/sqrt(k). 0 (the default) resolves to the installed
-  /// preset's SketchIngredient::sketch_dim — 48 under "default" — while an
-  /// explicit value always wins (tests pin 8/12/200-row sketches).
-  std::int32_t sketch_dim = 0;
+  /// JL rows, >= 1; error ~ 1/sqrt(k).
+  std::int32_t sketch_dim = core::default_ingredients().sketch.sketch_dim;
   SolveOptions solve;
 };
 
 /// JL-sketched leverage scores, clamped to [0, 1]. Sketch-retry recovery and
-/// the kSketchCorruption injection point are scoped to `ctx`.
+/// the kSketchCorruption injection point are scoped to `ctx`. Throws
+/// ComponentError(kInvalidInput) when opts.sketch_dim < 1.
 Vec leverage_scores(core::SolverContext& ctx, const IncidenceOp& a, const Vec& v, par::Rng& rng,
                     const LeverageOptions& opts = {});
 

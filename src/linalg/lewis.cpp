@@ -15,14 +15,11 @@ Vec lewis_weights(core::SolverContext& ctx, const IncidenceOp& a, const Vec& v, 
                   double p, par::Rng& rng, const LewisOptions& opts) {
   const std::size_t m = a.rows();
   const double expo = 0.5 - 1.0 / p;
-  const core::SketchIngredient& skt = ctx.ingredients().sketch;
-  const std::int32_t max_rounds = core::resolved(opts.max_rounds, skt.lewis_fixpoint_rounds);
-  const double fixpoint_tol = core::resolved(opts.fixpoint_tol, skt.lewis_fixpoint_tol);
 
   Vec tau(m, 1.0);
   Vec scaled(m);  // fixed-point round scratch, reused across rounds
   Vec next(m);
-  for (std::int32_t round = 0; round < max_rounds; ++round) {
+  for (std::int32_t round = 0; round < opts.max_rounds; ++round) {
     // scaled rows: tau^{1/2 - 1/p} .* v
     par::parallel_for(0, m, [&](std::size_t i) { scaled[i] = std::pow(tau[i], expo) * v[i]; });
     Vec sigma = opts.exact_leverage ? leverage_scores_exact(a, scaled)
@@ -34,7 +31,7 @@ Vec lewis_weights(core::SolverContext& ctx, const IncidenceOp& a, const Vec& v, 
     }
     par::charge(m, par::ceil_log2(std::max<std::size_t>(m, 1)));
     std::swap(tau, next);
-    if (max_rel < fixpoint_tol) break;
+    if (max_rel < opts.fixpoint_tol) break;
   }
   return tau;
 }

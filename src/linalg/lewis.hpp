@@ -15,11 +15,9 @@
 namespace pmcf::linalg {
 
 struct LewisOptions {
-  /// Fixed-point budget/stopping tolerance. The sentinels resolve to the
-  /// installed preset's SketchIngredient (lewis_fixpoint_rounds = 40,
-  /// lewis_fixpoint_tol = 1e-3 under "default"); explicit values win.
-  std::int32_t max_rounds = core::kPresetInt;
-  double fixpoint_tol = core::kPresetDouble;  // stop when tau changes by < tol entrywise
+  std::int32_t max_rounds = core::default_ingredients().sketch.lewis_fixpoint_rounds;
+  /// Stop when tau changes by < tol entrywise.
+  double fixpoint_tol = core::default_ingredients().sketch.lewis_fixpoint_tol;
   bool exact_leverage = false;    // dense oracle (tests) vs JL estimator
   LeverageOptions leverage;
 };

@@ -3,49 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <string>
 
-#include "core/solve_status.hpp"
 #include "linalg/simd.hpp"
 #include "linalg/simd_kernels.hpp"
 #include "parallel/scheduler.hpp"
 
 namespace pmcf::linalg {
-
-core::Registry<PrecondTierFactory>& precond_tier_registry() {
-  static core::Registry<PrecondTierFactory>& reg = *[] {
-    // Leaked singleton: outlives static teardown; Registry owns a mutex so
-    // it cannot be returned by value.
-    auto* r = new core::Registry<PrecondTierFactory>();
-    r->add("jacobi", [] {
-      PrecondTierFactory f;
-      f.kind = PrecondKind::kJacobi;
-      f.build = [](SddPreconditioner& p, const Csr& m) {
-        p.build(m, PrecondKind::kJacobi);
-      };
-      return f;
-    });
-    r->add("ic0", [] {
-      PrecondTierFactory f;
-      f.kind = PrecondKind::kIncompleteCholesky;
-      f.build = [](SddPreconditioner& p, const Csr& m) {
-        p.build(m, PrecondKind::kIncompleteCholesky);
-      };
-      return f;
-    });
-    return r;
-  }();
-  return reg;
-}
-
-PrecondTierFactory resolve_precond_tier(std::string_view name) {
-  auto tier = precond_tier_registry().create(name);
-  if (!tier) {
-    throw ComponentError(SolveStatus::kInvalidInput, "linalg::resolve_precond_tier",
-                         "unknown preconditioner tier '" + std::string(name) + "'");
-  }
-  return *std::move(tier);
-}
 
 void SddPreconditioner::build(const Csr& m, PrecondKind requested) {
   n_ = m.dim();

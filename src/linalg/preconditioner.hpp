@@ -35,11 +35,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <string_view>
 #include <vector>
 
-#include "core/ingredients.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/kernels.hpp"
 
@@ -109,25 +106,5 @@ class SddPreconditioner {
   std::vector<std::int64_t> blev_off_;
   bool lev_profitable_ = false;
 };
-
-/// One registered preconditioner tier (DESIGN.md §14): the kind it reports
-/// and the build recipe the AccelCache invokes on a (re)factorization.
-/// Today's recipes just forward to SddPreconditioner::build with the matching
-/// kind; a future Cholesky/AMG tier registers a richer build here without
-/// touching any call site.
-struct PrecondTierFactory {
-  PrecondKind kind = PrecondKind::kJacobi;
-  std::function<void(SddPreconditioner&, const Csr&)> build;
-};
-
-/// Tier registry with the built-ins installed on first use:
-/// "jacobi", "ic0".
-core::Registry<PrecondTierFactory>& precond_tier_registry();
-
-/// Resolve a tier by name. Throws ComponentError(kInvalidInput,
-/// "linalg::resolve_precond_tier", ...) naming the unknown tier — option
-/// validation at the mcf entry normally rejects bad names earlier, so a
-/// throw here means a layer-level caller installed an unvetted bundle.
-PrecondTierFactory resolve_precond_tier(std::string_view name);
 
 }  // namespace pmcf::linalg

@@ -375,17 +375,6 @@ std::string validate(const ResilientSolveOptions& opts) {
   return bad.str();
 }
 
-ResilientSolveOptions ladder_options(core::SolverContext& ctx) {
-  const core::CgLadderIngredient& lad = ctx.ingredients().ladder;
-  ResilientSolveOptions opts;
-  opts.max_escalations = lad.max_escalations;
-  opts.escalation_factor = lad.escalation_factor;
-  opts.iter_growth = lad.iter_growth;
-  opts.warm_start_rungs = lad.warm_start_rungs;
-  opts.dense_fallback_max_dim = lad.dense_fallback_max_dim;
-  return opts;
-}
-
 ResilientSolveResult solve_sdd_resilient(core::SolverContext& ctx, const Csr& m, const Vec& b,
                                          const ResilientSolveOptions& opts,
                                          const SddPreconditioner* precond, const Vec* x0) {

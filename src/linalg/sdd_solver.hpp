@@ -13,11 +13,9 @@
 // fault-injection point kCgStagnation simulates exactly that), results carry
 // a typed SolveStatus and `solve_sdd_resilient` wraps the recovery policy
 // used by the IPM layers: a bounded escalation ladder — each rung relaxes the
-// tolerance by core::kDefaultCgEscalationFactor (×100), doubles the iteration
-// budget, and warm-starts from the best iterate any earlier rung produced —
-// then a dense Gaussian-elimination fallback for systems small enough to
-// afford it. The ladder's shape is an ingredient (CgLadderIngredient): build
-// the options with ladder_options(ctx) to run the installed preset's ladder.
+// tolerance ×100, doubles the iteration budget, and warm-starts from the best
+// iterate any earlier rung produced — then a dense Gaussian-elimination
+// fallback for systems small enough to afford it (ResilientSolveOptions).
 //
 // `solve_sdd_multi` batches k right-hand sides against one matrix into a
 // blocked CG sharing a single nnz-balanced SpMV pass per iteration; each
@@ -96,14 +94,11 @@ std::vector<SolveResult> solve_sdd_multi(core::SolverContext& ctx, const Csr& m,
 
 struct ResilientSolveOptions {
   SolveOptions base;
-  /// Escalation-ladder shape. Defaults are the named default-ladder
-  /// constants (== the "default" preset); call ladder_options(ctx) to start
-  /// from the installed preset's ladder instead.
-  std::int32_t max_escalations = core::kDefaultCgMaxEscalations;
-  double escalation_factor = core::kDefaultCgEscalationFactor;  ///< tolerance *= per rung
-  std::int32_t iter_growth = core::kDefaultCgIterGrowth;        ///< max_iters *= per rung
-  bool warm_start_rungs = true;  ///< rungs seed from the best earlier iterate
-  std::size_t dense_fallback_max_dim = core::kDefaultDenseFallbackMaxDim;  ///< O(dim^3) guardrail
+  std::int32_t max_escalations = 2;   ///< retries after rung 0
+  double escalation_factor = 100.0;   ///< tolerance *= per rung
+  std::int32_t iter_growth = 2;       ///< max_iters *= per rung
+  bool warm_start_rungs = true;       ///< rungs seed from the best earlier iterate
+  std::size_t dense_fallback_max_dim = 2048;  ///< O(dim^3) guardrail
 };
 
 struct ResilientSolveResult {
@@ -120,12 +115,6 @@ struct ResilientSolveResult {
 /// iteration budget). solve_sdd_resilient rejects a non-empty answer with
 /// ComponentError(kInvalidInput).
 std::string validate(const ResilientSolveOptions& opts);
-
-/// ResilientSolveOptions seeded from the installed preset's
-/// CgLadderIngredient (base tolerance/max_iters keep their SolveOptions
-/// defaults — callers overwrite those per site). Under the "default" preset
-/// this equals a default-constructed ResilientSolveOptions.
-ResilientSolveOptions ladder_options(core::SolverContext& ctx);
 
 /// Solve M x = b with the Newton-system recovery policy: CG at the requested
 /// tolerance, then the bounded escalation ladder — each rung multiplies the

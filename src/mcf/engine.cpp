@@ -6,7 +6,6 @@
 #include <numeric>
 #include <utility>
 
-#include "core/ingredients.hpp"
 #include "linalg/accel_cache.hpp"
 #include "mcf/certify.hpp"
 #include "parallel/scheduler.hpp"
@@ -430,8 +429,7 @@ struct Engine::Admission {
 
 // ---------------------------------------------------------------------------
 
-Engine::Engine(EngineConfig config)
-    : config_(std::move(config)), preset_names_(core::preset_registry().names()) {
+Engine::Engine(EngineConfig config) : config_(std::move(config)) {
   if (config_.max_in_flight > 0)
     admission_ = std::make_unique<Admission>(config_, &in_flight_);
   store_ = std::make_unique<InstanceStore>(config_.instance_cache_capacity);
@@ -475,9 +473,6 @@ MetricsSnapshot Engine::metrics_snapshot() const {
   MetricsSnapshot snap = metrics_.snapshot();
   snap.in_flight = in_flight();
   snap.queue_depth = queue_depth();
-  snap.preset_names = preset_names_;
-  if (snap.preset_names.size() > kMaxPresetSlots - 1)
-    snap.preset_names.resize(kMaxPresetSlots - 1);  // last slot = overflow
   return snap;
 }
 
@@ -505,21 +500,14 @@ EngineSolveResult Engine::solve_with_salt(const Instance& inst, const mcf::Solve
     linalg::adopt_accel_cache(ctx, std::move(*warm->accel_slot));
   }
 
-  // Preset resolution order (DESIGN.md §14): an options-level preset wins,
-  // then the engine's configured default, then the library "default". The
-  // copy is taken only when the engine actually has to fill the field in.
+  // The warm-start plumbing rides on a copy of the options, taken only when
+  // there is something to plumb.
   const mcf::SolveOptions* eff = &opts;
   mcf::SolveOptions patched;
-  const bool patch_preset = !config_.preset.empty() && opts.preset.empty();
-  const bool patch_warm =
-      warm != nullptr && (warm->hint != nullptr || warm->capture != nullptr);
-  if (patch_preset || patch_warm) {
+  if (warm != nullptr && (warm->hint != nullptr || warm->capture != nullptr)) {
     patched = opts;
-    if (patch_preset) patched.preset = config_.preset;
-    if (patch_warm) {
-      patched.warm = warm->hint;
-      patched.warm_out = warm->capture;
-    }
+    patched.warm = warm->hint;
+    patched.warm_out = warm->capture;
     eff = &patched;
   }
 
@@ -628,16 +616,6 @@ EngineSolveResult Engine::admit_and_solve(const Instance& inst, const mcf::Solve
   metrics_.solve_time.record(done - acquired_at);
   metrics_.latency.record(done - arrival);
   metrics_.on_outcome(priority, out.result.status);
-  if (!out.result.stats.preset.empty()) {
-    std::size_t slot = kMaxPresetSlots - 1;  // overflow: registered post-construction
-    for (std::size_t i = 0; i < preset_names_.size() && i + 1 < kMaxPresetSlots; ++i) {
-      if (preset_names_[i] == out.result.stats.preset) {
-        slot = i;
-        break;
-      }
-    }
-    metrics_.count_preset(slot);
-  }
   if (out.result.stats.certified) metrics_.count(EngineCounter::kCertified);
   if (out.result.stats.certification_failures > 0)
     metrics_.count(EngineCounter::kCertificationFailures, out.result.stats.certification_failures);
@@ -714,7 +692,7 @@ std::vector<EngineSolveResult> Engine::solve_batch(const std::vector<Instance>& 
 // ---------------------------------------------------------------------------
 // Cross-solve instance cache + incremental re-solve (DESIGN.md §15).
 
-InstanceHandle Engine::register_instance(const Instance& inst, std::string preset_hint) const {
+InstanceHandle Engine::register_instance(const Instance& inst) const {
   if (inst.graph == nullptr) return 0;
   auto rec = std::make_shared<InstanceRecord>();
   rec->is_max_flow = inst.kind == Instance::Kind::kMaxFlow;
@@ -722,7 +700,6 @@ InstanceHandle Engine::register_instance(const Instance& inst, std::string prese
   rec->sink = inst.sink;
   rec->demands = inst.demands;
   rec->deadline = inst.deadline;
-  rec->preset_hint = std::move(preset_hint);
   rec->solver_graph = *inst.graph;
   rec->compact_of.resize(static_cast<std::size_t>(inst.graph->num_arcs()));
   std::iota(rec->compact_of.begin(), rec->compact_of.end(), graph::EdgeId{0});
@@ -857,7 +834,6 @@ EngineSolveResult Engine::resolve(InstanceHandle handle, const InstanceDelta& de
   view.deadline = rec->deadline;
 
   mcf::SolveOptions eff = opts;
-  if (eff.preset.empty()) eff.preset = rec->preset_hint;
   // The whole cache rests on served results being independently verified:
   // a resolve never runs uncertified, whatever the caller passed.
   eff.certify = true;

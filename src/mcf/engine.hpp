@@ -124,12 +124,6 @@ struct EngineConfig {
   /// ordered by thread interleaving; 0 disables the injector entirely.
   double chaos_cancel_rate = 0.0;
   std::uint64_t chaos_seed = 0xc4a05eedULL;
-  /// Deployment-level ingredient preset (DESIGN.md §14): applied to every
-  /// solve whose SolveOptions::preset is empty; a request that names its own
-  /// preset wins. "" keeps the library default ("default"). Unknown names
-  /// are rejected per solve with kInvalidInput, exactly as if the caller had
-  /// set SolveOptions::preset directly.
-  std::string preset;
   /// Cross-solve instance cache (DESIGN.md §15): how many registered
   /// instances may retain solved artifacts (preconditioner drift state,
   /// central-path warm start, certified optimum) at once; least-recently
@@ -262,12 +256,9 @@ class Engine {
 
   /// Deep-copy `inst` into the engine's instance store, fingerprint it
   /// (structure hash over the arc list, value hash over costs/capacities),
-  /// and return a stable handle for Engine::resolve. `preset_hint`
-  /// optionally pins a tuned ingredient preset to the instance (e.g. the
-  /// bench_preset_tune winner); per-request SolveOptions::preset still wins.
-  /// Returns 0 (the unknown-handle sentinel) for a null-graph instance.
-  [[nodiscard]] InstanceHandle register_instance(const Instance& inst,
-                                                 std::string preset_hint = "") const;
+  /// and return a stable handle for Engine::resolve. Returns 0 (the
+  /// unknown-handle sentinel) for a null-graph instance.
+  [[nodiscard]] InstanceHandle register_instance(const Instance& inst) const;
 
   /// Drop a registered instance and its retained artifacts. In-flight
   /// resolves on the handle finish normally; later ones get kInvalidInput.
@@ -371,9 +362,6 @@ class Engine {
   void retire_handle(const SolveControl& control) const;
 
   EngineConfig config_;
-  /// Registered preset names captured at construction; fixes the slot →
-  /// name mapping for EngineMetrics::count_preset / MetricsSnapshot.
-  std::vector<std::string> preset_names_;
   /// Distinct salt per direct solve() call so concurrent callers get
   /// distinct context RNG streams (results don't depend on it — solver
   /// randomness seeds from SolveOptions — but forked streams must differ).

@@ -128,7 +128,6 @@ struct InstanceRecord {
   graph::Vertex sink = 0;
   std::vector<std::int64_t> demands;     ///< b-flow boundary conditions
   core::Deadline deadline = core::Deadline::unlimited();
-  std::string preset_hint;               ///< tuned preset; "" = unpinned
 
   // Live state (mutated by apply_delta under `mu`).
   graph::Digraph solver_graph;           ///< live arcs, compact ids

@@ -118,8 +118,6 @@ MetricsSnapshot EngineMetrics::snapshot() const {
   snap.latency = latency.snapshot();
   snap.queue_wait = queue_wait.snapshot();
   snap.solve_time = solve_time.snapshot();
-  for (std::size_t i = 0; i < kMaxPresetSlots; ++i)
-    snap.preset_counts[i] = preset_counts_[i].load(std::memory_order_relaxed);
   // Trace ring: collect every cell whose seqlock word is stable across the
   // payload read (even + unchanged ⇒ the packed word belongs to that seq),
   // then order by shed ordinal so the export reads oldest → newest.

@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/solve_status.hpp"
@@ -29,14 +28,6 @@ namespace pmcf {
 /// important, kNumPriorities-1 the least. Under overload, lower priorities
 /// (numerically larger) are shed first.
 inline constexpr std::size_t kNumPriorities = 4;
-
-/// Fixed-size tally of which ingredient preset (DESIGN.md §14) answered each
-/// solve. Slots 0..kMaxPresetSlots-2 map to the preset names the Engine
-/// captured from core::preset_registry() at construction (MetricsSnapshot::
-/// preset_names); the last slot is the overflow bucket for presets registered
-/// after that list was taken. Fixed size keeps recording a single relaxed
-/// atomic add — no locks, no allocation.
-inline constexpr std::size_t kMaxPresetSlots = 8;
 
 /// Monotonic engine-level counters. Every request entering Engine::solve or
 /// as a solve_batch item increments kSubmitted exactly once and exactly one
@@ -193,22 +184,10 @@ struct MetricsSnapshot {
   HistogramSnapshot solve_time;  ///< slot acquisition → solver return, µs
   std::size_t in_flight = 0;     ///< gauge: slots held at snapshot time
   std::size_t queue_depth = 0;   ///< gauge: queue reservations at snapshot time
-  /// Per-preset solve tallies: preset_counts[i] counts solves whose resolved
-  /// SolveStats::preset was preset_names[i]; the final slot is the overflow
-  /// bucket (see kMaxPresetSlots). Filled by Engine::metrics_snapshot.
-  std::uint64_t preset_counts[kMaxPresetSlots] = {};
-  std::vector<std::string> preset_names;
   /// The last ≤ kShedTraceCapacity refusals, oldest first. Entries observed
   /// mid-write during the copy are skipped, so a snapshot taken during a shed
   /// storm may be slightly shorter than the ring.
   std::vector<ShedTraceEntry> shed_trace;
-
-  /// Solves answered under `name` (0 when the name holds no slot).
-  [[nodiscard]] std::uint64_t preset_count(const std::string& name) const {
-    for (std::size_t i = 0; i < preset_names.size() && i < kMaxPresetSlots; ++i)
-      if (preset_names[i] == name) return preset_counts[i];
-    return 0;
-  }
 
   [[nodiscard]] std::uint64_t of(EngineCounter c) const {
     return counters[static_cast<std::size_t>(c)];
@@ -276,14 +255,6 @@ class EngineMetrics {
     }
   }
 
-  /// A solve reached a solver tier and reported its resolved ingredient
-  /// preset; `slot` indexes the Engine's captured preset-name list (the last
-  /// slot is the overflow bucket). Out-of-range slots clamp to overflow.
-  void count_preset(std::size_t slot) {
-    if (slot >= kMaxPresetSlots) slot = kMaxPresetSlots - 1;
-    preset_counts_[slot].fetch_add(1, std::memory_order_relaxed);
-  }
-
   LatencyHistogram latency;
   LatencyHistogram queue_wait;
   LatencyHistogram solve_time;
@@ -332,7 +303,6 @@ class EngineMetrics {
   std::atomic<std::uint64_t>
       counters_[static_cast<std::size_t>(EngineCounter::kNumEngineCounters)] = {};
   PriorityCells priorities_[kNumPriorities];
-  std::atomic<std::uint64_t> preset_counts_[kMaxPresetSlots] = {};
   std::atomic<std::uint64_t> shed_seq_{0};
   TraceCell shed_trace_[kShedTraceCapacity];
 };

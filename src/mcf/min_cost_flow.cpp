@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <optional>
 
 #include "baselines/ssp.hpp"
-#include "core/ingredients.hpp"
 #include "ipm/robust_ipm.hpp"
 #include "ipm/rounding.hpp"
-#include "linalg/preconditioner.hpp"
 #include "mcf/certify.hpp"
 #include "parallel/fault_injection.hpp"
 #include "parallel/scheduler.hpp"
@@ -95,64 +94,23 @@ void certify_or_degrade(core::SolverContext& ctx, MinCostFlowResult& res, const 
   res.failure_detail = report.detail;
 }
 
-Method to_method(core::SolverTier tier) {
-  switch (tier) {
-    case core::SolverTier::kRobustIpm: return Method::kRobustIpm;
-    case core::SolverTier::kReferenceIpm: return Method::kReferenceIpm;
-    case core::SolverTier::kCombinatorial: return Method::kCombinatorial;
-  }
-  return Method::kCombinatorial;
-}
-
 /// The tiers the degradation cascade will try, strongest first: the suffix of
-/// the preset's tier ladder starting at the requested method. Under the
-/// "default" ladder {Robust, Reference, Combinatorial} this reproduces the
-/// historical hardwired cascade exactly; a method the ladder doesn't name
-/// runs alone (it has no sanctioned degradation targets).
-std::vector<Method> cascade_tiers(const SolveOptions& opts, const core::Ingredients& ing) {
+/// Robust → Reference → Combinatorial starting at the requested method.
+std::vector<Method> cascade_tiers(const SolveOptions& opts) {
+  static constexpr Method kCascade[] = {Method::kRobustIpm, Method::kReferenceIpm,
+                                        Method::kCombinatorial};
   if (!opts.allow_degradation) return {opts.method};
-  const auto& ladder = ing.cascade.ladder;
-  for (std::size_t i = 0; i < ladder.size(); ++i) {
-    if (to_method(ladder[i]) != opts.method) continue;
-    std::vector<Method> tiers;
-    tiers.reserve(ladder.size() - i);
-    for (std::size_t j = i; j < ladder.size(); ++j) tiers.push_back(to_method(ladder[j]));
-    return tiers;
-  }
-  return {opts.method};
+  return std::vector<Method>(std::find(std::begin(kCascade), std::end(kCascade), opts.method),
+                             std::end(kCascade));
 }
 
-/// Entry-point option vetting (DESIGN.md §14): resolve the preset (unknown
-/// name → kInvalidInput), check the resolved bundle, and reject nonsensical
-/// explicitly-set option fields before any work happens. Returns the defect
-/// description, "" when everything is sane; `ing` is filled on success.
-std::string resolve_and_validate(const SolveOptions& opts, core::Ingredients& ing) {
-  auto resolved = core::resolve_preset(opts.preset);
-  if (!resolved) return "unknown ingredient preset '" + opts.preset + "'";
-  ing = *std::move(resolved);
-  if (std::string defect = core::validate(ing); !defect.empty())
-    return "preset '" + ing.name + "': " + defect;
-  if (!linalg::precond_tier_registry().contains(ing.precond.tier))
-    return "preset '" + ing.name + "': unknown preconditioner tier '" + ing.precond.tier + "'";
-  if (!linalg::precond_tier_registry().contains(ing.precond.robust_step_tier))
-    return "preset '" + ing.name + "': unknown preconditioner tier '" +
-           ing.precond.robust_step_tier + "'";
-  // Explicitly-set IPM fields (sentinels mean "preset decides" and were
-  // vetted above as part of the bundle).
+/// Entry-point option vetting: nonsensical option fields are rejected before
+/// any work happens. Returns the defect description, "" when all are sane.
+std::string validate(const SolveOptions& opts) {
   const ipm::IpmOptions& io = opts.ipm;
   if (!(std::isfinite(io.mu_end) && io.mu_end > 0.0)) return "ipm.mu_end must be > 0";
   if (io.max_iters < 1) return "ipm.max_iters must be >= 1";
-  if (!core::is_preset(io.step_fraction) &&
-      !(std::isfinite(io.step_fraction) && io.step_fraction > 0.0 && io.step_fraction < 1.0))
-    return "ipm.step_fraction must be in (0, 1)";
-  if (!core::is_preset(io.centrality_slack) &&
-      !(std::isfinite(io.centrality_slack) && io.centrality_slack > 0.0))
-    return "ipm.centrality_slack must be > 0";
-  if (!core::is_preset(io.boundary_margin) &&
-      !(std::isfinite(io.boundary_margin) && io.boundary_margin > 0.0 &&
-        io.boundary_margin < 1.0))
-    return "ipm.boundary_margin must be in (0, 1)";
-  if (io.leverage.sketch_dim < 0) return "ipm.leverage.sketch_dim must be >= 0";
+  if (io.leverage.sketch_dim < 1) return "ipm.leverage.sketch_dim must be >= 1";
   if (!(std::isfinite(io.solve.tolerance) && io.solve.tolerance > 0.0))
     return "ipm.solve.tolerance must be > 0";
   if (io.solve.max_iters < 1) return "ipm.solve.max_iters must be >= 1";
@@ -447,15 +405,10 @@ MinCostFlowResult min_cost_max_flow(core::SolverContext& ctx, const Digraph& g, 
     return invalid_input("mcf::min_cost_max_flow",
                          "cost/capacity mass overflows the safe integer range");
 
-  // Resolve and vet the ingredient preset, then install it on the context
-  // for the whole solve: every nested layer (cascade, IPMs, CG ladder,
-  // preconditioner cache, sketches) reads its strategy knobs from it.
-  core::Ingredients ing;
-  if (std::string defect = resolve_and_validate(opts, ing); !defect.empty())
+  if (std::string defect = validate(opts); !defect.empty())
     return invalid_input("mcf::min_cost_max_flow", std::move(defect));
-  const core::IngredientScope ing_scope(ctx, ing);
 
-  const std::vector<Method> tiers = cascade_tiers(opts, ing);
+  const std::vector<Method> tiers = cascade_tiers(opts);
   const bool uses_ipm =
       std::any_of(tiers.begin(), tiers.end(), [](Method m) { return m != Method::kCombinatorial; });
 
@@ -516,7 +469,6 @@ MinCostFlowResult min_cost_max_flow(core::SolverContext& ctx, const Digraph& g, 
     }
     res.stats.answered_by = tier;
     res.stats.tiers_attempted = tiers_attempted;
-    res.stats.preset = ing.name;
     if (res.status == SolveStatus::kOk || is_instance_error(res.status) ||
         is_lifecycle_error(res.status))
       break;
@@ -547,10 +499,8 @@ MinCostFlowResult min_cost_b_flow(core::SolverContext& ctx, const Digraph& g,
     return invalid_input("mcf::min_cost_b_flow",
                          "cost/capacity mass overflows the safe integer range");
 
-  core::Ingredients ing;
-  if (std::string defect = resolve_and_validate(opts, ing); !defect.empty())
+  if (std::string defect = validate(opts); !defect.empty())
     return invalid_input("mcf::min_cost_b_flow", std::move(defect));
-  const core::IngredientScope ing_scope(ctx, ing);
 
   std::int64_t demand_total = 0;
   for (const std::int64_t bv : b)
@@ -559,7 +509,7 @@ MinCostFlowResult min_cost_b_flow(core::SolverContext& ctx, const Digraph& g,
   const TelemetryScope scope(ctx);
   MinCostFlowResult res;
   std::int32_t tiers_attempted = 0;
-  const std::vector<Method> tiers = cascade_tiers(opts, ing);
+  const std::vector<Method> tiers = cascade_tiers(opts);
   for (std::size_t attempt = 0; attempt < tiers.size(); ++attempt) {
     const Method tier = tiers[attempt];
     ++tiers_attempted;
@@ -613,7 +563,6 @@ MinCostFlowResult min_cost_b_flow(core::SolverContext& ctx, const Digraph& g,
     }
     res.stats.answered_by = tier;
     res.stats.tiers_attempted = tiers_attempted;
-    res.stats.preset = ing.name;
     if (res.status == SolveStatus::kOk || is_instance_error(res.status) ||
         is_lifecycle_error(res.status))
       break;

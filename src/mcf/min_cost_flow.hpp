@@ -56,14 +56,6 @@ struct WarmStart {
 struct SolveOptions {
   Method method = Method::kReferenceIpm;
   ipm::IpmOptions ipm;
-  /// Ingredient preset (DESIGN.md §14): resolved through
-  /// core::preset_registry() at solve entry and installed on the context for
-  /// the solve's duration, so every nested layer reads its strategy knobs
-  /// from it. "" means "default" (unless the Engine's config names another);
-  /// an unknown name is rejected with kInvalidInput. Explicitly-set fields
-  /// of `ipm` (and its nested solve/leverage options) still win over the
-  /// preset — the preset only fills what the caller left alone.
-  std::string preset;
   /// Degradation cascade: when the selected tier fails with a solver
   /// malfunction (numerical/sketch/internal failure), silently retry with the
   /// next lower tier — kRobustIpm -> kReferenceIpm -> kCombinatorial. Instance
@@ -106,9 +98,6 @@ struct SolveStats {
   // --- resilience telemetry (DESIGN.md "Failure model and recovery") ------
   Method answered_by = Method::kReferenceIpm;  ///< tier that produced the answer
   std::int32_t tiers_attempted = 0;            ///< 1 = no degradation happened
-  /// Resolved ingredient-preset name the solve ran under ("default" when the
-  /// caller named none). Part of the answer's provenance, like answered_by.
-  std::string preset;
   /// Recovery events fired during this solve (all tiers combined). Counted
   /// from the solve's own SolverContext sink, so the numbers are exact even
   /// when many solves run concurrently on other threads.

@@ -167,7 +167,7 @@ void serialize_record(ByteWriter& w, const InstanceRecord& rec,
   w.i32(rec.source);
   w.i32(rec.sink);
   w.vec_i64(rec.demands);
-  w.str(rec.preset_hint);
+  w.str("");  // reserved slot, always empty (held a preset name in older writers)
   w.u64(rec.deadline.work);
   w.i32(rec.solver_graph.num_vertices());
   w.u64(static_cast<std::uint64_t>(rec.solver_graph.num_arcs()));
@@ -213,7 +213,7 @@ bool parse_record(ByteReader& r, ParsedRecord& out) {
   rec->source = r.i32();
   rec->sink = r.i32();
   rec->demands = r.vec<std::int64_t>();
-  rec->preset_hint = r.str();
+  (void)r.str();  // reserved slot (see serialize_record): read and discarded
   rec->deadline = core::Deadline::unlimited();
   rec->deadline.work = r.u64();
   const graph::Vertex n = r.i32();

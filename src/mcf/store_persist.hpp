@@ -1,16 +1,15 @@
 #pragma once
 // Crash-safe durability for the cross-solve instance store (DESIGN.md §16).
 //
-// The store is the engine's serving memory — fingerprints, tuned preset
-// hints, stored optima, warm-start points — and PR 9 left it process-local:
-// every restart forgot everything and a crash mid-mutation had no story.
-// StorePersister gives it a disk image with a classic snapshot+journal
-// design:
+// The store is the engine's serving memory — fingerprints, stored optima,
+// warm-start points — and without a disk image every restart would forget
+// everything and a crash mid-mutation would have no story. StorePersister
+// gives it one with a classic snapshot+journal design:
 //
 //   snap-<gen>.pmcf     periodic full snapshot: one checksummed frame per
 //                       registered record (identity, live graph, mappings,
-//                       fingerprints, epoch, preset hint, and the retained
-//                       optimum + WarmStart when present). Published via
+//                       fingerprints, epoch, and the retained optimum +
+//                       WarmStart when present). Published via
 //                       write-to-temp + atomic rename + directory fsync, so
 //                       a crash at any byte offset leaves either the old or
 //                       the new snapshot on disk, never a torn one.

@@ -63,7 +63,6 @@ void expect_identical(const mcf::MinCostFlowResult& a, const mcf::MinCostFlowRes
   EXPECT_EQ(a.stats.final_centrality, b.stats.final_centrality);
   EXPECT_EQ(a.stats.answered_by, b.stats.answered_by);
   EXPECT_EQ(a.stats.certified, b.stats.certified);
-  EXPECT_EQ(a.stats.preset, b.stats.preset);
 }
 
 /// Test-side mirror of a registered instance: the same original-arc-id delta

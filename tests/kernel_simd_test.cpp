@@ -199,8 +199,11 @@ TEST_F(SimdKernelIdentityTest, CgStepColsMasked) {
       // only specified for active columns.
       expect_vec_bits_eq(x0, x1);
       expect_vec_bits_eq(r0, r1);
-      for (std::size_t j = 0; j < k; ++j)
-        if (active[j]) EXPECT_BITS_EQ(rr0[j], rr1[j]) << "col " << j;
+      for (std::size_t j = 0; j < k; ++j) {
+        if (active[j]) {
+          EXPECT_BITS_EQ(rr0[j], rr1[j]) << "col " << j;
+        }
+      }
     }
   }
 }
@@ -220,8 +223,11 @@ TEST_F(SimdKernelIdentityTest, JacobiRefreshColsMasked) {
       simd::avx2::jacobi_refresh_cols(dinv.data(), r.data(), z1.data(), active.data(), n, k,
                                       rz1.data());
       expect_vec_bits_eq(z0, z1);
-      for (std::size_t j = 0; j < k; ++j)
-        if (active[j]) EXPECT_BITS_EQ(rz0[j], rz1[j]) << "col " << j;
+      for (std::size_t j = 0; j < k; ++j) {
+        if (active[j]) {
+          EXPECT_BITS_EQ(rz0[j], rz1[j]) << "col " << j;
+        }
+      }
     }
   }
 }

@@ -10,11 +10,18 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "baselines/ssp.hpp"
 #include "core/solve_status.hpp"
+#include "core/solver_context.hpp"
+#include "ds/lewis_maintenance.hpp"
 #include "graph/generators.hpp"
+#include "linalg/incidence.hpp"
+#include "linalg/laplacian.hpp"
+#include "linalg/leverage.hpp"
+#include "linalg/sdd_solver.hpp"
 #include "mcf/max_flow.hpp"
 #include "mcf/min_cost_flow.hpp"
 #include "parallel/fault_injection.hpp"
@@ -138,6 +145,55 @@ TEST(ValidationTest, CostMassOverflow) {
   EXPECT_EQ(mcf::min_cost_b_flow(g, {0, 0, 0}).status, SolveStatus::kInvalidInput);
 }
 
+TEST(ValidationTest, BadIpmOptionsAreTypedInvalidInput) {
+  const Digraph g = seed_instance(7);
+  const Vertex t = g.num_vertices() - 1;
+  mcf::SolveOptions opts = test_opts(mcf::Method::kReferenceIpm);
+  opts.ipm.solve.tolerance = 0.0;
+  EXPECT_EQ(mcf::min_cost_max_flow(g, 0, t, opts).status, SolveStatus::kInvalidInput);
+
+  opts = test_opts(mcf::Method::kReferenceIpm);
+  opts.ipm.max_iters = 0;
+  EXPECT_EQ(mcf::min_cost_max_flow(g, 0, t, opts).status, SolveStatus::kInvalidInput);
+}
+
+TEST(ValidationTest, ZeroSketchDimIsTypedInvalidInput) {
+  // 0 JL rows is a request for no sketch at all, not a "default width".
+  const Digraph g = seed_instance(7);
+  mcf::SolveOptions opts = test_opts(mcf::Method::kReferenceIpm);
+  opts.ipm.leverage.sketch_dim = 0;
+  const auto res = mcf::min_cost_max_flow(g, 0, g.num_vertices() - 1, opts);
+  EXPECT_EQ(res.status, SolveStatus::kInvalidInput);
+  EXPECT_NE(res.failure_detail.find("sketch_dim"), std::string::npos) << res.failure_detail;
+
+  core::SolverContext ctx;
+  const linalg::IncidenceOp a(g);
+  const linalg::Vec ones(a.rows(), 1.0);
+  par::Rng rng(1);
+  EXPECT_THROW((void)linalg::leverage_scores(ctx, a, ones, rng, {.sketch_dim = 0, .solve = {}}),
+               ComponentError);
+  ds::LeverageMaintenanceOptions lmo;
+  lmo.leverage.sketch_dim = 0;
+  EXPECT_THROW((void)ds::LeverageMaintenance(ctx, a, ones, ones, lmo), ComponentError);
+}
+
+TEST(ValidationTest, BadResilientSolveOptionsThrowComponentError) {
+  core::SolverContext ctx;
+  const Digraph g = seed_instance(11);
+  const linalg::IncidenceOp a(g);
+  const linalg::Vec d(a.rows(), 1.0);
+  const linalg::Csr lap = linalg::reduced_laplacian(g, d, a.dropped());
+  const linalg::Vec rhs(a.cols(), 0.0);
+
+  linalg::ResilientSolveOptions bad;
+  bad.max_escalations = -1;
+  EXPECT_THROW((void)linalg::solve_sdd_resilient(ctx, lap, rhs, bad), ComponentError);
+  bad = {};
+  bad.escalation_factor = 1.0;
+  EXPECT_THROW((void)linalg::solve_sdd_resilient(ctx, lap, rhs, bad), ComponentError);
+  EXPECT_EQ(linalg::validate(linalg::ResilientSolveOptions{}), "") << "defaults must validate";
+}
+
 TEST(ValidationTest, InfeasibleBFlowIsTyped) {
   Digraph g(2);
   g.add_arc(0, 1, 1, 1);  // capacity 1 cannot carry 5 units
@@ -192,9 +248,9 @@ INSTANTIATE_TEST_SUITE_P(
                       FaultCase{FaultKind::kSketchCorruption, mcf::Method::kRobustIpm},
                       FaultCase{FaultKind::kHeavyHitterMiss, mcf::Method::kRobustIpm},
                       FaultCase{FaultKind::kExpanderViolation, mcf::Method::kRobustIpm}),
-    [](const ::testing::TestParamInfo<FaultCase>& info) {
-      return std::string(par::to_string(info.param.kind)) + "_" +
-             mcf::to_string(info.param.method);
+    [](const ::testing::TestParamInfo<FaultCase>& param_info) {
+      return std::string(par::to_string(param_info.param.kind)) + "_" +
+             mcf::to_string(param_info.param.method);
     });
 
 // ---------- recovery policies engage and are reported ----------

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/ssp.hpp"
 #include "graph/digraph.hpp"
 #include "graph/generators.hpp"
 #include "mcf/engine.hpp"
@@ -107,7 +108,7 @@ TEST_F(StorePersistTest, RoundTripSnapshotRecovery) {
   std::vector<std::int64_t> arc_flow1;
   {
     const Engine a(persist_cfg());
-    h1 = a.register_instance(Instance::max_flow(g1, 0, g1.num_vertices() - 1), "default");
+    h1 = a.register_instance(Instance::max_flow(g1, 0, g1.num_vertices() - 1));
     h2 = a.register_instance(Instance::max_flow(g2, 0, g2.num_vertices() - 1));
     ASSERT_NE(h1, 0u);
     ASSERT_NE(h2, 0u);
@@ -128,9 +129,7 @@ TEST_F(StorePersistTest, RoundTripSnapshotRecovery) {
   EXPECT_EQ(rep.records_dropped, 0u);
   EXPECT_EQ(b.num_instances(), 2u);
   EXPECT_EQ(b.instance_handles(), (std::vector<InstanceHandle>{h1, h2}));
-  const auto rec = b.inspect_instance(h1);
-  ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->preset_hint, "default");
+  ASSERT_NE(b.inspect_instance(h1), nullptr);
 
   // The recovered optimum was re-certified at recovery and replays.
   const EngineSolveResult replay = b.resolve(h1, {}, opts);
@@ -438,6 +437,86 @@ TEST_F(StorePersistTest, DeregisterIsDurable) {
   EXPECT_NE(b.inspect_instance(h1), nullptr);
   EXPECT_EQ(b.inspect_instance(h2), nullptr);
   EXPECT_EQ(b.resolve(h2, {}, opts).result.status, SolveStatus::kInvalidInput);
+}
+
+// --- format compatibility --------------------------------------------------
+
+// snap-2.pmcf as written by an older build that still filled the record's
+// reserved string slot (here with "latency"): one max-flow record, handle 1,
+// source 0, sink 4, the arcs of legacy_graph(), no stored optimum.
+constexpr std::uint8_t kLegacySnapshot[] = {
+    0x50, 0x4d, 0x43, 0x46, 0x53, 0x4e, 0x50, 0x31, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0xbc, 0xe5, 0x06, 0x42, 0x97, 0x76, 0xd0, 0x5a, 0x01, 0x62, 0x01, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x6c, 0x61,
+    0x74, 0x65, 0x6e, 0x63, 0x79, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00,
+    0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+    0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00,
+    0x00, 0x04, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00,
+    0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00,
+    0x00, 0x06, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0xdc, 0x8b, 0xd2, 0xe5, 0xa9, 0x8c,
+    0xdb, 0xd5, 0x82, 0x34, 0x91, 0x75, 0xf4, 0x64, 0xe4, 0xe3, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0xa3, 0x12, 0x10, 0x0a, 0x58, 0x75, 0x0d, 0x8d,
+};
+
+Digraph legacy_graph() {
+  Digraph g(5);
+  g.add_arc(0, 1, 3, 1);
+  g.add_arc(0, 2, 2, 2);
+  g.add_arc(1, 2, 2, 1);
+  g.add_arc(1, 3, 2, 3);
+  g.add_arc(2, 3, 3, 1);
+  g.add_arc(2, 4, 1, 4);
+  g.add_arc(3, 4, 4, 1);
+  g.add_arc(1, 4, 1, 6);
+  return g;
+}
+
+TEST_F(StorePersistTest, LegacySnapshotWithFilledReservedSlotRecovers) {
+  {
+    std::ofstream f(snapshot_path(dir_.string(), 2), std::ios::binary);
+    f.write(reinterpret_cast<const char*>(kLegacySnapshot), sizeof kLegacySnapshot);
+  }
+  const Digraph g = legacy_graph();
+  const auto ssp = baselines::ssp_min_cost_max_flow(g, 0, 4);
+  for (int life = 0; life < 2; ++life) {
+    // The second life recovers the snapshot the first one rewrote, with the
+    // slot now empty.
+    const Engine b(persist_cfg());
+    const RecoveryReport rep = b.persist_recovery();
+    EXPECT_EQ(rep.records_recovered, 1u) << "life " << life;
+    EXPECT_EQ(rep.records_dropped, 0u) << "life " << life;
+    const auto rec = b.inspect_instance(1);
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(rec->source, 0);
+    EXPECT_EQ(rec->sink, 4);
+    ASSERT_EQ(rec->solver_graph.num_arcs(), g.num_arcs());
+    for (graph::EdgeId e = 0; e < g.num_arcs(); ++e) {
+      EXPECT_EQ(rec->solver_graph.arc(e).from, g.arc(e).from) << "arc " << e;
+      EXPECT_EQ(rec->solver_graph.arc(e).to, g.arc(e).to) << "arc " << e;
+      EXPECT_EQ(rec->solver_graph.arc(e).cap, g.arc(e).cap) << "arc " << e;
+      EXPECT_EQ(rec->solver_graph.arc(e).cost, g.arc(e).cost) << "arc " << e;
+    }
+
+    const EngineSolveResult r = b.resolve(1, {});
+    ASSERT_EQ(r.result.status, SolveStatus::kOk);
+    EXPECT_TRUE(r.result.stats.certified);
+    EXPECT_EQ(r.result.flow_value, ssp.flow);
+    EXPECT_EQ(r.result.cost, ssp.cost);
+  }
 }
 
 TEST_F(StorePersistTest, AutoSnapshotRotatesGenerationsAndPrunes) {
