@@ -89,10 +89,10 @@ class AccelCache {
     std::vector<double> bnorm, rz;
     std::vector<std::int32_t> done_iter;
     std::vector<std::uint8_t> active;
-    // Batched serial wall-clock CG lane state (DESIGN.md §13): per-column
-    // scalars for one blocked iteration plus the masks feeding the masked
-    // column kernels, and the n×k forward-sweep scratch of the batched IC
-    // preconditioner apply.
+    // Batched CG lane state (DESIGN.md §13): per-column scalars for one
+    // blocked iteration plus the masks feeding the masked column kernels,
+    // and the n×k forward-sweep scratch of the batched IC preconditioner
+    // apply.
     std::vector<double> alpha, beta, pmp, rr, rz_new;
     std::vector<std::uint8_t> step_mask, refresh_mask;
     Vec bfwd;

@@ -18,12 +18,21 @@ namespace {
 constexpr std::size_t kSellSigma = 64;
 }  // namespace
 
+Csr::Csr(std::size_t n, std::vector<std::int64_t> offsets, std::vector<std::int32_t> cols,
+         std::vector<double> vals)
+    : n_(n), off_(std::move(offsets)), col_(std::move(cols)), val_(std::move(vals)) {
+  std::int64_t longest = 1;
+  for (std::size_t r = 0; r < n_; ++r) longest = std::max(longest, off_[r + 1] - off_[r]);
+  row_depth_ = par::ceil_log2(static_cast<std::uint64_t>(longest));
+}
+
 Csr& Csr::operator=(const Csr& o) {
   if (this != &o) {
     n_ = o.n_;
     off_ = o.off_;
     col_ = o.col_;
     val_ = o.val_;
+    row_depth_ = o.row_depth_;
     std::lock_guard<std::mutex> g(cache_mu_);
     sell_.reset();
     sell_fresh_ = false;
@@ -37,6 +46,7 @@ Csr::Csr(Csr&& o) noexcept
       off_(std::move(o.off_)),
       col_(std::move(o.col_)),
       val_(std::move(o.val_)),
+      row_depth_(o.row_depth_),
       sell_(std::move(o.sell_)),
       sell_fresh_(o.sell_fresh_),
       part_(o.part_) {
@@ -51,6 +61,7 @@ Csr& Csr::operator=(Csr&& o) noexcept {
     off_ = std::move(o.off_);
     col_ = std::move(o.col_);
     val_ = std::move(o.val_);
+    row_depth_ = o.row_depth_;
     sell_ = std::move(o.sell_);
     sell_fresh_ = o.sell_fresh_;
     part_ = o.part_;
@@ -63,7 +74,7 @@ Csr& Csr::operator=(Csr&& o) noexcept {
 
 std::vector<double>& Csr::vals_mut() {
   std::lock_guard<std::mutex> g(cache_mu_);
-  sell_fresh_ = false;  // values about to change; regather on next serial apply
+  sell_fresh_ = false;  // values about to change; regather on the next apply
   return val_;
 }
 
@@ -161,6 +172,30 @@ void Csr::partition_rows(std::size_t blocks, std::size_t* bounds) const {
   std::copy_n(part_.bounds.data(), blocks + 1, bounds);
 }
 
+template <class F>
+bool Csr::run_row_blocks(F&& rows) const {
+  par::ThreadPool* pool = par::current_wall_pool();
+  if (pool == nullptr || pool->num_threads() <= 1) return false;
+  const std::size_t nnz = val_.size();
+  const auto plan = pool->plan_blocks(0, nnz, par::detail::auto_grain(nnz, pool->num_threads()));
+  if (plan.blocks <= 1) return false;
+  // Block b owns rows [bounds[b], bounds[b+1]) holding roughly nnz/blocks
+  // nonzeros, served from the structure-keyed cache.
+  std::size_t bounds[par::detail::kMaxBlocks + 1];
+  partition_rows(plan.blocks, bounds);
+  pool->run_planned(0, plan.blocks, par::ThreadPool::BlockPlan{plan.blocks, 1},
+                    [&](std::size_t blk0, std::size_t blk1) {
+                      for (std::size_t blk = blk0; blk < blk1; ++blk)
+                        rows(bounds[blk], bounds[blk + 1]);
+                    });
+  return true;
+}
+
+void Csr::charge_spmv(std::size_t k) const {
+  if (n_ == 0) return;
+  par::charge(k * val_.size() + n_, row_depth_ + par::ceil_log2(n_));
+}
+
 void Csr::warm_caches() const {
   if (n_ == 0) return;
   if (simd::available()) (void)sell();
@@ -175,102 +210,36 @@ Vec Csr::apply(const Vec& x) const {
 void Csr::apply_into(const Vec& x, Vec& y) const {
   assert(x.size() == n_);
   assert(y.size() == n_);
-  if (par::current_tracker().enabled()) {
-    // Instrumented: the seed's exact loop and charges (PRAM counters are
-    // asserted bit-for-bit across PRs).
-    par::parallel_for(0, n_, [&](std::size_t r) {
-      double acc = 0.0;
-      for (std::int64_t k = off_[r]; k < off_[r + 1]; ++k)
-        acc += val_[static_cast<std::size_t>(k)] * x[static_cast<std::size_t>(col_[static_cast<std::size_t>(k)])];
-      y[r] = acc;
-      const auto row_nnz = static_cast<std::uint64_t>(off_[r + 1] - off_[r]);
-      par::charge(row_nnz, par::ceil_log2(std::max<std::uint64_t>(row_nnz, 1)));
-    });
-    return;
+  charge_spmv(1);
+  const auto rows = [&](std::size_t r0, std::size_t r1) {
+    simd::csr_spmv(off_.data(), col_.data(), val_.data(), x.data(), y.data(), r0, r1);
+  };
+  if (run_row_blocks(rows)) return;
+  // Calling thread: SELL-4-σ when the AVX2 kernels are live, else the row
+  // walk. Per-row sums are identical either way (same CSR accumulation
+  // order; SELL only changes which row is processed when).
+  if (simd::enabled() && n_ > 0) {
+    const SellLayout* s = sell();
+    simd::sell_spmv(s->slice_off.data(), s->cols.data(), s->vals.data(), s->lens4.data(),
+                    s->order.data(), s->slices, x.data(), y.data());
+  } else {
+    rows(0, n_);
   }
-  par::ThreadPool* pool = par::current_wall_pool();
-  const std::size_t nnz = val_.size();
-  const auto plan = pool == nullptr
-                        ? par::ThreadPool::BlockPlan{}
-                        : pool->plan_blocks(0, nnz, par::detail::auto_grain(nnz, pool->num_threads()));
-  if (pool == nullptr || pool->num_threads() <= 1 || plan.blocks <= 1) {
-    // Serial wall clock: SELL-4-σ when the AVX2 kernels are live, else the
-    // scalar row walk. Per-row sums are identical either way (same CSR
-    // accumulation order; SELL only changes which row is processed when).
-    if (simd::enabled() && n_ > 0) {
-      const SellLayout* s = sell();
-      simd::sell_spmv(s->slice_off.data(), s->cols.data(), s->vals.data(),
-                      s->lens4.data(), s->order.data(), s->slices, x.data(),
-                      y.data());
-    } else {
-      simd::csr_spmv(off_.data(), col_.data(), val_.data(), x.data(), y.data(),
-                     0, n_);
-    }
-    return;
-  }
-  // Pooled: row blocks balanced by nonzero count (block b owns rows
-  // [bounds[b], bounds[b+1]) holding roughly nnz/blocks nonzeros each),
-  // served from the structure-keyed cache.
-  std::size_t bounds[par::detail::kMaxBlocks + 1];
-  partition_rows(plan.blocks, bounds);
-  pool->run_planned(0, plan.blocks, par::ThreadPool::BlockPlan{plan.blocks, 1},
-                    [&](std::size_t blk0, std::size_t blk1) {
-                      for (std::size_t blk = blk0; blk < blk1; ++blk) {
-                        for (std::size_t r = bounds[blk]; r < bounds[blk + 1]; ++r) {
-                          double acc = 0.0;
-                          for (std::int64_t k = off_[r]; k < off_[r + 1]; ++k)
-                            acc += val_[static_cast<std::size_t>(k)] *
-                                   x[static_cast<std::size_t>(col_[static_cast<std::size_t>(k)])];
-                          y[r] = acc;
-                        }
-                      }
-                    });
 }
 
 void Csr::apply_block_into(const Vec& x, Vec& y, std::size_t k) const {
   assert(x.size() == n_ * k);
   assert(y.size() == n_ * k);
-  const std::size_t nnz = val_.size();
   // Per output row: clear the k slots, then stream the row's nonzeros once,
   // scattering each into all k columns. For a fixed (row, column) pair the
   // additions happen in CSR order starting from zero — exactly the
   // accumulation order of the single-vector apply_into, so results match it
   // bit for bit while the matrix is only traversed once for all k columns.
-  if (par::current_tracker().enabled()) {
-    par::parallel_for(0, n_, [&](std::size_t r) {
-      double* yr = y.data() + r * k;
-      for (std::size_t j = 0; j < k; ++j) yr[j] = 0.0;
-      for (std::int64_t t = off_[r]; t < off_[r + 1]; ++t) {
-        const double v = val_[static_cast<std::size_t>(t)];
-        const double* xc = x.data() + static_cast<std::size_t>(col_[static_cast<std::size_t>(t)]) * k;
-        for (std::size_t j = 0; j < k; ++j) yr[j] += v * xc[j];
-      }
-      const auto row_nnz = static_cast<std::uint64_t>(off_[r + 1] - off_[r]);
-      par::charge(row_nnz * k, par::ceil_log2(std::max<std::uint64_t>(row_nnz, 1)));
-    });
-    return;
-  }
-  // Wall clock: the SIMD block kernel vectorizes across the k contiguous
-  // column slots. Exact per (row, column), so it is safe in the pooled path
-  // too — any row partition produces the same bits.
-  par::ThreadPool* pool = par::current_wall_pool();
-  const auto plan = pool == nullptr
-                        ? par::ThreadPool::BlockPlan{}
-                        : pool->plan_blocks(0, nnz, par::detail::auto_grain(nnz, pool->num_threads()));
-  if (pool == nullptr || pool->num_threads() <= 1 || plan.blocks <= 1) {
-    simd::csr_block_spmv(off_.data(), col_.data(), val_.data(), x.data(),
-                         y.data(), 0, n_, k);
-    return;
-  }
-  std::size_t bounds[par::detail::kMaxBlocks + 1];
-  partition_rows(plan.blocks, bounds);
-  pool->run_planned(0, plan.blocks, par::ThreadPool::BlockPlan{plan.blocks, 1},
-                    [&](std::size_t blk0, std::size_t blk1) {
-                      for (std::size_t blk = blk0; blk < blk1; ++blk)
-                        simd::csr_block_spmv(off_.data(), col_.data(), val_.data(),
-                                             x.data(), y.data(), bounds[blk],
-                                             bounds[blk + 1], k);
-                    });
+  charge_spmv(k);
+  const auto rows = [&](std::size_t r0, std::size_t r1) {
+    simd::csr_block_spmv(off_.data(), col_.data(), val_.data(), x.data(), y.data(), r0, r1, k);
+  };
+  if (!run_row_blocks(rows)) rows(0, n_);
 }
 
 Vec Csr::diagonal() const {

@@ -2,24 +2,27 @@
 // Compressed sparse row matrix — used for the reduced Laplacians A^T D A that
 // the IPM's Newton steps solve against (Lemma A.1).
 //
-// Behind the unchanged apply interface the matrix keeps two lazily built,
-// structure-keyed caches (DESIGN.md §13):
+// Every SpMV charges the PRAM cost of a parallel_for over the rows in which
+// row r charges (nnz_r, lg max(nnz_r, 1)): (nnz + n, d_max + lg n) for one
+// vector, (k·nnz + n, same depth) for an n×k block. d_max, the largest row
+// term, is computed once at construction (the structure is immutable).
 //
-//   - a SELL-4-σ layout (sliced ELL, C = 4 lanes, σ = 64 sorting window) in
-//     RCM row order, used by the serial wall-clock SpMV when the AVX2
-//     kernels are enabled. Rows are only *processed* in the renumbered
-//     order; each result is scattered back to its original index, and the
-//     per-row sums accumulate in the same CSR order as the scalar path, so
-//     results are bit-identical to the plain row walk.
-//   - the nnz-balanced row partition used by the pooled wall-clock SpMV,
-//     previously recomputed by upper_bound on every apply.
+// The arithmetic is the canonical per-row sum in CSR term order from +0.0,
+// exact per row, so every execution path below produces the same bits:
 //
-// Both caches key on the sparsity structure, which is immutable after
-// construction. vals_mut() (value rewrites over a fixed pattern) only marks
-// the SELL value array stale; the next serial apply regathers values into
-// the existing layout without allocating, preserving the warmup-then-
-// zero-alloc protocol (tests/alloc_count_test.cpp). The partition survives
-// value rewrites untouched.
+//   - on the calling thread, a SELL-4-σ layout (sliced ELL, C = 4 lanes,
+//     σ = 64 sorting window) in RCM row order when the AVX2 kernels are
+//     enabled. Rows are only *processed* in the renumbered order; each
+//     result is scattered back to its original index.
+//   - under a multi-thread wall pool, nnz-balanced row blocks, each running
+//     the same simd:: row kernel.
+//
+// Both layouts are lazily built caches keyed on the sparsity structure.
+// vals_mut() (value rewrites over a fixed pattern) only marks the SELL
+// value array stale; the next apply regathers values into the existing
+// layout without allocating, preserving the warmup-then-zero-alloc protocol
+// (tests/alloc_count_test.cpp). The partition survives value rewrites
+// untouched.
 
 #include <array>
 #include <cstddef>
@@ -36,12 +39,12 @@ class Csr {
  public:
   Csr() = default;
   Csr(std::size_t n, std::vector<std::int64_t> offsets, std::vector<std::int32_t> cols,
-      std::vector<double> vals)
-      : n_(n), off_(std::move(offsets)), col_(std::move(cols)), val_(std::move(vals)) {}
+      std::vector<double> vals);
 
   // The caches make the implicit special members unusable (mutex member);
   // copies reset the caches, moves carry them along.
-  Csr(const Csr& o) : n_(o.n_), off_(o.off_), col_(o.col_), val_(o.val_) {}
+  Csr(const Csr& o)
+      : n_(o.n_), off_(o.off_), col_(o.col_), val_(o.val_), row_depth_(o.row_depth_) {}
   Csr& operator=(const Csr& o);
   Csr(Csr&& o) noexcept;
   Csr& operator=(Csr&& o) noexcept;
@@ -54,9 +57,9 @@ class Csr {
   [[nodiscard]] Vec apply(const Vec& x) const;
 
   /// y = M x into a caller-owned buffer (y.size() == dim()); no allocation
-  /// once the layout caches are warm. Wall-clock mode partitions rows into
-  /// nnz-balanced blocks so skewed row lengths cannot serialize the SpMV;
-  /// the serial wall path runs the SELL-4-σ kernel.
+  /// once the layout caches are warm. A multi-thread wall pool splits rows
+  /// into nnz-balanced blocks so skewed row lengths cannot serialize the
+  /// SpMV; otherwise the calling thread runs the SELL-4-σ kernel.
   void apply_into(const Vec& x, Vec& y) const;
 
   /// Y = M X for a row-major n×k block (X[i*k + j] is column j of row i),
@@ -78,7 +81,7 @@ class Csr {
   /// Mutable value array, for owners that rewrite values over a fixed
   /// sparsity pattern (Laplacian::refresh_values). The structure arrays stay
   /// immutable through this interface; the SELL value copy is regathered
-  /// (allocation-free) on the next serial apply.
+  /// (allocation-free) on the next calling-thread apply.
   [[nodiscard]] std::vector<double>& vals_mut();
 
   /// Build from coordinate triplets (duplicates are summed).
@@ -109,7 +112,7 @@ class Csr {
     std::array<std::size_t, par::detail::kMaxBlocks + 1> bounds{};
   };
 
-  /// Layout for the serial-wall SpMV; builds (allocates) on first use,
+  /// Layout for the calling-thread SpMV; builds (allocates) on first use,
   /// regathers values in place when only vals changed. Thread-safe.
   const SellLayout* sell() const;
   void build_sell() const;      // allocates; cache_mu_ held
@@ -119,10 +122,20 @@ class Csr {
   /// (recomputing the cache if it was built for a different block count).
   void partition_rows(std::size_t blocks, std::size_t* bounds) const;
 
+  /// Under a multi-thread wall pool, runs rows(r0, r1) over nnz-balanced
+  /// row blocks and returns true; otherwise returns false without running
+  /// anything, leaving the caller to run on its own thread.
+  template <class F>
+  bool run_row_blocks(F&& rows) const;
+
+  /// PRAM charge of an SpMV over k columns (see the header comment).
+  void charge_spmv(std::size_t k) const;
+
   std::size_t n_ = 0;
   std::vector<std::int64_t> off_;
   std::vector<std::int32_t> col_;
   std::vector<double> val_;
+  std::uint64_t row_depth_ = 0;  // lg max(1, longest row): the SpMV's row depth
 
   mutable std::mutex cache_mu_;
   mutable std::unique_ptr<SellLayout> sell_;

@@ -24,23 +24,11 @@ Vec IncidenceOp::apply(const Vec& h) const {
 
 void IncidenceOp::apply_into(const Vec& h, Vec& y) const {
   const std::size_t m = from_.size();
-  if (kernel_mode() == KernelMode::kWallSerial) {
-    // Gathers with software prefetch; per element exactly the branchy scalar
-    // expression below (the dropped endpoint blends to +0.0, and hv - 0.0
-    // matches the scalar's hv - hu with hu = 0.0 bit for bit).
-    simd::incidence_apply(from_.data(), to_.data(), h.data(), y.data(), m,
-                          static_cast<std::int32_t>(dropped_));
-    return;
-  }
-  const auto d = static_cast<std::size_t>(dropped_);
-  par::parallel_for(0, m, [&](std::size_t e) {
-    const auto u = static_cast<std::size_t>(from_[e]);
-    const auto v = static_cast<std::size_t>(to_[e]);
-    const double hu = u == d ? 0.0 : h[u];
-    const double hv = v == d ? 0.0 : h[v];
-    y[e] = hv - hu;
-    par::charge(1, 1);
-  });
+  // PRAM cost of a parallel_for over the arcs charging (1, 1) each.
+  if (m > 0) par::charge(2 * m, 1 + par::ceil_log2(m));
+  // Gathers with software prefetch; h[dropped] reads as +0.0.
+  simd::incidence_apply(from_.data(), to_.data(), h.data(), y.data(), m,
+                        static_cast<std::int32_t>(dropped_));
 }
 
 Vec IncidenceOp::apply_transpose(const Vec& x) const {

@@ -18,7 +18,7 @@ class IncidenceOp {
  public:
   /// Drop the column of `dropped` (default: last vertex). Builds a
   /// structure-of-arrays copy of the arc endpoints: the hot apply walks two
-  /// dense int32 streams (SIMD gathers in the serial wall path) instead of
+  /// dense int32 streams (SIMD gathers on AVX2 hosts) instead of
   /// striding through the 24-byte Arc records.
   explicit IncidenceOp(const graph::Digraph& g, graph::Vertex dropped = -1);
 

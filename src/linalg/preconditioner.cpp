@@ -185,9 +185,10 @@ namespace {
 // The triangular sweeps run sequentially on the calling thread; in the PRAM
 // model they stand in for level-scheduled substitution (work O(nnz(L)),
 // depth O(#levels) = O(log n) for the near-balanced elimination orders the
-// IPM produces), which is what the charge models. See DESIGN.md §10.
-inline void charge_sweeps(std::size_t lnnz, std::size_t n) {
-  par::charge(2 * (lnnz + n), 2 * par::ceil_log2(std::max<std::size_t>(n, 2)));
+// IPM produces), which is what the charge models, once per column swept.
+// See DESIGN.md §10.
+inline void charge_sweeps(std::size_t lnnz, std::size_t n, std::uint64_t cols) {
+  par::charge(cols * 2 * (lnnz + n), cols * 2 * par::ceil_log2(std::max<std::size_t>(n, 2)));
 }
 
 }  // namespace
@@ -195,27 +196,10 @@ inline void charge_sweeps(std::size_t lnnz, std::size_t n) {
 double SddPreconditioner::apply(const Vec& r, Vec& z) const {
   assert(valid() && r.size() == n_ && z.size() == n_);
   if (kind_ == PrecondKind::kJacobi) return precond_refresh(dinv_, r, z);
-  if (par::current_tracker().enabled()) {
-    // Instrumented: the seed's exact loops and charges.
-    for (std::size_t i = 0; i < n_; ++i) {
-      double s = r[i];
-      for (std::int64_t t = loff_[i]; t < loff_[i + 1]; ++t)
-        s -= lval_[static_cast<std::size_t>(t)] * fwd_[static_cast<std::size_t>(lcol_[static_cast<std::size_t>(t)])];
-      fwd_[i] = s * ldiag_inv_[i];
-    }
-    for (std::size_t ii = n_; ii-- > 0;) {
-      double s = fwd_[ii];
-      for (std::int64_t t = coff_[ii]; t < coff_[ii + 1]; ++t)
-        s -= lval_[static_cast<std::size_t>(cidx_[static_cast<std::size_t>(t)])] *
-             z[static_cast<std::size_t>(crow_[static_cast<std::size_t>(t)])];
-      z[ii] = s * ldiag_inv_[ii];
-    }
-    charge_sweeps(lval_.size(), n_);
-    return dot(r, z);
-  }
-  // Wall clock: level-scheduled SIMD sweeps when the factor is wide enough,
-  // else the sequential sweeps. Both orders produce identical bits — a row
-  // only ever reads finalized dependencies.
+  charge_sweeps(lval_.size(), n_, 1);
+  // Level-scheduled SIMD sweeps when the factor is wide enough, else the
+  // sequential sweeps. Both orders produce identical bits — a row only ever
+  // reads finalized dependencies.
   if (lev_profitable_ && simd::enabled()) {
     simd::ic_fwd_levels(loff_.data(), lcol_.data(), lval_.data(),
                         ldiag_inv_.data(), flev_rows_.data(), flev_off_.data(),
@@ -229,48 +213,29 @@ double SddPreconditioner::apply(const Vec& r, Vec& z) const {
     simd::ic_bwd(coff_.data(), crow_.data(), cidx_.data(), lval_.data(),
                  ldiag_inv_.data(), fwd_.data(), z.data(), n_);
   }
-  return dot(r, z);  // stripe-4 serial / blocked reduce pooled
-}
-
-double SddPreconditioner::apply_strided(const Vec& r, Vec& z, std::size_t k,
-                                        std::size_t j) const {
-  assert(valid() && r.size() == n_ * k && z.size() == n_ * k);
-  if (kind_ == PrecondKind::kJacobi) return precond_refresh_strided(dinv_, r, z, k, j, n_);
-  // Same sweeps as apply(), column-j strided; fwd_ stays contiguous. The
-  // per-element arithmetic is identical, so multi-RHS applies match the
-  // single-RHS ones bit for bit.
-  const bool instrumented = par::current_tracker().enabled();
-  for (std::size_t i = 0; i < n_; ++i) {
-    double s = r[i * k + j];
-    for (std::int64_t t = loff_[i]; t < loff_[i + 1]; ++t)
-      s -= lval_[static_cast<std::size_t>(t)] * fwd_[static_cast<std::size_t>(lcol_[static_cast<std::size_t>(t)])];
-    fwd_[i] = s * ldiag_inv_[i];
-  }
-  for (std::size_t ii = n_; ii-- > 0;) {
-    double s = fwd_[ii];
-    for (std::int64_t t = coff_[ii]; t < coff_[ii + 1]; ++t)
-      s -= lval_[static_cast<std::size_t>(cidx_[static_cast<std::size_t>(t)])] *
-           z[static_cast<std::size_t>(crow_[static_cast<std::size_t>(t)]) * k + j];
-    z[ii * k + j] = s * ldiag_inv_[ii];
-  }
-  if (instrumented) charge_sweeps(lval_.size(), n_);
-  return dot_strided(r, z, k, j, n_);
+  return dot(r, z);
 }
 
 void SddPreconditioner::apply_cols(const Vec& r, Vec& z, std::size_t k,
                                    const unsigned char* active,
                                    Vec& fwd_scratch, double* rz) const {
   assert(valid() && r.size() == n_ * k && z.size() == n_ * k);
+  // Each active column is charged what apply() charges for it alone.
+  std::uint64_t cols = 0;
+  for (std::size_t j = 0; j < k; ++j) cols += active[j] != 0 ? 1 : 0;
   if (kind_ == PrecondKind::kJacobi) {
+    charge_passes(n_, cols, cols);
     simd::jacobi_refresh_cols(dinv_.data(), r.data(), z.data(), active, n_, k,
                               rz);
     return;
   }
   assert(fwd_scratch.size() >= n_ * k);
+  charge_sweeps(lval_.size(), n_, cols);
+  charge_passes(n_, 0, cols);
   // The forward sweep computes every column (inactive ones land in the
   // caller's scratch, never in z); the backward sweep masks z writes per
   // column. Per active column the arithmetic is element-identical to
-  // apply_strided, hence to apply().
+  // apply().
   simd::ic_fwd_cols(loff_.data(), lcol_.data(), lval_.data(),
                     ldiag_inv_.data(), r.data(), fwd_scratch.data(), n_, k);
   simd::ic_bwd_cols(coff_.data(), crow_.data(), cidx_.data(), lval_.data(),

@@ -21,17 +21,18 @@
 // asserted by tests/alloc_count_test.cpp).
 //
 // apply() returns dot(r, z) so the CG loop keeps the fused
-// residual-refresh shape; apply_strided() is the column-j twin over
-// row-major n×k block storage with element-identical arithmetic, and
-// apply_cols() the batched all-columns form used by the serial wall-clock
-// multi-RHS CG — all three produce bit-identical z columns, which is what
-// keeps solve_sdd_multi bit-identical to k single-RHS solves.
+// residual-refresh shape; apply_cols() is the batched form over row-major
+// n×k block storage used by the multi-RHS CG. Both produce bit-identical z
+// columns, which is what keeps solve_sdd_multi bit-identical to k
+// single-RHS solves. Both charge the PRAM cost of the sequence they stand
+// for — precond_refresh for Jacobi, charge_sweeps plus a dot for IC(0) —
+// once per column, then run the same arithmetic in every execution mode.
 //
 // build() additionally derives a level schedule of the triangular sweeps
 // (rows grouped by substitution depth). When the factor is large and shallow
-// enough to profit (see lev_profitable_), the serial wall-clock sweeps run
-// the level-scheduled SIMD kernels: rows within a level are independent, so
-// reordering them is bitwise-neutral.
+// enough to profit (see lev_profitable_), the sweeps run the level-scheduled
+// SIMD kernels: rows within a level are independent, so reordering them is
+// bitwise-neutral.
 
 #include <cstddef>
 #include <cstdint>
@@ -61,16 +62,12 @@ class SddPreconditioner {
   /// z = P^{-1} r; returns dot(r, z). No allocation.
   double apply(const Vec& r, Vec& z) const;
 
-  /// Column-j twin over row-major n×k blocks: z_col = P^{-1} r_col, returns
-  /// dot(r_col, z_col). Element-identical arithmetic to apply().
-  double apply_strided(const Vec& r, Vec& z, std::size_t k, std::size_t j) const;
-
-  /// Batched twin for the serial wall-clock multi-RHS CG: for every column j
-  /// with active[j] != 0, z_col = P^{-1} r_col and rz[j] = dot(r_col, z_col).
-  /// Inactive columns of z are preserved bit for bit; their rz slots are
-  /// unspecified. `fwd_scratch` must hold n*k doubles (caller-owned so the
-  /// kJacobi case and repeated applies stay allocation-free). Wall-clock
-  /// only — callers in instrumented mode must use apply_strided per column.
+  /// Batched twin of apply(): for every column j with active[j] != 0,
+  /// z_col = P^{-1} r_col and rz[j] = dot(r_col, z_col), bit for bit what
+  /// apply() returns on the column alone. Inactive columns of z are
+  /// preserved bit for bit; their rz slots are unspecified. For IC(0),
+  /// `fwd_scratch` must hold n*k doubles (caller-owned so repeated applies
+  /// stay allocation-free); Jacobi ignores it.
   void apply_cols(const Vec& r, Vec& z, std::size_t k,
                   const unsigned char* active, Vec& fwd_scratch,
                   double* rz) const;

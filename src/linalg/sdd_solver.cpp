@@ -209,8 +209,21 @@ std::vector<SolveResult> solve_sdd_multi(core::SolverContext& ctx, const Csr& m,
     ++live;
   }
 
+  // Per-column scalars for one blocked iteration, the masks feeding the
+  // masked column kernels, and the n×k forward-sweep scratch of the IC(0)
+  // apply_cols.
+  scr.alpha.assign(k, 0.0);
+  scr.beta.assign(k, 0.0);
+  scr.pmp.assign(k, 0.0);
+  scr.rr.assign(k, 0.0);
+  scr.rz_new.assign(k, 0.0);
+  scr.step_mask.assign(k, 0);
+  scr.refresh_mask.assign(k, 0);
+  if (precond.effective_kind() == PrecondKind::kIncompleteCholesky) scr.bfwd.resize(n * k);
+
   // Initial residuals for all live columns from one block SpMV (columns with
-  // a zero seed get r = b - M·0 = b, bit-equal to the cold start).
+  // a zero seed get r = b - M·0 = b, bit-equal to the cold start), then one
+  // preconditioner apply over the live columns.
   if (live > 0) {
     m.apply_block_into(bx, bmp, k);
     for (std::size_t j = 0; j < k; ++j) {
@@ -227,31 +240,20 @@ std::vector<SolveResult> solve_sdd_multi(core::SolverContext& ctx, const Csr& m,
       } else if (warm) {
         ++ctx.accel().warm_start_hits;
       }
-      scr.rz[j] = precond.apply_strided(br, bz, k, j);
+    }
+    precond.apply_cols(br, bz, k, scr.active.data(), scr.bfwd, scr.rz.data());
+    for (std::size_t j = 0; j < k; ++j) {
+      if (!scr.active[j]) continue;
       par::parallel_for(0, n, [&](std::size_t i) { bp[i * k + j] = bz[i * k + j]; });
     }
   }
 
-  // Blocked CG: one shared SpMV over the n×k block per iteration. In the
-  // serial wall-clock mode the per-column recurrences run as masked SIMD
-  // column kernels (one pass over the block per kernel, all lanes at once);
-  // in the instrumented and pooled modes each live column runs its own
-  // scalar recurrence with strided kernels. All three produce bit-identical
-  // columns: every reduction uses the mode's canonical tree (stripe-4 in
-  // serial wall, the block-plan combine under a pool, the linear
-  // instrumented fold), the same trees the single-RHS path uses.
-  const bool batched = kernel_mode() == KernelMode::kWallSerial;
-  if (batched && live > 0) {
-    scr.alpha.assign(k, 0.0);
-    scr.beta.assign(k, 0.0);
-    scr.pmp.assign(k, 0.0);
-    scr.rr.assign(k, 0.0);
-    scr.rz_new.assign(k, 0.0);
-    scr.step_mask.assign(k, 0);
-    scr.refresh_mask.assign(k, 0);
-    if (precond.effective_kind() == PrecondKind::kIncompleteCholesky)
-      scr.bfwd.resize(n * k);
-  }
+  // Blocked CG: one shared SpMV over the n×k block per iteration, then the
+  // per-column recurrences as masked SIMD column kernels (one pass over the
+  // block per kernel, all live columns at once). Every column kernel uses the
+  // stripe-4 order of the single-RHS kernels, so each column is bitwise a
+  // lone solve_sdd. Each live column is charged what the single-RHS
+  // iteration charges it; one that breaks down is charged only its p.Mp dot.
   for (std::int32_t it = 0; live > 0 && it < opts.max_iters; ++it) {
     // One lifecycle poll per blocked iteration: every still-live column
     // reports the typed status, matching what k sequential canceled solves
@@ -266,66 +268,30 @@ std::vector<SolveResult> solve_sdd_multi(core::SolverContext& ctx, const Csr& m,
       break;
     }
     m.apply_block_into(bp, bmp, k);
-    if (batched) {
-      // p.Mp for every column in one pass (dead lanes produce garbage that
-      // is never read), then the per-column breakdown check and step size.
-      simd::dot_cols(bp.data(), bmp.data(), n, k, scr.pmp.data());
-      for (std::size_t j = 0; j < k; ++j) {
-        scr.step_mask[j] = 0;
-        if (!scr.active[j]) continue;
-        if (scr.pmp[j] <= 0.0 || !std::isfinite(scr.pmp[j])) {
-          out[j].status = SolveStatus::kNumericalFailure;
-          scr.active[j] = 0;
-          --live;
-          continue;
-        }
-        scr.alpha[j] = scr.rz[j] / scr.pmp[j];
-        scr.step_mask[j] = 1;
-      }
-      simd::cg_step_cols(bx.data(), br.data(), bp.data(), bmp.data(),
-                         scr.alpha.data(), scr.step_mask.data(), n, k,
-                         scr.rr.data());
-      for (std::size_t j = 0; j < k; ++j) {
-        scr.refresh_mask[j] = 0;
-        if (!scr.step_mask[j]) continue;
-        scr.done_iter[j] = it + 1;
-        const double rn = std::sqrt(scr.rr[j]);
-        if (rn <= opts.tolerance * scr.bnorm[j]) {
-          out[j].converged = true;
-          out[j].status = SolveStatus::kOk;
-          out[j].relative_residual = rn / scr.bnorm[j];
-          scr.active[j] = 0;
-          --live;
-          continue;
-        }
-        scr.refresh_mask[j] = 1;
-      }
-      if (live > 0) {
-        precond.apply_cols(br, bz, k, scr.refresh_mask.data(), scr.bfwd,
-                           scr.rz_new.data());
-        for (std::size_t j = 0; j < k; ++j) {
-          if (!scr.refresh_mask[j]) continue;
-          scr.beta[j] = scr.rz_new[j] / scr.rz[j];
-          scr.rz[j] = scr.rz_new[j];
-        }
-        simd::axpby_cols(bp.data(), 1.0, bz.data(), scr.beta.data(),
-                         scr.refresh_mask.data(), n, k);
-      }
-      continue;
-    }
+    // p.Mp for every column in one pass (dead lanes produce garbage that is
+    // never read), then the per-column breakdown check and step size.
+    charge_passes(n, 0, live);
+    simd::dot_cols(bp.data(), bmp.data(), n, k, scr.pmp.data());
     for (std::size_t j = 0; j < k; ++j) {
+      scr.step_mask[j] = 0;
       if (!scr.active[j]) continue;
-      const double pmp = dot_strided(bp, bmp, k, j, n);
-      if (pmp <= 0.0 || !std::isfinite(pmp)) {
+      if (scr.pmp[j] <= 0.0 || !std::isfinite(scr.pmp[j])) {
         out[j].status = SolveStatus::kNumericalFailure;
         scr.active[j] = 0;
         --live;
         continue;
       }
-      const double alpha = scr.rz[j] / pmp;
-      const double rr = cg_step_residual_strided(bx, br, bp, bmp, alpha, k, j, n);
+      scr.alpha[j] = scr.rz[j] / scr.pmp[j];
+      scr.step_mask[j] = 1;
+    }
+    charge_passes(n, 2 * live, live);
+    simd::cg_step_cols(bx.data(), br.data(), bp.data(), bmp.data(), scr.alpha.data(),
+                       scr.step_mask.data(), n, k, scr.rr.data());
+    for (std::size_t j = 0; j < k; ++j) {
+      scr.refresh_mask[j] = 0;
+      if (!scr.step_mask[j]) continue;
       scr.done_iter[j] = it + 1;
-      const double rn = std::sqrt(rr);
+      const double rn = std::sqrt(scr.rr[j]);
       if (rn <= opts.tolerance * scr.bnorm[j]) {
         out[j].converged = true;
         out[j].status = SolveStatus::kOk;
@@ -334,11 +300,17 @@ std::vector<SolveResult> solve_sdd_multi(core::SolverContext& ctx, const Csr& m,
         --live;
         continue;
       }
-      const double rz_new = precond.apply_strided(br, bz, k, j);
-      const double beta = rz_new / scr.rz[j];
-      scr.rz[j] = rz_new;
-      axpby_strided(bp, 1.0, bz, beta, k, j, n);
+      scr.refresh_mask[j] = 1;
     }
+    if (live == 0) break;
+    precond.apply_cols(br, bz, k, scr.refresh_mask.data(), scr.bfwd, scr.rz_new.data());
+    for (std::size_t j = 0; j < k; ++j) {
+      if (!scr.refresh_mask[j]) continue;
+      scr.beta[j] = scr.rz_new[j] / scr.rz[j];
+      scr.rz[j] = scr.rz_new[j];
+    }
+    charge_passes(n, live, 0);
+    simd::axpby_cols(bp.data(), 1.0, bz.data(), scr.beta.data(), scr.refresh_mask.data(), n, k);
   }
 
   // Finalize: unconverged columns report the residual of their last iterate

@@ -14,10 +14,10 @@
 //                      for inactive lanes so even NaN/±0 payloads survive.
 //
 // The dispatchers at the bottom pick avx2:: when simd::enabled(). They are
-// wall-clock-serial kernels: no PRAM charges, no tracker access, no pool
-// dispatch — callers (kernels.hpp, Csr, SddPreconditioner, solve_sdd_multi)
-// route here only on the uninstrumented single-thread path and keep the
-// instrumented/pooled paths on the legacy primitives.
+// plain kernels: no PRAM charges, no tracker access, no pool dispatch. The
+// callers (kernels.hpp, Csr, IncidenceOp, SddPreconditioner,
+// solve_sdd_multi) charge the PRAM cost at kernel entry and then call here
+// in every execution mode, so these kernels are the only arithmetic served.
 //
 // Reduction order contract: every dot-like reduction is "stripe-4": four
 // accumulators acc[i mod 4] folded left to right over ascending i, combined

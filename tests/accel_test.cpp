@@ -1,7 +1,8 @@
 // Tests for the solver acceleration layer (DESIGN.md §10):
-//  - solve_sdd_multi is bit-identical to k successive single-RHS solves, in
-//    instrumented and wall mode, under both preconditioner kinds, and with
-//    fault injection armed (the draw streams line up column by column);
+//  - solve_sdd and solve_sdd_multi compute the same bits in every execution
+//    mode (serial wall, pooled wall, instrumented): each multi-RHS column
+//    equals a lone single-RHS solve, under both preconditioner kinds, and
+//    with fault injection armed (the draw streams line up column by column);
 //  - the SddPreconditioner cache reuses a factor while weight drift stays
 //    under the threshold and rebuilds past it;
 //  - Laplacian::refresh_values produces bitwise the same matrix as a fresh
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/solver_context.hpp"
@@ -42,10 +44,11 @@ struct Problem {
   std::vector<Vec> rhs;
 };
 
-Problem make_problem(std::uint64_t seed, std::size_t k) {
+Problem make_problem(std::uint64_t seed, std::size_t k, graph::Vertex n = 48,
+                     std::int64_t m = 320) {
   par::Rng rng(seed);
   Problem p;
-  p.g = graph::random_flow_network(48, 320, 40, 40, rng);
+  p.g = graph::random_flow_network(n, m, 40, 40, rng);
   const linalg::IncidenceOp a(p.g);
   p.dropped = a.dropped();
   p.d.resize(a.rows());
@@ -70,30 +73,6 @@ void expect_bit_identical(const linalg::SolveResult& single, const linalg::Solve
     EXPECT_EQ(single.x[i], multi.x[i]) << "column " << j << " entry " << i;
 }
 
-void run_multi_vs_single(linalg::PrecondKind kind) {
-  const std::size_t k = 7;
-  const Problem p = make_problem(1234, k);
-  linalg::SddPreconditioner precond;
-  precond.build(p.lap, kind);
-  ASSERT_TRUE(precond.valid());
-  linalg::SolveOptions opts;
-  opts.tolerance = 1e-10;
-  opts.max_iters = 400;
-
-  core::SolverContext ctx_single, ctx_multi;
-  std::vector<linalg::SolveResult> singles;
-  singles.reserve(k);
-  for (std::size_t j = 0; j < k; ++j)
-    singles.push_back(linalg::solve_sdd(ctx_single, p.lap, p.rhs[j], precond, opts));
-  const auto multi = linalg::solve_sdd_multi(ctx_multi, p.lap, p.rhs, precond, opts);
-
-  ASSERT_EQ(multi.size(), k);
-  for (std::size_t j = 0; j < k; ++j) {
-    EXPECT_TRUE(singles[j].converged) << "column " << j;
-    expect_bit_identical(singles[j], multi[j], j);
-  }
-}
-
 class AccelTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -106,25 +85,66 @@ class AccelTest : public ::testing::Test {
   }
 };
 
+enum class Mode { kWallSerial, kWallPool, kInstrumented };
+
+/// Singles solved once in serial wall mode are the reference; under `mode`
+/// each single solve and each solve_sdd_multi column must reproduce them
+/// bit for bit.
+void run_mode(graph::Vertex n, std::int64_t m, linalg::PrecondKind kind, Mode mode) {
+  const std::size_t k = 7;
+  const Problem p = make_problem(1234, k, n, m);
+  linalg::SddPreconditioner precond;
+  precond.build(p.lap, kind);
+  ASSERT_EQ(precond.effective_kind(), kind);
+  linalg::SolveOptions opts;
+  opts.tolerance = 1e-10;
+  opts.max_iters = 400;
+
+  par::ThreadPool::configure(1);
+  par::Tracker::instance().set_enabled(false);
+  std::vector<linalg::SolveResult> reference;
+  core::SolverContext ctx_ref;
+  for (std::size_t j = 0; j < k; ++j) {
+    reference.push_back(linalg::solve_sdd(ctx_ref, p.lap, p.rhs[j], precond, opts));
+    EXPECT_TRUE(reference[j].converged) << "column " << j;
+  }
+
+  par::ThreadPool::configure(mode == Mode::kWallPool ? 4 : 1);
+  par::Tracker::instance().set_enabled(mode == Mode::kInstrumented);
+  core::SolverContext ctx_single, ctx_multi;
+  for (std::size_t j = 0; j < k; ++j)
+    expect_bit_identical(reference[j],
+                         linalg::solve_sdd(ctx_single, p.lap, p.rhs[j], precond, opts), j);
+  const auto multi = linalg::solve_sdd_multi(ctx_multi, p.lap, p.rhs, precond, opts);
+  ASSERT_EQ(multi.size(), k);
+  for (std::size_t j = 0; j < k; ++j) expect_bit_identical(reference[j], multi[j], j);
+}
+
+/// Runs `mode` at n = 48 and at n = 2000, where the 4-thread pool has enough
+/// nonzeros to split the SpMV rows.
+void run_mode_at_both_sizes(linalg::PrecondKind kind, Mode mode) {
+  for (const auto& [n, m] : {std::pair<graph::Vertex, std::int64_t>{48, 320}, {2000, 13000}}) {
+    SCOPED_TRACE(n);
+    run_mode(n, m, kind, mode);
+  }
+}
+
 TEST_F(AccelTest, MultiRhsMatchesSinglesBitwiseJacobiWallSerial) {
-  run_multi_vs_single(linalg::PrecondKind::kJacobi);
+  run_mode_at_both_sizes(linalg::PrecondKind::kJacobi, Mode::kWallSerial);
 }
 
 TEST_F(AccelTest, MultiRhsMatchesSinglesBitwiseIncompleteCholeskyWallSerial) {
-  run_multi_vs_single(linalg::PrecondKind::kIncompleteCholesky);
+  run_mode_at_both_sizes(linalg::PrecondKind::kIncompleteCholesky, Mode::kWallSerial);
 }
 
 TEST_F(AccelTest, MultiRhsMatchesSinglesBitwiseWallPool) {
-  par::ThreadPool::configure(4);
-  run_multi_vs_single(linalg::PrecondKind::kJacobi);
-  run_multi_vs_single(linalg::PrecondKind::kIncompleteCholesky);
+  run_mode_at_both_sizes(linalg::PrecondKind::kJacobi, Mode::kWallPool);
+  run_mode_at_both_sizes(linalg::PrecondKind::kIncompleteCholesky, Mode::kWallPool);
 }
 
 TEST_F(AccelTest, MultiRhsMatchesSinglesBitwiseInstrumented) {
-  par::Tracker::instance().set_enabled(true);
-  par::Tracker::instance().reset();
-  run_multi_vs_single(linalg::PrecondKind::kJacobi);
-  run_multi_vs_single(linalg::PrecondKind::kIncompleteCholesky);
+  run_mode_at_both_sizes(linalg::PrecondKind::kJacobi, Mode::kInstrumented);
+  run_mode_at_both_sizes(linalg::PrecondKind::kIncompleteCholesky, Mode::kInstrumented);
 }
 
 TEST_F(AccelTest, MultiRhsMatchesSinglesUnderFaultInjection) {

@@ -40,27 +40,45 @@ namespace {
 
 std::atomic<std::uint64_t> g_alloc_count{0};
 
+void* counted_malloc(std::size_t size) {
+  ++g_alloc_count;
+  return std::malloc(size ? size : 1);
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  ++g_alloc_count;
+  const auto a = static_cast<std::size_t>(align);
+  return std::aligned_alloc(a, (size + a - 1) & ~(a - 1));
+}
+
 }  // namespace
 
+// Every replaceable allocation function is counted, the std::nothrow_t forms
+// too (std::stable_sort takes its buffer from nothrow new), and every one
+// frees with std::free, so the sanitizers see matching pairs.
 void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  if (void* p = counted_malloc(size)) return p;
   throw std::bad_alloc();
 }
-
 void* operator new[](std::size_t size) { return ::operator new(size); }
-
 void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_alloc_count;
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1)))
-    return p;
+  if (void* p = counted_aligned_alloc(size, align)) return p;
   throw std::bad_alloc();
 }
-
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(size, align);
 }
 
 void operator delete(void* p) noexcept { std::free(p); }
@@ -71,6 +89,10 @@ void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace pmcf {
 namespace {

@@ -260,6 +260,40 @@ TEST_F(EngineConcurrencyTest, CancelRacesPublishAndRetireWithoutCorruption) {
   EXPECT_GE(m.of(EngineCounter::kCancelRequests), m.of(EngineCounter::kCancelHits));
 }
 
+TEST_F(EngineConcurrencyTest, InstrumentationOnlyCounts) {
+  // Every kernel runs one arithmetic in every mode, so PRAM instrumentation
+  // only adds counters: an instrumented Engine and a serial wall-clock Engine
+  // must return the same answer along the same central path.
+  std::deque<Digraph> graphs;
+  for (std::size_t i = 0; i < kSolves; ++i) {
+    par::Rng rng(9100 + i);
+    const auto n = static_cast<Vertex>(10 + i % 4);
+    graphs.push_back(graph::random_flow_network(n, 6 * n, 100, 6, rng));
+  }
+  const Engine instrumented{};
+  const Engine wall({.instrument = false, .use_global_pool = false});
+  for (const mcf::Method method : {mcf::Method::kReferenceIpm, mcf::Method::kRobustIpm}) {
+    mcf::SolveOptions opts;
+    opts.method = method;
+    const std::size_t count = method == mcf::Method::kRobustIpm ? 2 : kSolves;
+    for (std::size_t i = 0; i < count; ++i) {
+      SCOPED_TRACE(testing::Message() << "method " << static_cast<int>(method) << " instance " << i);
+      const Instance inst = Instance::max_flow(graphs[i], 0, graphs[i].num_vertices() - 1);
+      const auto a = instrumented.solve(inst, opts).result;
+      const auto b = wall.solve(inst, opts).result;
+      ASSERT_EQ(a.status, SolveStatus::kOk);
+      EXPECT_EQ(a.cost, b.cost);
+      EXPECT_EQ(a.arc_flow, b.arc_flow);
+      EXPECT_EQ(a.stats.ipm_iterations, b.stats.ipm_iterations);
+      EXPECT_EQ(a.stats.final_mu, b.stats.final_mu);
+      EXPECT_EQ(a.stats.final_centrality, b.stats.final_centrality);
+      EXPECT_EQ(a.stats.robust_steps, b.stats.robust_steps);
+      EXPECT_EQ(a.stats.cg_tolerance_escalations, b.stats.cg_tolerance_escalations);
+      EXPECT_EQ(a.stats.precond_builds, b.stats.precond_builds);
+    }
+  }
+}
+
 TEST_F(EngineConcurrencyTest, BFlowInstancesRoundTripThroughEngine) {
   par::Rng rng(4321);
   const Digraph g = graph::random_flow_network(12, 60, 6, 6, rng);

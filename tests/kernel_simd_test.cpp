@@ -1,4 +1,4 @@
-// Property suite for the SIMD kernel layer (DESIGN.md §13):
+// Property suite for the kernel layer (DESIGN.md §8, §13):
 //  - every AVX2 kernel reproduces the canonical scalar kernel bit for bit,
 //    across aligned, unaligned, and remainder lengths, with masked column
 //    kernels preserving inactive columns exactly;
@@ -6,22 +6,27 @@
 //    walk bitwise through the public Csr interface;
 //  - rcm_order returns a genuine permutation;
 //  - solver outputs (single- and multi-RHS, both preconditioner kinds) are
-//    invariant under the SIMD dispatch, i.e. under the renumbered layout.
+//    invariant under the SIMD dispatch, i.e. under the renumbered layout;
+//  - every hot kernel charges exactly the PRAM cost of the primitive
+//    sequence it stands for (KernelChargeTest).
 //
 // The dispatch-level tests also run in PMCF_SIMD=OFF builds, where both
 // sides collapse to the scalar path and the invariants hold trivially.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/solver_context.hpp"
 #include "graph/generators.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/incidence.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/laplacian.hpp"
 #include "linalg/preconditioner.hpp"
 #include "linalg/rcm.hpp"
@@ -29,6 +34,7 @@
 #include "linalg/simd.hpp"
 #include "linalg/simd_kernels.hpp"
 #include "parallel/rng.hpp"
+#include "parallel/scheduler.hpp"
 #include "parallel/thread_pool.hpp"
 #include "parallel/work_depth.hpp"
 
@@ -525,6 +531,179 @@ TEST_F(KernelSimdTest, SolverInvariantUnderDispatchJacobi) {
 
 TEST_F(KernelSimdTest, SolverInvariantUnderDispatchIncompleteCholesky) {
   run_solver_dispatch_invariance(linalg::PrecondKind::kIncompleteCholesky);
+}
+
+// ---------------------------------------------------------------------------
+// PRAM charges. Each kernel charges at entry what the primitive sequence it
+// stands for charges; those sequences are written out below with the par::
+// primitives over dummy bodies, so a changed charge fails here rather than
+// only in the perf-trajectory PRAM columns.
+// ---------------------------------------------------------------------------
+
+class KernelChargeTest : public KernelSimdTest {};
+
+const std::size_t kChargeSizes[] = {0, 1, 2, 3, 5, 128, 129, 1000};
+
+/// (work, depth) charged by f under a fresh instrumented context.
+template <class F>
+std::string charged(F&& f) {
+  core::SolverContext ctx;
+  const core::ContextScope scope(ctx);
+  f();
+  return par::to_string(ctx.tracker().snapshot());
+}
+
+void seq_pass(std::size_t n) { par::parallel_for(0, n, [](std::size_t) {}); }
+
+void seq_reduce(std::size_t n) {
+  (void)par::parallel_reduce<double>(
+      0, n, 0.0, [](std::size_t) { return 0.0; }, [](double a, double b) { return a + b; });
+}
+
+/// The per-row charging loop an SpMV over k columns stands for.
+void seq_spmv(const linalg::Csr& m, std::size_t k) {
+  par::parallel_for(0, m.dim(), [&](std::size_t r) {
+    const auto row_nnz = static_cast<std::uint64_t>(m.offsets()[r + 1] - m.offsets()[r]);
+    par::charge(k * row_nnz, par::ceil_log2(std::max<std::uint64_t>(row_nnz, 1)));
+  });
+}
+
+/// n×n CSR whose rows cycle through 0, 1 and many nonzeros.
+linalg::Csr mixed_rows(std::size_t n) {
+  std::vector<std::int64_t> off{0};
+  std::vector<std::int32_t> col;
+  Vec val;
+  for (std::size_t r = 0; r < n; ++r) {
+    const std::size_t len = r % 3 == 0 ? 0 : r % 3 == 1 ? 1 : std::min<std::size_t>(n, 37);
+    for (std::size_t t = 0; t < len; ++t) {
+      col.push_back(static_cast<std::int32_t>(len == 1 ? r * 7 % n : t * n / len));
+      val.push_back(1.0 + 0.25 * static_cast<double>(t));
+    }
+    off.push_back(static_cast<std::int64_t>(col.size()));
+  }
+  return linalg::Csr(n, std::move(off), std::move(col), std::move(val));
+}
+
+/// SPD M-matrix I + L(G) with G a star from vertex 0 to every fifth vertex
+/// plus scattered path edges: rows of 1, 2 and many nonzeros.
+linalg::Csr sdd_mixed(std::size_t n) {
+  std::vector<std::int32_t> rows, cols;
+  Vec vals;
+  const auto add = [&](std::size_t i, std::size_t j, double v) {
+    rows.push_back(static_cast<std::int32_t>(i));
+    cols.push_back(static_cast<std::int32_t>(j));
+    vals.push_back(v);
+  };
+  for (std::size_t r = 0; r < n; ++r) add(r, r, 1.0);
+  for (std::size_t r = 1; r < n; ++r) {
+    if (r % 5 != 0 && r % 5 != 2) continue;
+    const std::size_t u = r % 5 == 0 ? 0 : r - 1;
+    add(u, u, 1.0);
+    add(r, r, 1.0);
+    add(u, r, -1.0);
+    add(r, u, -1.0);
+  }
+  return linalg::Csr::from_triplets(n, rows, cols, vals);
+}
+
+TEST_F(KernelChargeTest, VectorKernelsChargeTheirPrimitiveSequences) {
+  // The harness really instruments, so equal strings are not two zeros.
+  ASSERT_EQ(charged([] { seq_reduce(1000); }), "work=1000 depth=20");
+  for (const std::size_t n : kChargeSizes) {
+    SCOPED_TRACE(n);
+    Vec a(n, 0.5), b(n, 0.25), c(n, 1.0);
+    const Vec d(n, 2.0);
+    EXPECT_EQ(charged([&] { (void)linalg::dot(a, b); }), charged([&] { seq_reduce(n); }));
+    EXPECT_EQ(charged([&] { linalg::axpby(a, 1.0, b, 0.5); }), charged([&] { seq_pass(n); }));
+    EXPECT_EQ(charged([&] { (void)linalg::cg_step_residual(a, b, c, d, 0.1); }), charged([&] {
+                seq_pass(n);
+                seq_pass(n);
+                seq_reduce(n);
+              }));
+    EXPECT_EQ(charged([&] { (void)linalg::precond_refresh(d, a, c); }), charged([&] {
+                seq_pass(n);
+                seq_reduce(n);
+              }));
+  }
+}
+
+TEST_F(KernelChargeTest, SpmvChargesThePerRowLoop) {
+  for (const std::size_t n : kChargeSizes) {
+    SCOPED_TRACE(n);
+    const linalg::Csr m = mixed_rows(n);
+    const Vec x(n, 1.0);
+    Vec y(n, 0.0);
+    EXPECT_EQ(charged([&] { m.apply_into(x, y); }), charged([&] { seq_spmv(m, 1); }));
+    for (const std::size_t k : {1u, 3u, 4u}) {
+      SCOPED_TRACE(k);
+      const Vec xb(n * k, 1.0);
+      Vec yb(n * k, 0.0);
+      EXPECT_EQ(charged([&] { m.apply_block_into(xb, yb, k); }),
+                charged([&] { seq_spmv(m, k); }));
+    }
+  }
+}
+
+TEST_F(KernelChargeTest, IncidenceApplyChargesOnePerArc) {
+  for (const std::size_t m : kChargeSizes) {
+    SCOPED_TRACE(m);
+    const auto nv = static_cast<graph::Vertex>(std::max<std::size_t>(m, 2));
+    graph::Digraph g(nv);
+    for (std::size_t e = 0; e < m; ++e)
+      g.add_arc(static_cast<graph::Vertex>(e) % nv, static_cast<graph::Vertex>(e + 1) % nv, 1, 1);
+    const linalg::IncidenceOp a(g);
+    const Vec h(a.cols(), 1.0);
+    Vec y(a.rows(), 0.0);
+    EXPECT_EQ(charged([&] { a.apply_into(h, y); }), charged([&] {
+                par::parallel_for(0, m, [](std::size_t) { par::charge(1, 1); });
+              }));
+  }
+}
+
+TEST_F(KernelChargeTest, PreconditionerAppliesChargeEachColumn) {
+  for (const std::size_t n : kChargeSizes) {
+    if (n == 0) continue;  // no preconditioner for an empty matrix
+    SCOPED_TRACE(n);
+    const linalg::Csr m = sdd_mixed(n);
+    std::uint64_t lower = 0;
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::int64_t t = m.offsets()[r]; t < m.offsets()[r + 1]; ++t)
+        lower += static_cast<std::size_t>(m.cols()[static_cast<std::size_t>(t)]) < r ? 1 : 0;
+    for (const auto kind : {linalg::PrecondKind::kJacobi, linalg::PrecondKind::kIncompleteCholesky}) {
+      SCOPED_TRACE(static_cast<int>(kind));
+      linalg::SddPreconditioner p;
+      p.build(m, kind);
+      ASSERT_EQ(p.effective_kind(), kind);
+      // Jacobi stands for mul_into + dot; IC(0) for the two triangular
+      // sweeps (charge_sweeps in preconditioner.cpp) + dot.
+      const auto one_column = [&] {
+        if (kind == linalg::PrecondKind::kJacobi) {
+          seq_pass(n);
+        } else {
+          par::charge(2 * (lower + n), 2 * par::ceil_log2(std::max<std::size_t>(n, 2)));
+        }
+        seq_reduce(n);
+      };
+      const Vec r(n, 1.0);
+      Vec z(n, 0.0);
+      EXPECT_EQ(charged([&] { (void)p.apply(r, z); }), charged(one_column));
+      for (const std::size_t k : {1u, 3u, 4u}) {
+        SCOPED_TRACE(k);
+        std::vector<unsigned char> active(k);
+        std::size_t live = 0;
+        for (std::size_t j = 0; j < k; ++j) {
+          active[j] = j != 1 ? 1 : 0;
+          live += active[j];
+        }
+        const Vec rb(n * k, 1.0);
+        Vec zb(n * k, 0.0), fwd(n * k, 0.0), rz(k, 0.0);
+        EXPECT_EQ(charged([&] { p.apply_cols(rb, zb, k, active.data(), fwd, rz.data()); }),
+                  charged([&] {
+                    for (std::size_t c = 0; c < live; ++c) one_column();
+                  }));
+      }
+    }
+  }
 }
 
 }  // namespace
