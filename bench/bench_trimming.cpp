@@ -1,10 +1,11 @@
 // Experiment L3.7 — Trimming: work Õ(|E(A, V\A)|/φ^4), depth Õ(1/φ^3).
 // Sweep the boundary size and φ; work should track boundary, not m.
+// Trimming is the first delete_batch of a TrimmingEngine.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
-#include "expander/trimming.hpp"
+#include "expander/trimming_engine.hpp"
 #include "graph/generators.hpp"
 #include "parallel/rng.hpp"
 
@@ -16,25 +17,19 @@ void BM_Trimming(benchmark::State& state) {
   const auto n = static_cast<graph::Vertex>(state.range(0));
   const auto deletions = static_cast<int>(state.range(1));
   par::Rng rng(19);
-  auto g = graph::random_regular_expander(n, 4, rng);
-  std::vector<std::int64_t> boundary(static_cast<std::size_t>(n), 0);
-  auto live = g.live_edges();
-  for (int k = 0; k < deletions; ++k) {
-    const auto e = live[rng.next_below(live.size())];
-    if (!g.is_live(e)) continue;
-    const auto ep = g.endpoints(e);
-    boundary[static_cast<std::size_t>(ep.u)] += 1;
-    boundary[static_cast<std::size_t>(ep.v)] += 1;
-    g.delete_edge(e);
-  }
+  const auto g = graph::random_regular_expander(n, 4, rng);
+  // Repeated draws stay in the batch; the engine skips edges no longer live.
+  std::vector<graph::EdgeId> batch;
+  const auto live = g.live_edges();
+  for (int k = 0; k < deletions; ++k) batch.push_back(live[rng.next_below(live.size())]);
   std::int64_t removed_vol = 0;
   std::uint64_t scans = 0;
   bench::run_instrumented(state, [&] {
-    std::vector<char> in_a(static_cast<std::size_t>(n), 1);
-    const auto r = expander::trimming(g, in_a, boundary, {.phi = 0.1});
-    removed_vol = r.removed_volume;
-    scans = r.edge_scans;
-    benchmark::DoNotOptimize(r.flow.data());
+    expander::TrimmingEngine engine(g, {.phi = 0.1});
+    engine.delete_batch(batch, nullptr);
+    removed_vol = engine.removed_volume();
+    scans = engine.edge_scans();
+    benchmark::DoNotOptimize(engine.certificate_flow().data());
   });
   state.counters["removed_volume"] = static_cast<double>(removed_vol);
   state.counters["edge_scans"] = static_cast<double>(scans);

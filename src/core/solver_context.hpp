@@ -155,19 +155,10 @@ class SolverContext {
   [[nodiscard]] par::Rng fork_rng() { return rng_.split(); }
   [[nodiscard]] std::uint64_t seed() const { return opts_.seed; }
 
-  [[nodiscard]] bool instrumented() const { return tracker_.enabled(); }
-
   /// The pool this context is bound to, regardless of mode.
   [[nodiscard]] par::ThreadPool* pool() const {
     if (opts_.pool != nullptr) return opts_.pool;
     return opts_.use_global_pool ? par::ThreadPool::global() : nullptr;
-  }
-
-  /// Pool for wall-clock primitives: nullptr while instrumenting (PRAM mode
-  /// is single-threaded), else `pool()`. The context-level twin of
-  /// par::current_wall_pool().
-  [[nodiscard]] par::ThreadPool* wall_pool() const {
-    return tracker_.enabled() ? nullptr : pool();
   }
 
   /// The thread-local slots a ContextScope installs for this context.
@@ -177,8 +168,7 @@ class SolverContext {
     b.injector = &fault_;
     b.recovery = &recovery_;
     b.lifecycle = &lifecycle_;
-    b.pool = opts_.pool != nullptr ? opts_.pool
-                                   : (opts_.use_global_pool ? par::ThreadPool::global() : nullptr);
+    b.pool = pool();
     b.pool_bound = true;
     return b;
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 
 #include "expander/unit_flow.hpp"
 #include "parallel/scheduler.hpp"
@@ -149,18 +148,14 @@ void TrimmingEngine::run_outer_loop(std::vector<Vertex>* newly_removed,
     if (new_source_total == 0) return;
 
     UnitFlowResult uf = parallel_unit_flow(p, flow_);
-#ifdef PMCF_ENGINE_DEBUG
-    std::fprintf(stderr, "iter=%d src=%lld excess=%lld absorbed=%lld\n", iter,
-                 (long long)new_source_total, (long long)uf.total_excess,
-                 (long long)uf.total_absorbed);
-#endif
     flow_ = std::move(uf.flow);
     edge_scans_ += uf.edge_scans;
     for (std::size_t v = 0; v < n; ++v) absorbed_[v] += uf.absorbed[v];
 
     if (uf.total_excess == 0) return;
 
-    // Sparsest admissible level cut, scanned from the top (see trimming.cpp).
+    // Level cut (the while-loop at Line 11 of Algorithm 3): among
+    // S_j = {v : l(v) >= j}, pick the sparsest (cut edges / captured volume).
     std::vector<std::int64_t> cut_at(static_cast<std::size_t>(height_) + 2, 0);
     std::vector<std::int64_t> vol_at(static_cast<std::size_t>(height_) + 2, 0);
     for (std::size_t v = 0; v < n; ++v) {
@@ -171,12 +166,19 @@ void TrimmingEngine::run_outer_loop(std::vector<Vertex>* newly_removed,
         const auto lu = uf.label[v];
         const auto lv = uf.label[static_cast<std::size_t>(inc.neighbor)];
         if (lu > lv) {
+          // Edge crosses every level cut j in (lv, lu].
           cut_at[static_cast<std::size_t>(lv) + 1] += 1;
           if (static_cast<std::size_t>(lu) + 1 < cut_at.size())
             cut_at[static_cast<std::size_t>(lu) + 1] -= 1;
         }
       }
     }
+    // Prefix-sum the difference array; suffix-sum volumes. Then, following
+    // the paper's level-cut argument, scan from the *top* level down and take
+    // the first (i.e. smallest) S_j whose cut is sparse enough; every S_j
+    // contains all leftover excess (excess lives at label h), so the highest
+    // admissible level removes the least volume. Fall back to the globally
+    // sparsest level if none clears the threshold.
     std::vector<std::int64_t> cut_prefix(static_cast<std::size_t>(height_) + 2, 0);
     for (std::int32_t j = 1; j <= height_; ++j)
       cut_prefix[static_cast<std::size_t>(j)] =
@@ -205,11 +207,6 @@ void TrimmingEngine::run_outer_loop(std::vector<Vertex>* newly_removed,
       }
     }
     if (best_j < 0) best_j = fallback_j;
-#ifdef PMCF_ENGINE_DEBUG
-    std::fprintf(stderr, "  best_j=%d vol=%lld cut=%lld\n", best_j,
-                 best_j >= 0 ? (long long)vol_suffix[(std::size_t)best_j] : -1,
-                 best_j >= 0 ? (long long)cut_prefix[(std::size_t)best_j] : -1);
-#endif
     par::charge(static_cast<std::uint64_t>(height_) + n,
                 par::ceil_log2(static_cast<std::uint64_t>(height_) + 2));
     if (best_j < 0) return;  // nothing labeled; cannot make progress

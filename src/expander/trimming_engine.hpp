@@ -1,10 +1,21 @@
 #pragma once
-// Stateful trimming engine — the incremental core of expander pruning
-// (Lemma 3.6). One engine instance owns a working copy of a cluster graph
-// and processes an online sequence of edge-deletion batches, reusing the
-// accumulated certificate flow f_0 + ... + f_i across batches exactly as in
-// Section 3.1 (edge capacities grow by 2/φ per batch, matching Lemma 3.8's
-// 2i/φ bound; per-batch sink budgets accumulate toward deg(v)).
+// Trimming (Algorithm 3, Lemma 3.7, adapted from [CMGS25]) as a stateful
+// engine — the incremental core of expander pruning (Lemma 3.6). One engine
+// instance owns a working copy of a cluster graph H and processes an online
+// sequence of edge-deletion batches. Each batch re-trims the kept set A so
+// that H[A] stays an expander, by repeatedly:
+//   1. injecting source demand ceil(2/φ) per boundary edge (deleted edges
+//      and edges to pruned vertices),
+//   2. routing it with ParallelUnitFlow into per-vertex sinks proportional
+//      to degree,
+//   3. if excess survives, cutting the sparsest level set S_j = {l(v) >= j}
+//      out of A and re-injecting demand along the new boundary.
+// The first batch is the paper's one-shot Trimming. Later batches reuse the
+// accumulated certificate flow f_0 + ... + f_i exactly as in Section 3.1
+// (edge capacities grow by 2/φ per batch, matching Lemma 3.8's 2i/φ bound;
+// per-batch sink budgets accumulate toward deg(v)). The accumulated flow is
+// the expansion certificate (Lemma 3.9); the removed volume is Õ(boundary/φ)
+// (Lemma 3.7 point 2).
 //
 // The engine supports only a bounded number of batches before its
 // guarantees decay (the paper's "batch number"); ExpanderPruning wraps it

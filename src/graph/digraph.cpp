@@ -6,18 +6,6 @@
 
 namespace pmcf::graph {
 
-std::vector<std::int64_t> Digraph::capacities() const {
-  std::vector<std::int64_t> u(arcs_.size());
-  par::parallel_for(0, arcs_.size(), [&](std::size_t i) { u[i] = arcs_[i].cap; });
-  return u;
-}
-
-std::vector<std::int64_t> Digraph::costs() const {
-  std::vector<std::int64_t> c(arcs_.size());
-  par::parallel_for(0, arcs_.size(), [&](std::size_t i) { c[i] = arcs_[i].cost; });
-  return c;
-}
-
 std::int64_t Digraph::max_capacity() const {
   std::int64_t w = 0;
   for (const auto& a : arcs_) w = std::max(w, a.cap);

@@ -43,9 +43,6 @@ class Digraph {
   [[nodiscard]] const Arc& arc(EdgeId e) const { return arcs_[static_cast<std::size_t>(e)]; }
   [[nodiscard]] const std::vector<Arc>& arcs() const { return arcs_; }
 
-  [[nodiscard]] std::vector<std::int64_t> capacities() const;
-  [[nodiscard]] std::vector<std::int64_t> costs() const;
-
   /// Largest capacity W = ||u||_inf and cost C = ||c||_inf (Theorem 1.2).
   [[nodiscard]] std::int64_t max_capacity() const;
   [[nodiscard]] std::int64_t max_cost() const;

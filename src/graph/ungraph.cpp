@@ -18,13 +18,6 @@ EdgeId UndirectedGraph::add_edge(Vertex u, Vertex v) {
   return e;
 }
 
-std::vector<EdgeId> UndirectedGraph::add_edges(std::span<const Endpoints> es) {
-  std::vector<EdgeId> ids(es.size());
-  for (std::size_t i = 0; i < es.size(); ++i) ids[i] = add_edge(es[i].u, es[i].v);
-  par::charge(es.size(), par::ceil_log2(std::max<std::size_t>(es.size(), 1)));
-  return ids;
-}
-
 void UndirectedGraph::detach(Vertex side_vertex, std::int32_t pos) {
   auto& lst = adj_[static_cast<std::size_t>(side_vertex)];
   const auto p = static_cast<std::size_t>(pos);
@@ -70,13 +63,6 @@ std::vector<EdgeId> UndirectedGraph::live_edges() const {
     if (ends_[e].u >= 0) out.push_back(static_cast<EdgeId>(e));
   par::charge(ends_.size(), par::ceil_log2(std::max<std::size_t>(ends_.size(), 1)));
   return out;
-}
-
-std::int64_t UndirectedGraph::volume(std::span<const Vertex> vs) const {
-  std::int64_t sum = 0;
-  for (const Vertex v : vs) sum += degree(v);
-  par::charge(vs.size(), par::ceil_log2(std::max<std::size_t>(vs.size(), 1)));
-  return sum;
 }
 
 }  // namespace pmcf::graph

@@ -31,8 +31,6 @@ class UndirectedGraph {
   [[nodiscard]] std::size_t edge_slots() const { return ends_.size(); }
 
   EdgeId add_edge(Vertex u, Vertex v);
-  /// Batch insert; returns the ids assigned.
-  std::vector<EdgeId> add_edges(std::span<const Endpoints> es);
   /// Batch delete (ids must be live).
   void delete_edges(std::span<const EdgeId> es);
   void delete_edge(EdgeId e);
@@ -59,9 +57,6 @@ class UndirectedGraph {
 
   /// All live edge ids (work O(#slots)).
   [[nodiscard]] std::vector<EdgeId> live_edges() const;
-
-  /// Sum of degrees over a vertex set.
-  [[nodiscard]] std::int64_t volume(std::span<const Vertex> vs) const;
 
  private:
   struct Slot {

@@ -27,10 +27,102 @@ double initial_mu(const IpmLp& lp, double target_centrality) {
   return max_cu * static_cast<double>(m) / (2.0 * std::sqrt(2.0) * n * target_centrality) + 1.0;
 }
 
+NewtonSystem::NewtonSystem(const IpmLp& lp, const linalg::IncidenceOp& a) : lp_(lp), a_(a) {
+  for (Vec* v : {&hess_, &grad_, &s_, &z_, &d_, &resid_, &dresid_, &ay_, &a_dy_, &dx_, &dn_})
+    v->resize(a.rows());
+  for (Vec* v : {&atx_, &rp_, &rhs_, &rhsn_}) v->resize(a.cols());
+}
+
+void NewtonSystem::eval_barrier(const Vec& x) {
+  barrier_hess_into(x, lp_.cap, hess_);
+  barrier_grad_into(x, lp_.cap, grad_);
+}
+
+double NewtonSystem::eval_center(const Vec& x, const Vec& y, double mu, const Vec& tau) {
+  a_.apply_into(y, ay_);
+  linalg::sub_into(lp_.cost, ay_, s_);
+  par::parallel_for(0, s_.size(), [&](std::size_t i) {
+    z_[i] = (s_[i] + mu * tau[i] * grad_[i]) / (mu * tau[i] * std::sqrt(hess_[i]));
+  });
+  const double centrality = linalg::norm_inf(z_);
+  a_.apply_transpose_into(x, atx_);
+  linalg::sub_into(lp_.b, atx_, rp_);
+  rp_[static_cast<std::size_t>(a_.dropped())] = 0.0;
+  return centrality;
+}
+
+NewtonStep NewtonSystem::step(core::SolverContext& ctx, Vec& x, Vec& y, double mu,
+                              const Vec& tau, double keep, const linalg::SolveOptions& solve) {
+  const std::size_t m = a_.rows();
+  const std::size_t n = a_.cols();
+  const auto dropped = static_cast<std::size_t>(a_.dropped());
+  // D = (μ τ Φ'')^{-1};  L δy = -r_p - A^T D (s + μτφ').
+  par::parallel_for(0, m, [&](std::size_t i) { d_[i] = 1.0 / (mu * tau[i] * hess_[i]); });
+  par::parallel_for(0, m, [&](std::size_t i) { resid_[i] = s_[i] + mu * tau[i] * grad_[i]; });
+  linalg::mul_into(d_, resid_, dresid_);
+  a_.apply_transpose_into(dresid_, rhs_);
+  par::parallel_for(0, n, [&](std::size_t i) { rhs_[i] = -rp_[i] - rhs_[i]; });
+  rhs_[dropped] = 0.0;
+  // Normalize the weight scale so the dropped row's unit pin is
+  // commensurate with the Laplacian diagonal (keeps CG well conditioned).
+  const double dmax = linalg::norm_inf(d_);
+  linalg::scale_into(d_, 1.0 / dmax, dn_);
+  linalg::scale_into(rhs_, 1.0 / dmax, rhsn_);
+  // Acceleration layer (DESIGN.md §10): the Laplacian pattern is fixed
+  // across steps (value-only refresh), the incomplete-Cholesky
+  // preconditioner survives while the normalized weights drift slowly
+  // along the path, and δy warm-starts from the previous step's direction.
+  linalg::AccelCache& cache = linalg::accel_cache(ctx);
+  const linalg::Csr& lap = cache.laplacian(ctx, a_.graph(), dn_, a_.dropped());
+  const linalg::SddPreconditioner& precond =
+      cache.preconditioner(ctx, linalg::AccelSite::kNewton, lap, dn_);
+  Vec& warm_dy = cache.warm_start(linalg::AccelSite::kNewton, 0, n);
+  // Newton system with the full recovery ladder: CG, tolerance
+  // escalation, dense elimination. A rung that still fails ends the step
+  // with a typed status instead of stepping on a garbage direction.
+  linalg::ResilientSolveOptions rso;
+  rso.base = solve;
+  auto sol = linalg::solve_sdd_resilient(ctx, lap, rhsn_, rso, &precond, &warm_dy);
+  NewtonStep out;
+  out.cg_escalations = sol.tolerance_escalations;
+  out.dense_fallback = sol.used_dense_fallback;
+  if (sol.status != SolveStatus::kOk) {
+    // Lifecycle statuses pass through untouched — they describe the
+    // request, not the instance or the numerics.
+    out.status = is_lifecycle_error(sol.status) ? sol.status : SolveStatus::kNumericalFailure;
+    return out;
+  }
+  Vec& dy = sol.x;
+  dy[dropped] = 0.0;
+  warm_dy = dy;  // seed the next step's Newton solve
+  a_.apply_into(dy, a_dy_);
+  par::parallel_for(0, m, [&](std::size_t i) { dx_[i] = -d_[i] * (resid_[i] + a_dy_[i]); });
+
+  // Damping: stay a factor `keep` inside the walls multiplicatively.
+  double alpha = 1.0;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (dx_[i] < 0.0) {
+      alpha = std::min(alpha, keep * x[i] / -dx_[i]);
+    } else if (dx_[i] > 0.0) {
+      alpha = std::min(alpha, keep * (lp_.cap[i] - x[i]) / dx_[i]);
+    }
+  }
+  if (!std::isfinite(alpha)) {
+    out.status = SolveStatus::kNumericalFailure;
+    return out;
+  }
+  par::charge(m, par::ceil_log2(std::max<std::size_t>(m, 2)));
+  par::parallel_for(0, m, [&](std::size_t i) { x[i] += alpha * dx_[i]; });
+  // With s = c - Ay the solved system's direction enters the dual with a
+  // minus sign: y_new = y - δy (while δx above is already consistent).
+  par::parallel_for(0, n, [&](std::size_t i) { y[i] -= alpha * dy[i]; });
+  y[dropped] = 0.0;
+  return out;
+}
+
 IpmResult reference_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Vec y0, double mu0,
                         const IpmOptions& opts) {
-  const graph::Digraph& g = *lp.graph;
-  const linalg::IncidenceOp a(g, lp.dropped);
+  const linalg::IncidenceOp a(*lp.graph, lp.dropped);
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   par::Rng rng(opts.seed);
@@ -56,12 +148,9 @@ IpmResult reference_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Vec y
   const double expo = 0.5 - 1.0 / p;
   const double reg = static_cast<double>(n) / static_cast<double>(m);
 
-  // Per-iteration work buffers, allocated once. The Newton loop itself is
-  // allocation-free apart from the sparse Laplacian rebuild and the CG
-  // solver's own (per-solve) state.
-  Vec hess(m), grad(m), v(m), scaled(m), s(m), z(m), d(m), resid(m), dresid(m),
-      dn(m), ay(m), a_dy(m), dx(m);
-  Vec atx(n), rp(n), rhs(n), rhsn(n);
+  // Per-iteration work buffers, allocated once; the Newton step owns its own.
+  NewtonSystem newton(lp, a);
+  Vec v(m), scaled(m);
 
   for (std::int32_t it = 0; it < opts.max_iters; ++it) {
     // Cooperative lifecycle check (DESIGN.md §11): a canceled or expired
@@ -73,9 +162,8 @@ IpmResult reference_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Vec y
       return res;
     }
     res.iterations = it + 1;
-    barrier_hess_into(res.x, lp.cap, hess);
-    barrier_grad_into(res.x, lp.cap, grad);
-    linalg::map_into(hess, v, [](double h) { return 1.0 / std::sqrt(h); });
+    newton.eval_barrier(res.x);
+    linalg::map_into(newton.hess(), v, [](double h) { return 1.0 / std::sqrt(h); });
 
     // Refresh τ (Lewis fixed point, warm start) every lewis_every iterations;
     // Lewis weights drift slowly along the path (Theorem C.1's premise).
@@ -97,23 +185,13 @@ IpmResult reference_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Vec y
     }
     const double tau_sum = linalg::sum(tau);
 
-    // Dual slack and centrality.
-    a.apply_into(res.y, ay);
-    linalg::sub_into(lp.cost, ay, s);
-    par::parallel_for(0, m, [&](std::size_t i) {
-      z[i] = (s[i] + res.mu * tau[i] * grad[i]) / (res.mu * tau[i] * std::sqrt(hess[i]));
-    });
-    const double centrality = linalg::norm_inf(z);
-    res.final_centrality = centrality;
-
-    // Primal residual r_p = b - A^T x.
-    a.apply_transpose_into(res.x, atx);
-    linalg::sub_into(lp.b, atx, rp);
-    rp[static_cast<std::size_t>(a.dropped())] = 0.0;
-    res.max_primal_residual = std::max(res.max_primal_residual, linalg::norm_inf(rp));
+    // Dual slack, centrality, and the primal residual r_p = b - A^T x.
+    res.final_centrality = newton.eval_center(res.x, res.y, res.mu, tau);
+    res.max_primal_residual =
+        std::max(res.max_primal_residual, linalg::norm_inf(newton.primal_residual()));
 
     // Only shrink mu when sufficiently centered; otherwise re-center first.
-    if (centrality < stp.ref_centrality_slack) {
+    if (res.final_centrality < stp.ref_centrality_slack) {
       if (res.mu <= opts.mu_end) {
         res.converged = true;
         break;
@@ -122,74 +200,18 @@ IpmResult reference_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Vec y
       res.mu = std::max(res.mu, opts.mu_end * 0.5);
     }
 
-    // Newton step for: s + A δy + μτ(φ' + Φ'' δx) = 0, A^T δx = r_p.
-    // D = (μ τ Φ'')^{-1};  L δy = -r_p - A^T D (s + μτφ').
-    par::parallel_for(0, m, [&](std::size_t i) { d[i] = 1.0 / (res.mu * tau[i] * hess[i]); });
-    par::parallel_for(0, m,
-                      [&](std::size_t i) { resid[i] = s[i] + res.mu * tau[i] * grad[i]; });
-    linalg::mul_into(d, resid, dresid);
-    a.apply_transpose_into(dresid, rhs);
-    par::parallel_for(0, n, [&](std::size_t i) { rhs[i] = -rp[i] - rhs[i]; });
-    rhs[static_cast<std::size_t>(a.dropped())] = 0.0;
-    // Normalize the weight scale so the dropped row's unit pin is
-    // commensurate with the Laplacian diagonal (keeps CG well conditioned).
-    const double dmax = linalg::norm_inf(d);
-    linalg::scale_into(d, 1.0 / dmax, dn);
-    linalg::scale_into(rhs, 1.0 / dmax, rhsn);
-    // Acceleration layer (DESIGN.md §10): the Laplacian pattern is fixed
-    // across iterations (value-only refresh), the incomplete-Cholesky
-    // preconditioner survives while the normalized weights drift slowly
-    // along the path, and δy warm-starts from the previous iteration's
-    // direction.
-    linalg::AccelCache& cache = linalg::accel_cache(ctx);
-    const linalg::Csr& lap = cache.laplacian(ctx, g, dn, a.dropped());
-    const linalg::SddPreconditioner& precond =
-        cache.preconditioner(ctx, linalg::AccelSite::kNewton, lap, dn);
-    linalg::Vec& warm_dy = cache.warm_start(linalg::AccelSite::kNewton, 0, n);
-    // Newton system with the full recovery ladder: CG, tolerance
-    // escalation, dense elimination. A rung that still fails ends the solve
-    // with a typed status instead of stepping on a garbage direction.
-    linalg::ResilientSolveOptions rso;
-    rso.base = opts.solve;
-    auto sol = linalg::solve_sdd_resilient(ctx, lap, rhsn, rso, &precond, &warm_dy);
-    res.cg_escalations += sol.tolerance_escalations;
-    res.dense_fallbacks += sol.used_dense_fallback ? 1 : 0;
-    if (sol.status != SolveStatus::kOk) {
-      // Lifecycle statuses pass through untouched — they describe the
-      // request, not the instance or the numerics.
-      res.status = is_lifecycle_error(sol.status) ? sol.status : SolveStatus::kNumericalFailure;
-      res.detail = is_lifecycle_error(sol.status)
+    const NewtonStep st = newton.step(ctx, res.x, res.y, res.mu, tau,
+                                      1.0 - stp.ref_boundary_margin, opts.solve);
+    res.cg_escalations += st.cg_escalations;
+    res.dense_fallbacks += st.dense_fallback ? 1 : 0;
+    if (st.status != SolveStatus::kOk) {
+      res.status = st.status;
+      res.detail = is_lifecycle_error(st.status)
                        ? "ipm::reference_ipm: solve lifecycle expired during Newton solve"
-                       : "linalg::solve_sdd: Newton system solve failed after escalation + fallback";
+                       : "ipm::reference_ipm: Newton step failed (solve ladder exhausted or "
+                         "non-finite direction)";
       return res;
     }
-    Vec dy = std::move(sol.x);
-    dy[static_cast<std::size_t>(a.dropped())] = 0.0;
-    warm_dy = dy;  // seed the next iteration's Newton solve
-    a.apply_into(dy, a_dy);
-    par::parallel_for(0, m, [&](std::size_t i) { dx[i] = -d[i] * (resid[i] + a_dy[i]); });
-
-    // Damping: stay ref_boundary_margin away from the walls multiplicatively.
-    const double keep = 1.0 - stp.ref_boundary_margin;
-    double alpha = 1.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (dx[i] < 0.0) {
-        alpha = std::min(alpha, keep * res.x[i] / -dx[i]);
-      } else if (dx[i] > 0.0) {
-        alpha = std::min(alpha, keep * (lp.cap[i] - res.x[i]) / dx[i]);
-      }
-    }
-    if (!std::isfinite(alpha)) {
-      res.status = SolveStatus::kNumericalFailure;
-      res.detail = "ipm::reference_ipm: non-finite Newton step";
-      return res;
-    }
-    par::charge(m, par::ceil_log2(std::max<std::size_t>(m, 2)));
-    par::parallel_for(0, m, [&](std::size_t i) { res.x[i] += alpha * dx[i]; });
-    // With s = c - Ay the solved system's direction enters the dual with a
-    // minus sign: y_new = y - δy (while δx above is already consistent).
-    par::parallel_for(0, n, [&](std::size_t i) { res.y[i] -= alpha * dy[i]; });
-    res.y[static_cast<std::size_t>(a.dropped())] = 0.0;
   }
   if (!res.converged) {
     res.status = SolveStatus::kIterationLimit;

@@ -12,7 +12,8 @@
 // One iteration = recompute s = c - Ay, the regularized Lewis weights τ, the
 // centrality vector z = (s + μτφ'(x)) / (μτ√φ''(x)), then take a damped
 // primal-dual Newton step for the weighted barrier system and shrink μ by
-// (1 - r/√(Στ)).
+// (1 - r/√(Στ)). The Newton step is NewtonSystem, which the robust IPM's
+// epoch re-centering takes too.
 
 #include <cstdint>
 #include <string>
@@ -71,6 +72,49 @@ struct IpmResult {
   std::string detail;
   std::int32_t cg_escalations = 0;   ///< Newton solves retried at looser tol
   std::int32_t dense_fallbacks = 0;  ///< Newton solves done by dense elimination
+};
+
+/// Outcome of one NewtonSystem::step.
+struct NewtonStep {
+  /// kOk; the request's lifecycle status when it expired during the Newton
+  /// solve; kNumericalFailure when the solve ladder failed or the direction
+  /// is non-finite. (x, y) only move on kOk.
+  SolveStatus status = SolveStatus::kOk;
+  std::int32_t cg_escalations = 0;  ///< tolerance escalations of the Newton solve
+  bool dense_fallback = false;      ///< Newton solve done by dense elimination
+};
+
+/// The exact damped primal-dual Newton step of both IPMs: reference_ipm takes
+/// it every iteration, robust_ipm when it re-centers at an epoch boundary.
+/// Owns the step's work buffers, so steps allocate nothing apart from the
+/// sparse Laplacian rebuild and the CG solver's own state. Each step reads
+/// the point of the last eval_barrier and eval_center calls.
+class NewtonSystem {
+ public:
+  /// Borrows `lp` and `a`; both must outlive the system.
+  NewtonSystem(const IpmLp& lp, const linalg::IncidenceOp& a);
+
+  /// φ''(x) and φ'(x).
+  void eval_barrier(const linalg::Vec& x);
+  /// The dual slack s = c - Ay, the centrality vector
+  /// z = (s + μτφ') / (μτ√φ'') at the last eval_barrier point, and the
+  /// primal residual r_p = b - A^T x. Returns ||z||_inf.
+  double eval_center(const linalg::Vec& x, const linalg::Vec& y, double mu,
+                     const linalg::Vec& tau);
+  /// Solves s + A δy + μτ(φ' + Φ''δx) = 0, A^T δx = r_p (μ may differ from
+  /// the one eval_center saw) and moves (x, y) along the direction, damped to
+  /// keep each x_e a factor `keep` of its distance inside the walls.
+  NewtonStep step(core::SolverContext& ctx, linalg::Vec& x, linalg::Vec& y, double mu,
+                  const linalg::Vec& tau, double keep, const linalg::SolveOptions& solve);
+
+  [[nodiscard]] const linalg::Vec& hess() const { return hess_; }
+  [[nodiscard]] const linalg::Vec& primal_residual() const { return rp_; }
+
+ private:
+  const IpmLp& lp_;
+  const linalg::IncidenceOp& a_;
+  linalg::Vec hess_, grad_, s_, z_, d_, resid_, dresid_, ay_, a_dy_, dx_, dn_;  // size m
+  linalg::Vec atx_, rp_, rhs_, rhsn_;                                        // size n
 };
 
 /// Closed-form initial mu making x0 (with φ'(x0)=0, e.g. x0=u/2) ε-centered

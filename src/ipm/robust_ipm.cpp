@@ -17,87 +17,7 @@
 
 namespace pmcf::ipm {
 
-namespace {
-
 using linalg::Vec;
-
-/// One exact damped Newton centering step at fixed mu (the resync repair;
-/// identical math to reference_ipm's inner step). Uses the resilient solve
-/// ladder; returns a non-Ok status when even the dense fallback failed or
-/// the step direction is non-finite.
-SolveStatus exact_center_step(core::SolverContext& ctx, const IpmLp& lp,
-                              const linalg::IncidenceOp& a, Vec& x, Vec& y, double mu,
-                              const Vec& tau, const linalg::SolveOptions& solve,
-                              double damping, RobustIpmResult& stats) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  const Vec hess = barrier_hess(x, lp.cap);
-  const Vec grad = barrier_grad(x, lp.cap);
-  const Vec s = linalg::sub(lp.cost, a.apply(y));
-  Vec rp = linalg::sub(lp.b, a.apply_transpose(x));
-  rp[static_cast<std::size_t>(a.dropped())] = 0.0;
-
-  Vec d(m), resid(m);
-  par::parallel_for(0, m, [&](std::size_t i) {
-    d[i] = 1.0 / (mu * tau[i] * hess[i]);
-    resid[i] = s[i] + mu * tau[i] * grad[i];
-  });
-  Vec dresid(m);
-  linalg::mul_into(d, resid, dresid);
-  Vec rhs(n);
-  a.apply_transpose_into(dresid, rhs);
-  par::parallel_for(0, n, [&](std::size_t i) { rhs[i] = -rp[i] - rhs[i]; });
-  rhs[static_cast<std::size_t>(a.dropped())] = 0.0;
-  const double dmax = linalg::norm_inf(d);
-  Vec dn(m), rhsn(n);
-  linalg::scale_into(d, 1.0 / dmax, dn);
-  linalg::scale_into(rhs, 1.0 / dmax, rhsn);
-  // Shares the Newton acceleration slot with reference_ipm: fixed-pattern
-  // value refresh, drift-gated incomplete-Cholesky, warm-started direction.
-  linalg::AccelCache& cache = linalg::accel_cache(ctx);
-  const linalg::Csr& lap = cache.laplacian(ctx, a.graph(), dn, a.dropped());
-  const linalg::SddPreconditioner& precond =
-      cache.preconditioner(ctx, linalg::AccelSite::kNewton, lap, dn);
-  linalg::Vec& warm_dy = cache.warm_start(linalg::AccelSite::kNewton, 0, n);
-  linalg::ResilientSolveOptions rso;
-  rso.base = solve;
-  auto sol = linalg::solve_sdd_resilient(ctx, lap, rhsn, rso, &precond, &warm_dy);
-  stats.dense_fallbacks += sol.used_dense_fallback ? 1 : 0;
-  if (sol.status != SolveStatus::kOk)
-    return is_lifecycle_error(sol.status) ? sol.status : SolveStatus::kNumericalFailure;
-  sol.x[static_cast<std::size_t>(a.dropped())] = 0.0;
-  warm_dy = sol.x;  // seed the next centering solve
-  const Vec a_dy = a.apply(sol.x);
-  Vec dx(m);
-  par::parallel_for(0, m, [&](std::size_t i) { dx[i] = -d[i] * (resid[i] + a_dy[i]); });
-  double alpha = 1.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    if (dx[i] < 0.0) {
-      alpha = std::min(alpha, damping * x[i] / -dx[i]);
-    } else if (dx[i] > 0.0) {
-      alpha = std::min(alpha, damping * (lp.cap[i] - x[i]) / dx[i]);
-    }
-  }
-  if (!std::isfinite(alpha)) return SolveStatus::kNumericalFailure;
-  par::parallel_for(0, m, [&](std::size_t i) { x[i] += alpha * dx[i]; });
-  par::parallel_for(0, n, [&](std::size_t i) { y[i] -= alpha * sol.x[i]; });
-  y[static_cast<std::size_t>(a.dropped())] = 0.0;
-  return SolveStatus::kOk;
-}
-
-double centrality_of(const IpmLp& lp, const linalg::IncidenceOp& a, const Vec& x, const Vec& y,
-                     double mu, const Vec& tau) {
-  const Vec hess = barrier_hess(x, lp.cap);
-  const Vec grad = barrier_grad(x, lp.cap);
-  const Vec s = linalg::sub(lp.cost, a.apply(y));
-  double c = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i)
-    c = std::max(c, std::abs((s[i] + mu * tau[i] * grad[i]) / (mu * tau[i] * std::sqrt(hess[i]))));
-  par::charge(x.size(), par::ceil_log2(std::max<std::size_t>(x.size(), 2)));
-  return c;
-}
-
-}  // namespace
 
 RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Vec y0,
                            double mu0, const RobustIpmOptions& opts) {
@@ -130,6 +50,9 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
   std::uint64_t sparsifier_edge_sum = 0;
   std::uint64_t sparsifier_solves = 0;
 
+  // The epoch-boundary re-centering takes the reference IPM's exact step.
+  NewtonSystem newton(lp, a);
+
   // Recovery state: a ComponentError thrown by any randomized structure
   // (expander certificate violation, sketch failure) aborts the epoch; the
   // structures are rebuilt from the exact iterate with fresh seeds a bounded
@@ -157,13 +80,15 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
       // Re-center until the iterate is genuinely close to the path again; the
       // robust steps in between only keep it coarsely centered.
       for (std::int32_t c = 0; c < stp.rob_recenter_max; ++c) {
-        res.final_centrality = centrality_of(lp, a, res.x, res.y, res.mu, tau);
+        newton.eval_barrier(res.x);
+        res.final_centrality = newton.eval_center(res.x, res.y, res.mu, tau);
         if (res.final_centrality < stp.rob_recenter_threshold) break;
-        const SolveStatus st = exact_center_step(ctx, lp, a, res.x, res.y, res.mu, tau,
-                                                 opts.solve, stp.rob_center_damping, res);
-        if (st != SolveStatus::kOk) {
-          res.status = is_lifecycle_error(st) ? st : SolveStatus::kNumericalFailure;
-          res.detail = is_lifecycle_error(st)
+        const NewtonStep st = newton.step(ctx, res.x, res.y, res.mu, tau,
+                                          stp.rob_center_damping, opts.solve);
+        res.dense_fallbacks += st.dense_fallback ? 1 : 0;
+        if (st.status != SolveStatus::kOk) {
+          res.status = st.status;
+          res.detail = is_lifecycle_error(st.status)
                            ? "ipm::robust_ipm: solve lifecycle expired during re-centering"
                            : "ipm::robust_ipm: exact re-centering step failed";
           return res;

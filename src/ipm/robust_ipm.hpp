@@ -19,8 +19,9 @@
 //         Õ(m/√n + n) coordinates of the dense part of δx are touched.
 //
 // Every `resync_every` ≈ √n iterations the structures are rebuilt from the
-// exact state and one exact Newton re-centering step is taken (the paper's
-// periodic re-initialization; amortized Õ(m/√n) per iteration). Work is
+// exact state and the iterate is re-centered with the reference IPM's exact
+// Newton step (NewtonSystem; the paper's periodic re-initialization,
+// amortized Õ(m/√n) per iteration). Work is
 // measured by the PRAM tracker; bench_table1_mincostflow compares the
 // per-iteration work of this solver against the reference IPM.
 

@@ -124,8 +124,6 @@ struct Engine::Admission {
   Admission(const EngineConfig& cfg, std::atomic<std::size_t>* gauge)
       : slots(cfg.max_in_flight),
         max_queue(cfg.max_queue),
-        default_limit(cfg.default_tenant_slots),
-        default_weight(std::max<std::uint64_t>(1, cfg.default_tenant_weight)),
         gauge_(gauge) {
     for (const TenantQuota& q : cfg.quotas) {
       Tenant& t = tenants_[q.tenant];
@@ -142,8 +140,7 @@ struct Engine::Admission {
     if (reserved_item && pending_ > 0) --pending_;  // reservation → live waiter
 
     const Tenant* t = find_tenant(tenant_id);
-    const std::size_t limit = t != nullptr ? t->limit : default_limit;
-    const bool quota_ok = limit == 0 || (t != nullptr ? t->in_flight : 0) < limit;
+    const bool quota_ok = t == nullptr || t->limit == 0 || t->in_flight < t->limit;
     const bool slot_free = free_slots_locked() > 0;
     const std::size_t depth_now = queue_len_ + pending_;
     if (slot_free && quota_ok) {
@@ -284,8 +281,6 @@ struct Engine::Admission {
 
   const std::size_t slots;
   const std::size_t max_queue;
-  const std::size_t default_limit;
-  const std::uint64_t default_weight;
 
  private:
   const Tenant* find_tenant(std::uint32_t id) const {
@@ -293,14 +288,8 @@ struct Engine::Admission {
     return it == tenants_.end() ? nullptr : &it->second;
   }
 
-  Tenant& ensure_tenant(std::uint32_t id) {
-    const auto it = tenants_.find(id);
-    if (it != tenants_.end()) return it->second;
-    Tenant& t = tenants_[id];
-    t.limit = default_limit;
-    t.weight = default_weight;
-    return t;
-  }
+  /// An unlisted tenant starts uncapped with weight 1 (the Tenant defaults).
+  Tenant& ensure_tenant(std::uint32_t id) { return tenants_[id]; }
 
   std::size_t free_slots_locked() const {
     const std::size_t held = in_use_ + reserved_;
@@ -439,7 +428,6 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
     PersistConfig pcfg;
     pcfg.dir = config_.persist_dir;
     pcfg.snapshot_every = config_.persist_snapshot_every;
-    pcfg.fsync_data = config_.persist_fsync;
     persister_ = std::make_unique<StorePersister>(std::move(pcfg), &metrics_);
     // Recover whatever the last process left behind, then immediately start
     // a clean generation: the recovered state (minus dropped records) is
@@ -845,7 +833,6 @@ EngineSolveResult Engine::resolve(InstanceHandle handle, const InstanceDelta& de
   if (warm_hit) {
     fresh->accel = std::move(arts->accel);
     hint = std::move(arts->warm);
-    hint.mu_boost = config_.warm_mu_boost;
     arts.reset();
   }
   mcf::WarmStart captured;

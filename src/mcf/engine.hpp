@@ -113,11 +113,8 @@ struct EngineConfig {
   /// up front, and a full queue evicts a strictly-lower-priority waiter to
   /// make room for a more important arrival.
   std::size_t max_queue = 0;
-  /// Per-tenant overrides; tenants not listed get the defaults below.
+  /// Per-tenant overrides; tenants not listed are uncapped with weight 1.
   std::vector<TenantQuota> quotas;
-  /// Defaults for tenants absent from `quotas` (same semantics).
-  std::size_t default_tenant_slots = 0;
-  std::uint64_t default_tenant_weight = 1;
   /// Chaos engineering: probability that a kCancelRequest fault fires at the
   /// admission queue's enqueue and dequeue points, turning the request into
   /// a typed kCanceled result. Draws are deterministic in chaos_seed but
@@ -130,14 +127,6 @@ struct EngineConfig {
   /// resolved holders are evicted beyond this. 0 disables retention —
   /// Engine::resolve still applies deltas but always re-solves cold.
   std::size_t instance_cache_capacity = 64;
-  /// mu restart factor for central-path warm starts (WarmStart::mu_boost):
-  /// a warm resolve re-enters the IPM at ~mu_end x this, giving the damped
-  /// Newton recentering a short runway to absorb the perturbation. Warm
-  /// iterations all run in the expensive low-mu regime (CG escalations,
-  /// near-boundary preconditioner churn), so the runway is kept short; a
-  /// restart that proves too aggressive is caught by certification and
-  /// retried cold, never served wrong.
-  double warm_mu_boost = 4.0;
   /// Crash-safe instance-store durability (DESIGN.md §16). When non-empty,
   /// the engine recovers the instance store from this directory at
   /// construction (newest valid snapshot + journal replay, recovered optima
@@ -149,10 +138,6 @@ struct EngineConfig {
   /// Journal appends between automatic snapshots (0 = only explicit
   /// persist_snapshot() calls snapshot).
   std::size_t persist_snapshot_every = 256;
-  /// fsync each journal append and snapshot publish. Turning this off trades
-  /// the power-loss guarantee for speed; the format stays crash-consistent
-  /// (recovery still truncates torn tails and drops rotten records).
-  bool persist_fsync = true;
 };
 
 /// Opaque ticket for Engine::cancel. Published through SolveControl::handle
@@ -174,8 +159,8 @@ struct SolveControl {
   /// published) while the solving thread blocks inside solve().
   std::atomic<SolveHandle>* handle = nullptr;
   /// Fair-share accounting key; requests are queued and quota-checked per
-  /// tenant. Tenants need no registration — unknown ids get the
-  /// EngineConfig defaults.
+  /// tenant. Tenants need no registration — ids absent from
+  /// EngineConfig::quotas are uncapped with weight 1.
   std::uint32_t tenant = 0;
   /// 0 (most important) … kNumPriorities-1. Under overload lower priorities
   /// shed first; values past the ladder clamp to the least important class.

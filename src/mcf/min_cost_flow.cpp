@@ -256,8 +256,13 @@ bool accept_warm_start(const AugmentedLp& aug, const WarmStart& warm, double mu_
   // Restart a few octaves above the termination threshold: enough runway for
   // the damped Newton recentering to absorb the perturbation, a tiny
   // fraction of the cold mu0 (which scales with the instance's cost mass).
-  const double boost = std::clamp(warm.mu_boost, 1.0, 1e6);
-  mu0 = std::min(mu0, std::max(std::max(warm.mu, mu_end) * boost, mu_end));
+  // Warm iterations all run in the expensive low-mu regime (CG escalations,
+  // near-boundary preconditioner churn; measured ~2x the cost of a cold
+  // iteration), so the runway is kept short: 4 resolved faster than 64. A
+  // restart that proves too aggressive is caught by certification and
+  // retried cold, never served wrong.
+  constexpr double kMuBoost = 4.0;
+  mu0 = std::min(mu0, std::max(std::max(warm.mu, mu_end) * kMuBoost, mu_end));
   x0 = std::move(x);
   y0 = warm.y;
   par::charge(static_cast<std::uint64_t>(m) + n, par::ceil_log2(std::max<std::size_t>(m, 2)));
@@ -375,6 +380,46 @@ MinCostFlowResult solve_core(core::SolverContext& ctx, const Digraph& core,
   }
 }
 
+/// The degradation cascade of both entry points (SolveOptions::
+/// allow_degradation): answer each tier of cascade_tiers(opts) in turn with
+/// `solve_tier(tier)`, certify the answer with `check(res)`, and stop at the
+/// first kOk, instance error or lifecycle status. solve_core reports its own
+/// failures, so an exception can only come from the combinatorial tier; it
+/// becomes a typed failure of `ssp_component`.
+template <typename SolveTier, typename Check>
+MinCostFlowResult run_cascade(core::SolverContext& ctx, const SolveOptions& opts,
+                              const char* ssp_component, const SolveTier& solve_tier,
+                              const Check& check) {
+  const TelemetryScope scope(ctx);
+  const std::vector<Method> tiers = cascade_tiers(opts);
+  MinCostFlowResult res;
+  for (std::size_t attempt = 0; attempt < tiers.size(); ++attempt) {
+    const Method tier = tiers[attempt];
+    try {
+      res = solve_tier(tier);
+    } catch (const ComponentError& err) {
+      res = MinCostFlowResult{};
+      res.status = err.status();
+      res.failure_component = err.component();
+      res.failure_detail = err.what();
+    } catch (const std::exception& ex) {
+      res = MinCostFlowResult{};
+      res.status = SolveStatus::kInternalError;
+      res.failure_component = ssp_component;
+      res.failure_detail = ex.what();
+    }
+    if (opts.certify) certify_or_degrade(ctx, res, [&] { return check(res); });
+    res.stats.answered_by = tier;
+    res.stats.tiers_attempted = static_cast<std::int32_t>(attempt + 1);
+    if (res.status == SolveStatus::kOk || is_instance_error(res.status) ||
+        is_lifecycle_error(res.status))
+      break;
+    if (attempt + 1 < tiers.size()) ctx.recovery().note(RecoveryEvent::kTierDegradation);
+  }
+  scope.finish(res.stats);
+  return res;
+}
+
 }  // namespace
 
 const char* to_string(Method m) {
@@ -408,14 +453,12 @@ MinCostFlowResult min_cost_max_flow(core::SolverContext& ctx, const Digraph& g, 
   if (std::string defect = validate(opts); !defect.empty())
     return invalid_input("mcf::min_cost_max_flow", std::move(defect));
 
-  const std::vector<Method> tiers = cascade_tiers(opts);
-  const bool uses_ipm =
-      std::any_of(tiers.begin(), tiers.end(), [](Method m) { return m != Method::kCombinatorial; });
-
   // Circulation formulation: t -> s with reward -K dominating all costs.
+  // Only the IPM tiers need it, and the cascade never climbs above
+  // opts.method.
   Digraph core(nv);
   graph::EdgeId ts = 0;
-  if (uses_ipm) {
+  if (opts.method != Method::kCombinatorial) {
     std::int64_t out_cap = 0;
     for (const auto& a : g.arcs())
       if (a.from == s) out_cap += a.cap;  // <= cap_mass, exact
@@ -427,55 +470,31 @@ MinCostFlowResult min_cost_max_flow(core::SolverContext& ctx, const Digraph& g, 
     ts = core.add_arc(t, s, ts_cap, -*cost_mass);
   }
 
-  const TelemetryScope scope(ctx);
-  MinCostFlowResult res;
-  std::int32_t tiers_attempted = 0;
-  for (std::size_t attempt = 0; attempt < tiers.size(); ++attempt) {
-    const Method tier = tiers[attempt];
-    ++tiers_attempted;
+  const auto solve_tier = [&](Method tier) {
+    MinCostFlowResult res;
     if (tier == Method::kCombinatorial) {
-      try {
-        const auto r = baselines::ssp_min_cost_max_flow(g, s, t);
-        res = MinCostFlowResult{};
-        res.flow_value = r.flow;
-        res.cost = r.cost;
-        res.arc_flow = r.arc_flow;
-      } catch (const ComponentError& err) {
-        res = MinCostFlowResult{};
-        res.status = err.status();
-        res.failure_component = err.component();
-        res.failure_detail = err.what();
-      } catch (const std::exception& ex) {
-        res = MinCostFlowResult{};
-        res.status = SolveStatus::kInternalError;
-        res.failure_component = "baselines::ssp_min_cost_max_flow";
-        res.failure_detail = ex.what();
-      }
-    } else {
-      const std::vector<std::int64_t> b(static_cast<std::size_t>(nv), 0);
-      res = solve_core(ctx, core, b, tier, opts);
-      if (res.status == SolveStatus::kOk) {
-        res.flow_value = res.arc_flow[static_cast<std::size_t>(ts)];
-        res.arc_flow.resize(static_cast<std::size_t>(g.num_arcs()));
-        res.cost = 0;
-        for (std::size_t k = 0; k < res.arc_flow.size(); ++k)
-          res.cost += res.arc_flow[k] * g.arc(static_cast<graph::EdgeId>(k)).cost;
-      }
+      const auto r = baselines::ssp_min_cost_max_flow(g, s, t);
+      res.flow_value = r.flow;
+      res.cost = r.cost;
+      res.arc_flow = r.arc_flow;
+      return res;
     }
-    if (opts.certify) {
-      certify_or_degrade(ctx, res, [&] {
-        return certify_max_flow(g, s, t, res.arc_flow, res.flow_value, res.cost);
-      });
+    res = solve_core(ctx, core, std::vector<std::int64_t>(static_cast<std::size_t>(nv), 0), tier,
+                     opts);
+    if (res.status == SolveStatus::kOk) {
+      // The t->s arc carries the flow value; drop it and re-price the rest.
+      res.flow_value = res.arc_flow[static_cast<std::size_t>(ts)];
+      res.arc_flow.resize(static_cast<std::size_t>(g.num_arcs()));
+      res.cost = 0;
+      for (std::size_t k = 0; k < res.arc_flow.size(); ++k)
+        res.cost += res.arc_flow[k] * g.arc(static_cast<graph::EdgeId>(k)).cost;
     }
-    res.stats.answered_by = tier;
-    res.stats.tiers_attempted = tiers_attempted;
-    if (res.status == SolveStatus::kOk || is_instance_error(res.status) ||
-        is_lifecycle_error(res.status))
-      break;
-    if (attempt + 1 < tiers.size()) ctx.recovery().note(RecoveryEvent::kTierDegradation);
-  }
-  scope.finish(res.stats);
-  return res;
+    return res;
+  };
+  return run_cascade(ctx, opts, "baselines::ssp_min_cost_max_flow", solve_tier,
+                     [&](const MinCostFlowResult& res) {
+                       return certify_max_flow(g, s, t, res.arc_flow, res.flow_value, res.cost);
+                     });
 }
 
 MinCostFlowResult min_cost_b_flow(core::SolverContext& ctx, const Digraph& g,
@@ -506,33 +525,15 @@ MinCostFlowResult min_cost_b_flow(core::SolverContext& ctx, const Digraph& g,
   for (const std::int64_t bv : b)
     if (bv > 0) demand_total += bv;
 
-  const TelemetryScope scope(ctx);
-  MinCostFlowResult res;
-  std::int32_t tiers_attempted = 0;
-  const std::vector<Method> tiers = cascade_tiers(opts);
-  for (std::size_t attempt = 0; attempt < tiers.size(); ++attempt) {
-    const Method tier = tiers[attempt];
-    ++tiers_attempted;
+  const auto solve_tier = [&](Method tier) {
+    MinCostFlowResult res;
     if (tier == Method::kCombinatorial) {
-      try {
-        // ssp's convention is supply-positive; ours is net-inflow-positive.
-        std::vector<std::int64_t> supply(b.size());
-        for (std::size_t v = 0; v < b.size(); ++v) supply[v] = -b[v];
-        auto r = baselines::ssp_min_cost_b_flow(g, supply);
-        res = MinCostFlowResult{};
-        res.cost = r.cost;
-        res.arc_flow = std::move(r.arc_flow);
-      } catch (const ComponentError& err) {
-        res = MinCostFlowResult{};
-        res.status = err.status();
-        res.failure_component = err.component();
-        res.failure_detail = err.what();
-      } catch (const std::exception& ex) {
-        res = MinCostFlowResult{};
-        res.status = SolveStatus::kInternalError;
-        res.failure_component = "baselines::ssp_min_cost_b_flow";
-        res.failure_detail = ex.what();
-      }
+      // ssp's convention is supply-positive; ours is net-inflow-positive.
+      std::vector<std::int64_t> supply(b.size());
+      for (std::size_t v = 0; v < b.size(); ++v) supply[v] = -b[v];
+      auto r = baselines::ssp_min_cost_b_flow(g, supply);
+      res.cost = r.cost;
+      res.arc_flow = std::move(r.arc_flow);
     } else {
       res = solve_core(ctx, g, b, tier, opts);
     }
@@ -557,19 +558,12 @@ MinCostFlowResult min_cost_b_flow(core::SolverContext& ctx, const Digraph& g,
     } else if (res.status == SolveStatus::kInfeasible) {
       res.flow_value = 0;
     }
-    if (opts.certify) {
-      certify_or_degrade(ctx, res,
-                         [&] { return certify_b_flow(g, b, res.arc_flow, res.cost); });
-    }
-    res.stats.answered_by = tier;
-    res.stats.tiers_attempted = tiers_attempted;
-    if (res.status == SolveStatus::kOk || is_instance_error(res.status) ||
-        is_lifecycle_error(res.status))
-      break;
-    if (attempt + 1 < tiers.size()) ctx.recovery().note(RecoveryEvent::kTierDegradation);
-  }
-  scope.finish(res.stats);
-  return res;
+    return res;
+  };
+  return run_cascade(ctx, opts, "baselines::ssp_min_cost_b_flow", solve_tier,
+                     [&](const MinCostFlowResult& res) {
+                       return certify_b_flow(g, b, res.arc_flow, res.cost);
+                     });
 }
 
 MinCostFlowResult min_cost_max_flow(const Digraph& g, Vertex s, Vertex t,

@@ -45,10 +45,6 @@ struct WarmStart {
   linalg::Vec y;    ///< final dual iterate
   linalg::Vec tau;  ///< converged regularized Lewis weights
   double mu = 0.0;  ///< the mu the iterate was centered at
-  /// mu restart factor: the warm solve starts at
-  /// clamp(max(mu, mu_end) * mu_boost, mu_end, mu0_cold), giving the IPM a
-  /// short recentering runway above its termination threshold.
-  double mu_boost = 4.0;
 
   [[nodiscard]] bool empty() const { return x.empty(); }
 };

@@ -26,6 +26,9 @@ constexpr char kSnapshotMagic[8] = {'P', 'M', 'C', 'F', 'S', 'N', 'P', '1'};
 constexpr char kJournalMagic[8] = {'P', 'M', 'C', 'F', 'J', 'N', 'L', '1'};
 constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::uint64_t kHeaderSeed = 0x5eedf11e5eedf11eULL;
+/// Snapshot generations (with their journals) kept on disk: the newest, plus
+/// one fallback for when the newest turns out unreadable at recovery.
+constexpr std::uint64_t kKeepGenerations = 2;
 
 // Frame = [u8 type][u32 payload len][payload][u64 checksum(payload, seed =
 // type | len << 8)]. The checksum seed ties the payload to its framing, so a
@@ -195,7 +198,7 @@ void serialize_record(ByteWriter& w, const InstanceRecord& rec,
     w.vec_f64(arts->warm.y);
     w.vec_f64(arts->warm.tau);
     w.f64(arts->warm.mu);
-    w.f64(arts->warm.mu_boost);
+    w.f64(4.0);  // reserved slot (held the warm-start mu boost, now a constant)
     w.u64(arts->value_hash);
     w.u64(arts->epoch);
   }
@@ -244,7 +247,7 @@ bool parse_record(ByteReader& r, ParsedRecord& out) {
     arts->warm.y = r.vec<double>();
     arts->warm.tau = r.vec<double>();
     arts->warm.mu = r.f64();
-    arts->warm.mu_boost = r.f64();
+    (void)r.f64();  // reserved slot (see serialize_record): read and discarded
     arts->value_hash = r.u64();
     arts->epoch = r.u64();
   }
@@ -464,14 +467,8 @@ StorePersister::~StorePersister() {
   if (journal_fd_ >= 0) ::close(journal_fd_);
 }
 
-std::uint64_t StorePersister::generation() const {
-  const std::lock_guard<std::mutex> lock(io_mu_);
-  return gen_;
-}
-
 bool StorePersister::barrier(int fd) {
   if (faults_.should_fire(par::FaultKind::kPersistFsyncFail)) return false;
-  if (!cfg_.fsync_data) return true;
   return ::fsync(fd) == 0;
 }
 
@@ -640,9 +637,8 @@ bool StorePersister::snapshot(InstanceStore& store) {
 }
 
 void StorePersister::prune_old_generations(std::uint64_t newest_gen) const {
-  if (cfg_.keep_generations == 0) return;
   const std::uint64_t keep_from =
-      newest_gen > cfg_.keep_generations ? newest_gen - cfg_.keep_generations + 1 : 0;
+      newest_gen > kKeepGenerations ? newest_gen - kKeepGenerations + 1 : 0;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(cfg_.dir, ec)) {
     const std::string name = entry.path().filename().string();

@@ -65,8 +65,6 @@ namespace pmcf {
 struct PersistConfig {
   std::string dir;                   ///< directory for snapshots + journals
   std::size_t snapshot_every = 256;  ///< journal appends between auto-snapshots
-  bool fsync_data = true;            ///< fsync each append / snapshot publish
-  std::size_t keep_generations = 2;  ///< on-disk snapshot generations retained
 };
 
 /// What recovery found and did. Also mirrored into EngineMetrics counters.
@@ -132,7 +130,6 @@ class StorePersister {
 
   /// The persister's private injector (seeded corruption for tests).
   [[nodiscard]] par::FaultInjector& faults() { return faults_; }
-  [[nodiscard]] std::uint64_t generation() const;
   [[nodiscard]] const RecoveryReport& last_recovery() const { return last_recovery_; }
 
  private:
@@ -147,7 +144,7 @@ class StorePersister {
   bool append_frame(std::uint8_t type, std::vector<std::uint8_t> payload);
   /// Open journal-<gen> for append, writing the file header if fresh.
   bool open_journal_locked(std::uint64_t gen);
-  /// Best-effort fsync honoring cfg_.fsync_data + the fsync-fail fault.
+  /// fsync, or false when the fsync-fail fault fires.
   bool barrier(int fd);
 
   /// Parse snapshot generation `gen`; nullptr when structurally unusable
@@ -158,13 +155,14 @@ class StorePersister {
   /// Replay journal generation `gen` onto the in-progress recovery state.
   void replay_journal(std::uint64_t gen, std::vector<RecoveredRecord>& records,
                       RecoveryReport& report);
+  /// Delete the generations older than the kKeepGenerations newest.
   void prune_old_generations(std::uint64_t newest_gen) const;
 
   const PersistConfig cfg_;
   EngineMetrics* const metrics_;
   mutable par::FaultInjector faults_;
 
-  mutable std::mutex io_mu_;      ///< journal fd, generation, append budget
+  std::mutex io_mu_;              ///< journal fd, generation, append budget
   int journal_fd_ = -1;
   std::uint64_t gen_ = 0;         ///< generation the open journal belongs to
   bool journal_broken_ = false;   ///< torn/failed append: refuse until rotation

@@ -534,7 +534,7 @@ TEST_F(StorePersistTest, AutoSnapshotRotatesGenerationsAndPrunes) {
     }
     EXPECT_GE(a.metrics_snapshot().of(EngineCounter::kPersistSnapshots), 3u);
   }
-  // Old generations are pruned: at most keep_generations (2) snapshots left.
+  // Old generations are pruned: at most two snapshots are left.
   std::size_t snaps = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
     const std::string name = entry.path().filename().string();

@@ -1,13 +1,16 @@
 // Tests for Trimming (Algorithm 3 / Lemma 3.7): certification on intact
 // expanders, removal of weakly attached appendages, and removed-volume
-// bounds proportional to the boundary size.
+// bounds proportional to the boundary size. Trimming is the first
+// delete_batch of a TrimmingEngine built on the graph before the deletions.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "expander/defs.hpp"
-#include "expander/trimming.hpp"
+#include "expander/trimming_engine.hpp"
 #include "graph/generators.hpp"
 #include "parallel/rng.hpp"
 
@@ -18,44 +21,55 @@ using graph::EdgeId;
 using graph::UndirectedGraph;
 using graph::Vertex;
 
+/// `draws` uniform draws from the live edges of `g`, repeats skipped.
+std::vector<EdgeId> draw_deletions(const UndirectedGraph& g, int draws, par::Rng& rng) {
+  const auto live = g.live_edges();
+  std::vector<EdgeId> batch;
+  for (int k = 0; k < draws; ++k) {
+    const EdgeId e = live[rng.next_below(live.size())];
+    if (std::find(batch.begin(), batch.end(), e) == batch.end()) batch.push_back(e);
+  }
+  return batch;
+}
+
+struct Trimmed {
+  TrimmingEngine engine;
+  std::vector<Vertex> removed;  ///< A \ A'
+};
+
+/// Trimming of `g` minus `deletions`: each deleted edge charges boundary
+/// demand at both endpoints.
+Trimmed trim(UndirectedGraph g, const std::vector<EdgeId>& deletions, double phi) {
+  TrimmingEngine engine(std::move(g), {.phi = phi});
+  std::vector<Vertex> removed = engine.delete_batch(deletions, nullptr);
+  return {std::move(engine), std::move(removed)};
+}
+
 TEST(TrimmingTest, IntactExpanderKeepsEverything) {
   // No deletions, no boundary: trimming must certify A' = A immediately.
   par::Rng rng(21);
-  UndirectedGraph g = graph::random_regular_expander(40, 3, rng);
-  std::vector<char> in_a(40, 1);
-  std::vector<std::int64_t> boundary(40, 0);
-  const auto r = trimming(g, in_a, boundary, {.phi = 0.1});
-  EXPECT_TRUE(r.removed.empty());
-  EXPECT_EQ(r.leftover_excess, 0);
-  EXPECT_EQ(r.total_injected, 0);
+  const auto t = trim(graph::random_regular_expander(40, 3, rng), {}, 0.1);
+  EXPECT_TRUE(t.removed.empty());
+  EXPECT_EQ(t.engine.leftover_excess(), 0);
+  // Injected demand is either absorbed or left over, so none was injected.
+  const auto& absorbed = t.engine.absorbed();
+  EXPECT_EQ(std::accumulate(absorbed.begin(), absorbed.end(), std::int64_t{0}), 0);
 }
 
 TEST(TrimmingTest, SmallDeletionKeepsMostOfExpander) {
   // Delete a few edges from a solid expander; the flow certificate should
   // route the demand and keep (almost) every vertex.
   par::Rng rng(22);
-  UndirectedGraph g = graph::random_regular_expander(60, 4, rng);  // 8-regular
-  std::vector<std::int64_t> boundary(60, 0);
-  // Delete 4 random edges; each endpoint gains boundary demand.
-  auto live = g.live_edges();
-  for (int k = 0; k < 4; ++k) {
-    const EdgeId e = live[rng.next_below(live.size())];
-    if (!g.is_live(e)) continue;
-    const auto ep = g.endpoints(e);
-    boundary[static_cast<std::size_t>(ep.u)] += 1;
-    boundary[static_cast<std::size_t>(ep.v)] += 1;
-    g.delete_edge(e);
-  }
-  std::vector<char> in_a(60, 1);
-  const auto r = trimming(g, in_a, boundary, {.phi = 0.1});
-  EXPECT_EQ(r.leftover_excess, 0) << "demand must be fully routed";
-  EXPECT_LT(r.removed_volume, 200) << "removed volume must be O(boundary/phi)";
+  const UndirectedGraph g = graph::random_regular_expander(60, 4, rng);  // 8-regular
+  const auto t = trim(g, draw_deletions(g, 4, rng), 0.1);
+  EXPECT_EQ(t.engine.leftover_excess(), 0) << "demand must be fully routed";
+  EXPECT_LT(t.engine.removed_volume(), 200) << "removed volume must be O(boundary/phi)";
 }
 
 TEST(TrimmingTest, CutsOffWeaklyAttachedAppendage) {
   // Expander core + a path appendage attached by a single edge, where the
-  // appendage lost most of its internal edges: the appendage cannot absorb
-  // its boundary demand and must be (mostly) trimmed away.
+  // tail tip lost most of its edges: the tip cannot route its boundary
+  // demand and must be trimmed away, and the core must survive.
   par::Rng rng(23);
   const Vertex core_n = 30;
   const Vertex tail_n = 6;
@@ -70,59 +84,48 @@ TEST(TrimmingTest, CutsOffWeaklyAttachedAppendage) {
   // Tail: a path core_n .. core_n+tail_n-1 hanging off vertex 0.
   g.add_edge(0, core_n);
   for (Vertex i = 0; i + 1 < tail_n; ++i) g.add_edge(core_n + i, core_n + i + 1);
-  // Claim deletion damage on the tail tip: demand far exceeding the tail's
-  // single-edge attachment capacity, yet within the core's absorption
-  // capacity once the tail is gone (Lemma 3.7's |∂A| <= φm precondition).
-  std::vector<std::int64_t> boundary(static_cast<std::size_t>(core_n + tail_n), 0);
-  boundary[static_cast<std::size_t>(core_n + tail_n - 1)] = 4;
-  std::vector<char> in_a(static_cast<std::size_t>(core_n + tail_n), 1);
-  const auto r = trimming(g, in_a, boundary, {.phi = 0.15});
-  // The tail tip (degree 1, sink budget 0) cannot absorb demand 12*cap:
-  // something must be removed, and the core must survive.
-  EXPECT_FALSE(r.removed.empty());
+  // Deletion damage on the tail tip: 4 tip-core edges are deleted, a demand
+  // far exceeding the tip's single remaining edge, yet within the core's
+  // absorption capacity (Lemma 3.7's |∂A| <= φm precondition).
+  const Vertex tip = core_n + tail_n - 1;
+  std::vector<EdgeId> deletions;
+  for (Vertex c = 1; c <= 4; ++c) deletions.push_back(g.add_edge(tip, c));
+  const auto t = trim(std::move(g), deletions, 0.15);
+  // The tail tip (degree 1 after the deletions) cannot route demand 4*cap.
+  EXPECT_FALSE(t.removed.empty());
+  EXPECT_NE(std::find(t.removed.begin(), t.removed.end(), tip), t.removed.end());
   std::int64_t core_removed = 0;
-  for (const Vertex v : r.removed)
+  for (const Vertex v : t.removed)
     if (v < core_n) ++core_removed;
   EXPECT_LE(core_removed, 3) << "expander core should survive trimming";
 }
 
 TEST(TrimmingTest, FlowRespectsCapacities) {
   par::Rng rng(24);
-  UndirectedGraph g = graph::random_regular_expander(40, 3, rng);
-  std::vector<std::int64_t> boundary(40, 0);
-  boundary[0] = 3;
-  boundary[7] = 2;
-  std::vector<char> in_a(40, 1);
-  const TrimmingOptions opts{.phi = 0.1};
-  const auto r = trimming(g, in_a, boundary, opts);
-  const auto cap = static_cast<std::int64_t>(std::ceil(2.0 / opts.phi));
-  for (const EdgeId e : g.live_edges())
-    EXPECT_LE(std::abs(r.flow[static_cast<std::size_t>(e)]), cap);
+  const UndirectedGraph g = graph::random_regular_expander(40, 3, rng);
+  // Boundary demand at vertices 0 and 7: delete three and two of their edges.
+  std::vector<EdgeId> deletions;
+  for (std::size_t k = 0; k < 3; ++k) deletions.push_back(g.incident(0)[k].edge);
+  for (std::size_t k = 0; k < 2; ++k) deletions.push_back(g.incident(7)[k].edge);
+  const double phi = 0.1;
+  const auto t = trim(g, deletions, phi);
+  const auto cap = static_cast<std::int64_t>(std::ceil(2.0 / phi));
+  for (const EdgeId e : t.engine.graph().live_edges())
+    EXPECT_LE(std::abs(t.engine.certificate_flow()[static_cast<std::size_t>(e)]), cap);
 }
 
 TEST(TrimmingTest, RemainingGraphIsStillAnExpander) {
   // Lemma 3.7 / 3.9: after trimming, H[A'] should still have decent
   // expansion. Verified exactly on a small instance.
   par::Rng rng(25);
-  UndirectedGraph g = graph::random_regular_expander(16, 3, rng);
-  std::vector<std::int64_t> boundary(16, 0);
-  auto live = g.live_edges();
-  for (int k = 0; k < 3; ++k) {
-    const EdgeId e = live[rng.next_below(live.size())];
-    if (!g.is_live(e)) continue;
-    const auto ep = g.endpoints(e);
-    boundary[static_cast<std::size_t>(ep.u)] += 1;
-    boundary[static_cast<std::size_t>(ep.v)] += 1;
-    g.delete_edge(e);
-  }
-  std::vector<char> in_a(16, 1);
-  const auto r = trimming(g, in_a, boundary, {.phi = 0.1});
-  EXPECT_EQ(r.leftover_excess, 0);
+  const UndirectedGraph g = graph::random_regular_expander(16, 3, rng);
+  const auto t = trim(g, draw_deletions(g, 3, rng), 0.1);
+  EXPECT_EQ(t.engine.leftover_excess(), 0);
   // Build the kept induced subgraph and check expansion exactly.
   std::vector<Vertex> kept;
   for (Vertex v = 0; v < 16; ++v)
-    if (r.in_a_prime[static_cast<std::size_t>(v)]) kept.push_back(v);
-  const auto sub = induced_subgraph(g, kept);
+    if (t.engine.vertex_kept(v)) kept.push_back(v);
+  const auto sub = induced_subgraph(t.engine.graph(), kept);
   const auto cut = exact_min_expansion_cut(sub.graph);
   if (cut) {
     EXPECT_GE(cut->expansion(), 0.05) << "kept subgraph lost expansion";
@@ -132,26 +135,14 @@ TEST(TrimmingTest, RemainingGraphIsStillAnExpander) {
 class TrimmingSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(TrimmingSweep, RemovedVolumeScalesWithBoundary) {
-  const auto [seed, deletions] = GetParam();
+  const auto [seed, draws] = GetParam();
   par::Rng rng(3000 + seed);
-  UndirectedGraph g = graph::random_regular_expander(80, 4, rng);
-  std::vector<std::int64_t> boundary(80, 0);
-  auto live = g.live_edges();
-  std::int64_t deleted = 0;
-  for (int k = 0; k < deletions; ++k) {
-    const graph::EdgeId e = live[rng.next_below(live.size())];
-    if (!g.is_live(e)) continue;
-    const auto ep = g.endpoints(e);
-    boundary[static_cast<std::size_t>(ep.u)] += 1;
-    boundary[static_cast<std::size_t>(ep.v)] += 1;
-    g.delete_edge(e);
-    ++deleted;
-  }
-  std::vector<char> in_a(80, 1);
-  const auto r = trimming(g, in_a, boundary, {.phi = 0.1});
-  EXPECT_EQ(r.leftover_excess, 0);
+  const UndirectedGraph g = graph::random_regular_expander(80, 4, rng);
+  const auto deletions = draw_deletions(g, draws, rng);
+  const auto t = trim(g, deletions, 0.1);
+  EXPECT_EQ(t.engine.leftover_excess(), 0);
   // Õ(1/phi) * boundary with generous constants.
-  EXPECT_LE(r.removed_volume, 60 * deleted + 16);
+  EXPECT_LE(t.engine.removed_volume(), 60 * static_cast<std::int64_t>(deletions.size()) + 16);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, TrimmingSweep,
