@@ -6,7 +6,8 @@
 // Lewis fixed point and the sketch widths behind its leverage estimates.
 // This table is the one home of those constants. The IPM and sketch layers
 // read default_ingredients() directly; the option fields callers may set
-// (LeverageOptions::sketch_dim, LewisOptions) take their defaults from it.
+// (LeverageOptions::sketch_dim and ::solve, LewisOptions) take their
+// defaults from it.
 
 #include <cstddef>
 #include <cstdint>
@@ -39,6 +40,12 @@ struct IpmStepIngredient {
 struct SketchIngredient {
   /// JL rows: the default of LeverageOptions::sketch_dim.
   std::int32_t sketch_dim = 48;
+  /// Relative CG residual of every sketch column: the default of
+  /// LeverageOptions::solve.tolerance. A k-row sketch is only accurate to
+  /// ~1/sqrt(k) (14% at k = 48, 7% at 192 after two retries), so a tighter
+  /// solve buys no accuracy; 1e-4 sits mid-plateau of the sweep in
+  /// EXPERIMENTS.md ("Sketch solve tolerance"). Newton solves keep 1e-10.
+  double solve_tolerance = 1e-4;
   /// Sketch-retry recovery attempts (each retry doubles the JL rows and
   /// reseeds) before the dense oracle / typed kSketchFailure.
   std::int32_t max_attempts = 3;

@@ -21,7 +21,9 @@ Vec leverage_scores_exact(const IncidenceOp& a, const Vec& v);
 struct LeverageOptions {
   /// JL rows, >= 1; error ~ 1/sqrt(k).
   std::int32_t sketch_dim = core::default_ingredients().sketch.sketch_dim;
-  SolveOptions solve;
+  /// Per-column CG target: the sketch's accuracy scale, not SolveOptions'
+  /// 1e-10 (see SketchIngredient::solve_tolerance).
+  SolveOptions solve{.tolerance = core::default_ingredients().sketch.solve_tolerance};
 };
 
 /// JL-sketched leverage scores, clamped to [0, 1]. Sketch-retry recovery and

@@ -16,6 +16,12 @@ namespace pmcf::linalg {
 
 namespace {
 
+/// The escalation ladder's fixed choices: each rung doubles the iteration
+/// budget and warm-starts from the best earlier iterate; the dense fallback
+/// is affordable up to this dimension (O(dim^3) work).
+constexpr std::int32_t kLadderIterGrowth = 2;
+constexpr std::size_t kDenseFallbackMaxDim = 2048;
+
 /// Per-call Jacobi for the legacy entry points: the diagonal is refreshed
 /// into cached storage (no allocation after the first call at a given dim),
 /// preserving the seed solver's semantics for callers that don't manage a
@@ -341,8 +347,6 @@ std::string validate(const ResilientSolveOptions& opts) {
     // A factor <= 1 never relaxes the target: the ladder would retry the
     // same (or a harder) solve and burn the whole budget to no effect.
     bad << "escalation_factor must be > 1.0 (got " << opts.escalation_factor << ")";
-  } else if (opts.iter_growth < 1) {
-    bad << "iter_growth must be >= 1 (got " << opts.iter_growth << ")";
   }
   return bad.str();
 }
@@ -365,7 +369,7 @@ ResilientSolveResult solve_sdd_resilient(core::SolverContext& ctx, const Csr& m,
   for (std::int32_t k = 0; k <= opts.max_escalations; ++k) {
     if (k > 0) {
       attempt.tolerance *= opts.escalation_factor;
-      attempt.max_iters *= opts.iter_growth;
+      attempt.max_iters *= kLadderIterGrowth;
       ctx.recovery().note(RecoveryEvent::kCgToleranceEscalation);
       ++out.tolerance_escalations;
     }
@@ -386,7 +390,7 @@ ResilientSolveResult solve_sdd_resilient(core::SolverContext& ctx, const Csr& m,
       out.status = r.status;
       return out;
     }
-    if (opts.warm_start_rungs && r.iterations > 0) {
+    if (r.iterations > 0) {
       best = std::move(r.x);
       seed = &best;
     }
@@ -397,7 +401,7 @@ ResilientSolveResult solve_sdd_resilient(core::SolverContext& ctx, const Csr& m,
   // reweightings can still underflow whole rows, so pinned elimination
   // zeroes those degenerate coordinates instead of failing the solve. The
   // O(dim^3) cost is gated by the guardrail.
-  if (m.dim() <= opts.dense_fallback_max_dim) {
+  if (m.dim() <= kDenseFallbackMaxDim) {
     Dense dense(m.dim(), m.dim());
     for (std::size_t r = 0; r < m.dim(); ++r)
       for (std::int64_t k = m.offsets()[r]; k < m.offsets()[r + 1]; ++k)

@@ -15,7 +15,8 @@
 // used by the IPM layers: a bounded escalation ladder — each rung relaxes the
 // tolerance ×100, doubles the iteration budget, and warm-starts from the best
 // iterate any earlier rung produced — then a dense Gaussian-elimination
-// fallback for systems small enough to afford it (ResilientSolveOptions).
+// fallback for systems of dimension <= 2048 (ResilientSolveOptions sets the
+// rung count and factor; the rest are constants in sdd_solver.cpp).
 //
 // `solve_sdd_multi` batches k right-hand sides against one matrix into a
 // blocked CG sharing a single nnz-balanced SpMV pass per iteration; each
@@ -96,9 +97,6 @@ struct ResilientSolveOptions {
   SolveOptions base;
   std::int32_t max_escalations = 2;   ///< retries after rung 0
   double escalation_factor = 100.0;   ///< tolerance *= per rung
-  std::int32_t iter_growth = 2;       ///< max_iters *= per rung
-  bool warm_start_rungs = true;       ///< rungs seed from the best earlier iterate
-  std::size_t dense_fallback_max_dim = 2048;  ///< O(dim^3) guardrail
 };
 
 struct ResilientSolveResult {
@@ -111,21 +109,21 @@ struct ResilientSolveResult {
 };
 
 /// "" when `opts` is sane; otherwise a defect description (negative rung
-/// count, escalation_factor <= 1, iter_growth < 1, non-positive tolerance or
-/// iteration budget). solve_sdd_resilient rejects a non-empty answer with
+/// count, escalation_factor <= 1, non-positive tolerance or iteration
+/// budget). solve_sdd_resilient rejects a non-empty answer with
 /// ComponentError(kInvalidInput).
 std::string validate(const ResilientSolveOptions& opts);
 
 /// Solve M x = b with the Newton-system recovery policy: CG at the requested
 /// tolerance, then the bounded escalation ladder — each rung multiplies the
 /// tolerance by `escalation_factor` (×100 by default: a stalled CG needs a
-/// materially easier target, not a nudge), multiplies the iteration budget by
-/// `iter_growth` (×2), and warm-starts from the best iterate any earlier rung
-/// produced, so progress is never discarded — then dense Gaussian elimination
-/// when dim fits the guardrail. Returns kNumericalFailure only when every
-/// rung fails; throws ComponentError(kInvalidInput) when `opts` fails
-/// validate(). Recovery events are recorded against `ctx`'s log. `precond`
-/// (optional) replaces the per-call Jacobi; `x0` (optional) seeds rung 0.
+/// materially easier target, not a nudge), doubles the iteration budget, and
+/// warm-starts from the best iterate any earlier rung produced, so progress
+/// is never discarded — then dense Gaussian elimination when dim <= 2048.
+/// Returns kNumericalFailure only when every rung fails; throws
+/// ComponentError(kInvalidInput) when `opts` fails validate(). Recovery
+/// events are recorded against `ctx`'s log. `precond` (optional) replaces
+/// the per-call Jacobi; `x0` (optional) seeds rung 0.
 ResilientSolveResult solve_sdd_resilient(core::SolverContext& ctx, const Csr& m, const Vec& b,
                                          const ResilientSolveOptions& opts = {},
                                          const SddPreconditioner* precond = nullptr,

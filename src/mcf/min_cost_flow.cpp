@@ -114,6 +114,9 @@ std::string validate(const SolveOptions& opts) {
   if (!(std::isfinite(io.solve.tolerance) && io.solve.tolerance > 0.0))
     return "ipm.solve.tolerance must be > 0";
   if (io.solve.max_iters < 1) return "ipm.solve.max_iters must be >= 1";
+  if (!(std::isfinite(io.leverage.solve.tolerance) && io.leverage.solve.tolerance > 0.0))
+    return "ipm.leverage.solve.tolerance must be > 0";
+  if (io.leverage.solve.max_iters < 1) return "ipm.leverage.solve.max_iters must be >= 1";
   return "";
 }
 

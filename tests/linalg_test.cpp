@@ -194,6 +194,35 @@ TEST(LeverageTest, SketchedApproximatesExact) {
     EXPECT_NEAR(approx[i], exact[i], 0.25 * std::max(exact[i], 0.05));
 }
 
+TEST(LeverageTest, SolveToleranceStaysBelowSketchError) {
+  // The default sketch solve stops CG far short of 1e-10; that must cost no
+  // accuracy the JL estimate has. Row weights spread over six decades, the
+  // shape 1/sqrt(phi'') takes late on the central path. The solves draw no
+  // randomness, so both runs see the same Rademacher rows.
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    par::Rng rng(seed);
+    const graph::Digraph g = graph::random_flow_network(16, 96, 5, 5, rng);
+    const IncidenceOp a(g);
+    Vec v(a.rows());
+    for (auto& x : v) x = std::pow(10.0, -6.0 * rng.next_double());
+    const Vec exact = leverage_scores_exact(a, v);
+    const auto mean_error = [&](const LeverageOptions& opts) {
+      core::SolverContext ctx;
+      par::Rng sketch_rng(100 + seed);
+      const Vec sigma = leverage_scores(ctx, a, v, sketch_rng, opts);
+      double err = 0.0;
+      for (std::size_t i = 0; i < exact.size(); ++i) err += std::abs(sigma[i] - exact[i]);
+      return err / static_cast<double>(exact.size());
+    };
+    LeverageOptions tight;
+    tight.solve.tolerance = 1e-10;
+    const double loose_err = mean_error(LeverageOptions{});
+    const double tight_err = mean_error(tight);
+    EXPECT_LE(loose_err, 1.1 * tight_err) << "seed " << seed << ": default " << loose_err
+                                          << " vs 1e-10 " << tight_err;
+  }
+}
+
 TEST(LewisTest, ExponentFormula) {
   EXPECT_NEAR(lewis_p(400, 100), 1.0 - 1.0 / (4.0 * std::log(16.0)), 1e-12);
 }

@@ -155,6 +155,27 @@ TEST(ValidationTest, BadIpmOptionsAreTypedInvalidInput) {
   opts = test_opts(mcf::Method::kReferenceIpm);
   opts.ipm.max_iters = 0;
   EXPECT_EQ(mcf::min_cost_max_flow(g, 0, t, opts).status, SolveStatus::kInvalidInput);
+
+  // The sketch solve is vetted like the Newton solve: a zero or NaN target
+  // would grind every JL column to its iteration cap, and a zero budget
+  // would fail the tier and hand the answer to SSP without a typed error.
+  opts = test_opts(mcf::Method::kReferenceIpm);
+  opts.ipm.leverage.solve.tolerance = 0.0;
+  auto res = mcf::min_cost_max_flow(g, 0, t, opts);
+  EXPECT_EQ(res.status, SolveStatus::kInvalidInput);
+  EXPECT_NE(res.failure_detail.find("ipm.leverage.solve.tolerance"), std::string::npos)
+      << res.failure_detail;
+
+  opts = test_opts(mcf::Method::kReferenceIpm);
+  opts.ipm.leverage.solve.tolerance = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(mcf::min_cost_max_flow(g, 0, t, opts).status, SolveStatus::kInvalidInput);
+
+  opts = test_opts(mcf::Method::kReferenceIpm);
+  opts.ipm.leverage.solve.max_iters = 0;
+  res = mcf::min_cost_max_flow(g, 0, t, opts);
+  EXPECT_EQ(res.status, SolveStatus::kInvalidInput);
+  EXPECT_NE(res.failure_detail.find("ipm.leverage.solve.max_iters"), std::string::npos)
+      << res.failure_detail;
 }
 
 TEST(ValidationTest, ZeroSketchDimIsTypedInvalidInput) {
