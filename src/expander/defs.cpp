@@ -1,6 +1,7 @@
 #include "expander/defs.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <queue>
@@ -32,40 +33,62 @@ std::optional<Cut> exact_min_expansion_cut(const UndirectedGraph& g) {
   assert(k <= 24 && "exact check is exponential; use sweep_cut for larger graphs");
   if (k < 2) return std::nullopt;
 
-  const std::int64_t total_vol = 2 * static_cast<std::int64_t>(g.num_edges());
+  // Local adjacency over the non-isolated vertices, parallel edges repeated.
   std::vector<std::int32_t> pos(static_cast<std::size_t>(g.num_vertices()), -1);
   for (std::size_t i = 0; i < k; ++i) pos[static_cast<std::size_t>(vs[i])] = static_cast<std::int32_t>(i);
+  std::vector<std::uint32_t> adj_start(k + 1, 0);
+  std::vector<std::int32_t> adj;
+  adj.reserve(2 * g.num_edges());
+  for (std::size_t i = 0; i < k; ++i) {
+    adj_start[i] = static_cast<std::uint32_t>(adj.size());
+    for (const auto& inc : g.incident(vs[i])) adj.push_back(pos[static_cast<std::size_t>(inc.neighbor)]);
+  }
+  adj_start[k] = static_cast<std::uint32_t>(adj.size());
 
-  Cut best;
-  best.crossing = -1;
-  double best_exp = 1e301;
-  // Enumerate subsets containing vs[0] to halve the space.
-  for (std::uint64_t mask = 1; mask < (std::uint64_t{1} << (k - 1)); ++mask) {
-    const std::uint64_t full = (mask << 1) | 1;  // vs[0] always on side S
-    std::int64_t vol_s = 0;
-    std::int64_t crossing = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (!((full >> i) & 1)) continue;
-      const Vertex v = vs[i];
-      vol_s += g.degree(v);
-      for (const auto& inc : g.incident(v)) {
-        const std::int32_t pj = pos[static_cast<std::size_t>(inc.neighbor)];
-        if (pj < 0 || !((full >> pj) & 1)) ++crossing;
+  // Walk the subsets S containing vs[0] in Gray-code order: S holds vs[0]
+  // and vs[i+1] for every bit i of `mask`, and step t flips vertex
+  // ctz(t)+1, so crossing and vol(S) move by that vertex's edges alone.
+  // Expansions compare exactly as crossing·vol' vs crossing'·vol; ties go
+  // to the smallest mask. best_vol == 0 stands for "no cut yet".
+  const std::int64_t total_vol = 2 * static_cast<std::int64_t>(g.num_edges());
+  std::uint64_t in_s = 1;  // bit i: vs[i] is in S
+  std::int64_t vol_s = g.degree(vs[0]);
+  std::int64_t crossing = vol_s;  // no self-loops: every edge of vs[0] leaves S
+  std::uint64_t best_mask = 0;
+  std::int64_t best_crossing = 1;
+  std::int64_t best_vol = 0;
+  const std::uint64_t subsets = std::uint64_t{1} << (k - 1);
+  for (std::uint64_t t = 0;;) {
+    const std::int64_t vol_small = std::min(vol_s, total_vol - vol_s);
+    const std::uint64_t mask = in_s >> 1;
+    if (vol_small > 0) {
+      const std::int64_t lhs = crossing * best_vol;
+      const std::int64_t rhs = best_crossing * vol_small;
+      if (lhs < rhs || (lhs == rhs && mask < best_mask)) {
+        best_mask = mask;
+        best_crossing = crossing;
+        best_vol = vol_small;
       }
     }
-    const std::int64_t vol_small = std::min(vol_s, total_vol - vol_s);
-    if (vol_small == 0) continue;
-    const double expn = static_cast<double>(crossing) / static_cast<double>(vol_small);
-    if (expn < best_exp) {
-      best_exp = expn;
-      best.crossing = crossing;
-      best.vol_small = vol_small;
-      best.side.clear();
-      for (std::size_t i = 0; i < k; ++i)
-        if ((full >> i) & 1) best.side.push_back(vs[i]);
-    }
+    if (++t == subsets) break;
+    const auto i = static_cast<std::size_t>(std::countr_zero(t)) + 1;
+    in_s ^= std::uint64_t{1} << i;
+    std::int64_t to_s = 0;  // edges from vs[i] to S \ {vs[i]}
+    for (std::uint32_t a = adj_start[i]; a < adj_start[i + 1]; ++a)
+      to_s += static_cast<std::int64_t>((in_s >> adj[a]) & 1);
+    const std::int64_t d = g.degree(vs[i]);
+    const std::int64_t sign = ((in_s >> i) & 1) ? 1 : -1;
+    vol_s += sign * d;
+    crossing += sign * (d - 2 * to_s);
   }
-  if (best.crossing < 0) return std::nullopt;
+  if (best_vol == 0) return std::nullopt;
+
+  Cut best;
+  best.crossing = best_crossing;
+  best.vol_small = best_vol;
+  const std::uint64_t full = (best_mask << 1) | 1;
+  for (std::size_t i = 0; i < k; ++i)
+    if ((full >> i) & 1) best.side.push_back(vs[i]);
   return best;
 }
 

@@ -30,9 +30,12 @@ struct Cut {
   }
 };
 
-/// Exact minimum-expansion cut by subset enumeration. Requires n <= 24.
-/// Vertices with degree 0 are ignored. Returns nullopt if fewer than 2
-/// non-isolated vertices exist.
+/// Exact minimum-expansion cut by subset enumeration. Requires at most 24
+/// non-isolated vertices and no self-loops (the subset walk assumes every
+/// edge has two distinct endpoints). Vertices with degree 0 are ignored.
+/// `side` is the side holding the lowest-id non-isolated vertex, listed in
+/// id order; among cuts of equal expansion the first in binary subset order
+/// wins. Returns nullopt if fewer than 2 non-isolated vertices exist.
 std::optional<Cut> exact_min_expansion_cut(const UndirectedGraph& g);
 
 /// True iff g is a phi-expander (exact; small n only).

@@ -1,6 +1,7 @@
 #include "expander/unit_flow.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "parallel/scheduler.hpp"
@@ -21,9 +22,18 @@ struct State {
   std::vector<std::int64_t> remaining;  // remaining sink slice this round
   std::vector<std::int64_t> absorbed;   // total absorbed this call (= consumed sink)
   std::vector<std::int32_t> label;
-  // Per-level worklists of excess vertices; `queued` dedups entries.
-  std::vector<std::vector<Vertex>> bucket;
+  // Per-level FIFO worklists of excess vertices for levels 0..h, linked
+  // through `next` (head/tail -1 = empty). `queued` keeps a vertex in at most
+  // one list, so one `next` slot per vertex suffices. Bit j of `nonempty`
+  // is set iff level j's list is non-empty, so a sweep skips empty levels.
+  std::vector<Vertex> head;
+  std::vector<Vertex> tail;
+  std::vector<Vertex> next;
+  std::vector<std::uint64_t> nonempty;
   std::vector<char> queued;
+  // Sweep scratch, reserved to n once per call: a list never holds more.
+  std::vector<Vertex> todo;
+  std::vector<Vertex> candidates;
   std::uint64_t edge_scans = 0;
 
   [[nodiscard]] std::int64_t residual(graph::EdgeId e, Vertex from) const {
@@ -52,9 +62,59 @@ struct State {
   void activate(Vertex v) {
     const auto vi = static_cast<std::size_t>(v);
     if (ex[vi] > 0 && label[vi] <= p->height && !queued[vi]) {
-      bucket[static_cast<std::size_t>(label[vi])].push_back(v);
+      const auto j = static_cast<std::size_t>(label[vi]);
+      next[vi] = -1;
+      if (tail[j] < 0) {
+        head[j] = v;
+        nonempty[j >> 6] |= std::uint64_t{1} << (j & 63);
+      } else {
+        next[static_cast<std::size_t>(tail[j])] = v;
+      }
+      tail[j] = v;
       queued[vi] = 1;
     }
+  }
+
+  /// Move level j's list, in FIFO order, to the back of `out`; its vertices
+  /// stop counting as queued.
+  void drain_level(std::int32_t j, std::vector<Vertex>& out) {
+    const auto ji = static_cast<std::size_t>(j);
+    for (Vertex v = head[ji]; v >= 0; v = next[static_cast<std::size_t>(v)]) {
+      queued[static_cast<std::size_t>(v)] = 0;
+      out.push_back(v);
+    }
+    head[ji] = tail[ji] = -1;
+    nonempty[ji >> 6] &= ~(std::uint64_t{1} << (ji & 63));
+  }
+
+  /// Highest non-empty level <= j (j >= 0), or -1.
+  [[nodiscard]] std::int32_t highest_level_at_most(std::int32_t j) const {
+    auto w = static_cast<std::size_t>(j) >> 6;
+    std::uint64_t bits = nonempty[w] & (~std::uint64_t{0} >> (63 - (j & 63)));
+    while (bits == 0) {
+      if (w == 0) return -1;
+      bits = nonempty[--w];
+    }
+    return static_cast<std::int32_t>(64 * w + 63 - static_cast<std::size_t>(std::countl_zero(bits)));
+  }
+
+  /// Lowest non-empty level >= j, or -1.
+  [[nodiscard]] std::int32_t lowest_level_at_least(std::int32_t j) const {
+    auto w = static_cast<std::size_t>(j) >> 6;
+    if (w >= nonempty.size()) return -1;
+    std::uint64_t bits = nonempty[w] & (~std::uint64_t{0} << (j & 63));
+    while (bits == 0) {
+      if (++w == nonempty.size()) return -1;
+      bits = nonempty[w];
+    }
+    return static_cast<std::int32_t>(64 * w + static_cast<std::size_t>(std::countr_zero(bits)));
+  }
+
+  /// Empty every list into `candidates`, levels ascending.
+  void drain_all() {
+    candidates.clear();
+    for (std::int32_t j = lowest_level_at_least(0); j >= 0; j = lowest_level_at_least(j + 1))
+      drain_level(j, candidates);
   }
 
   /// Sum of excess over vertices not parked at level h+1. Parallel in
@@ -74,14 +134,12 @@ bool push_then_relabel(State& st) {
   const std::int32_t h = st.p->height;
   bool progress = false;
 
-  // Push phase: levels h down to 1; receiving vertices at level j-1 are
-  // processed later in the same sweep (the cascading parallel push).
-  for (std::int32_t j = h; j >= 1; --j) {
-    auto& wl = st.bucket[static_cast<std::size_t>(j)];
-    std::vector<Vertex> todo;
-    todo.swap(wl);
-    for (const Vertex v : todo) st.queued[static_cast<std::size_t>(v)] = 0;
-    for (const Vertex v : todo) {
+  // Push phase: non-empty levels h down to 1; receiving vertices at level
+  // j-1 are processed later in the same sweep (the cascading parallel push).
+  for (std::int32_t j = st.highest_level_at_most(h); j >= 1; j = st.highest_level_at_most(j - 1)) {
+    st.todo.clear();
+    st.drain_level(j, st.todo);
+    for (const Vertex v : st.todo) {
       const auto vi = static_cast<std::size_t>(v);
       if (st.label[vi] != j || st.queued[vi]) {
         st.activate(v);  // stale entry: requeue at its real level
@@ -111,16 +169,8 @@ bool push_then_relabel(State& st) {
   // Relabel phase: raise excess vertices whose sink slice is exhausted and
   // whose down-edges are all saturated (vacuous at level 0). Consume all
   // worklists and requeue survivors at their (possibly new) levels.
-  std::vector<Vertex> candidates;
-  for (std::int32_t j = 0; j <= h; ++j) {
-    auto& wl = st.bucket[static_cast<std::size_t>(j)];
-    for (const Vertex v : wl) {
-      st.queued[static_cast<std::size_t>(v)] = 0;
-      candidates.push_back(v);
-    }
-    wl.clear();
-  }
-  for (const Vertex v : candidates) {
+  st.drain_all();
+  for (const Vertex v : st.candidates) {
     const auto vi = static_cast<std::size_t>(v);
     if (st.ex[vi] == 0 || st.label[vi] > h || st.queued[vi]) {
       st.activate(v);
@@ -170,8 +220,14 @@ UnitFlowResult parallel_unit_flow(const UnitFlowProblem& p,
   st.remaining.assign(n, 0);
   st.absorbed.assign(n, 0);
   st.label.assign(n, 0);
-  st.bucket.assign(static_cast<std::size_t>(p.height) + 2, {});
+  const auto levels = static_cast<std::size_t>(p.height) + 1;
+  st.head.assign(levels, -1);
+  st.tail.assign(levels, -1);
+  st.next.assign(n, -1);
+  st.nonempty.assign((levels + 63) / 64, 0);
   st.queued.assign(n, 0);
+  st.todo.reserve(n);
+  st.candidates.reserve(n);
 
   const std::int32_t rounds =
       p.rounds > 0 ? p.rounds
@@ -200,10 +256,7 @@ UnitFlowResult parallel_unit_flow(const UnitFlowProblem& p,
     const std::int64_t x_i = st.active_excess();
     par::charge(n, par::ceil_log2(std::max<std::size_t>(n, 2)));
     if (x_i == 0) {
-      for (auto& b : st.bucket) {
-        for (const Vertex v : b) st.queued[static_cast<std::size_t>(v)] = 0;
-        b.clear();
-      }
+      st.drain_all();
       continue;  // later rounds still grant sink slices to parked excess
     }
     // Each PushThenRelabel raises every still-blocked active vertex one
@@ -218,10 +271,7 @@ UnitFlowResult parallel_unit_flow(const UnitFlowProblem& p,
       if (!push_then_relabel(st)) break;
     }
     // Clear worklists between rounds (entries re-derived from ex next round).
-    for (auto& b : st.bucket) {
-      for (const Vertex v : b) st.queued[static_cast<std::size_t>(v)] = 0;
-      b.clear();
-    }
+    st.drain_all();
   }
 
   // Drain: guarantee Lemma 3.10 (iii) — any leftover excess must sit at

@@ -14,7 +14,10 @@ using Vertex = std::int32_t;
 using EdgeId = std::int32_t;
 
 /// Undirected multigraph with stable edge ids and O(1) deletion.
-/// Self-loops are allowed (they contribute 2 to the degree).
+/// Parallel edges are allowed; self-loops are not. add_edge(u, u) is a
+/// precondition violation: only debug builds assert it, and a release build
+/// records the same adjacency position for both ends, so a later delete
+/// detaches the wrong slot. Callers filter self-loops before inserting.
 class UndirectedGraph {
  public:
   struct Endpoints {

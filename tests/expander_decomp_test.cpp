@@ -40,6 +40,107 @@ TEST(DefsTest, ExactCutOnBarbell) {
   EXPECT_NEAR(cut->expansion(), 1.0 / 7.0, 1e-12);
 }
 
+TEST(DefsTest, ExactCutOnTwoVertexMultigraph) {
+  // The only cut of a connected two-vertex graph is S = {first vertex}.
+  UndirectedGraph g(2);
+  for (int i = 0; i < 3; ++i) g.add_edge(0, 1);
+  const auto cut = exact_min_expansion_cut(g);
+  ASSERT_TRUE(cut.has_value());
+  EXPECT_EQ(cut->side, std::vector<Vertex>{0});
+  EXPECT_EQ(cut->crossing, 3);
+  EXPECT_EQ(cut->vol_small, 3);
+}
+
+/// Reference for exact_min_expansion_cut: recount every subset containing
+/// the first non-isolated vertex, in binary order, keeping the first of the
+/// smallest expansion.
+std::optional<Cut> brute_force_min_expansion_cut(const UndirectedGraph& g) {
+  std::vector<Vertex> vs;
+  for (Vertex v = 0; v < g.num_vertices(); ++v)
+    if (g.degree(v) > 0) vs.push_back(v);
+  const std::size_t k = vs.size();
+  if (k < 2) return std::nullopt;
+  const std::int64_t total_vol = 2 * static_cast<std::int64_t>(g.num_edges());
+  std::vector<std::int32_t> pos(static_cast<std::size_t>(g.num_vertices()), -1);
+  for (std::size_t i = 0; i < k; ++i) pos[static_cast<std::size_t>(vs[i])] = static_cast<std::int32_t>(i);
+  Cut best;
+  best.crossing = -1;
+  double best_exp = 1e301;
+  for (std::uint64_t mask = 0; mask < (std::uint64_t{1} << (k - 1)); ++mask) {
+    const std::uint64_t full = (mask << 1) | 1;
+    std::int64_t vol_s = 0;
+    std::int64_t crossing = 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (!((full >> i) & 1)) continue;
+      vol_s += g.degree(vs[i]);
+      for (const auto& inc : g.incident(vs[i])) {
+        const std::int32_t pj = pos[static_cast<std::size_t>(inc.neighbor)];
+        if (pj < 0 || !((full >> pj) & 1)) ++crossing;
+      }
+    }
+    const std::int64_t vol_small = std::min(vol_s, total_vol - vol_s);
+    if (vol_small == 0) continue;
+    const double expn = static_cast<double>(crossing) / static_cast<double>(vol_small);
+    if (expn < best_exp) {
+      best_exp = expn;
+      best.crossing = crossing;
+      best.vol_small = vol_small;
+      best.side.clear();
+      for (std::size_t i = 0; i < k; ++i)
+        if ((full >> i) & 1) best.side.push_back(vs[i]);
+    }
+  }
+  if (best.crossing < 0) return std::nullopt;
+  return best;
+}
+
+TEST(DefsTest, GrayCodeCutMatchesBruteForce) {
+  // Loop-free multigraphs with parallel edges, isolated vertices interleaved
+  // with the k = 2..16 non-isolated ones, some deleted edges, and
+  // disconnected instances whose zero-expansion ties exercise the
+  // smallest-mask rule.
+  par::Rng rng(2024);
+  int checked = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const auto k = static_cast<Vertex>(2 + trial % 15);
+    const auto isolated = static_cast<Vertex>(rng.next_below(5));
+    UndirectedGraph g(k + isolated);
+    // Non-isolated vertices at random positions among the k + isolated ids.
+    std::vector<Vertex> ids(static_cast<std::size_t>(k + isolated));
+    for (Vertex v = 0; v < k + isolated; ++v) ids[static_cast<std::size_t>(v)] = v;
+    for (std::size_t i = ids.size(); i > 1; --i)
+      std::swap(ids[i - 1], ids[rng.next_below(i)]);
+    ids.resize(static_cast<std::size_t>(k));
+    auto pick = [&] { return ids[rng.next_below(static_cast<std::uint64_t>(k))]; };
+    auto add_random_edge = [&](Vertex u) {
+      Vertex v = pick();
+      while (v == u) v = pick();
+      return g.add_edge(u, v);
+    };
+    for (const Vertex u : ids) add_random_edge(u);  // every chosen vertex gets an edge
+    const std::size_t target =
+        static_cast<std::size_t>(k) + rng.next_below(static_cast<std::uint64_t>(64 - k + 1));
+    while (g.num_edges() < target) {
+      const auto ep = g.endpoints(add_random_edge(pick()));
+      if (g.num_edges() < target && rng.next_below(4) == 0) g.add_edge(ep.v, ep.u);  // parallel copy
+    }
+    if (trial % 7 == 0 && g.num_edges() > static_cast<std::size_t>(k)) {
+      const auto live = g.live_edges();
+      g.delete_edge(live[rng.next_below(live.size())]);
+    }
+    ASSERT_LE(g.num_edges(), 64u);
+    const auto want = brute_force_min_expansion_cut(g);
+    const auto got = exact_min_expansion_cut(g);
+    ASSERT_EQ(want.has_value(), got.has_value()) << "trial " << trial;
+    if (!want) continue;
+    EXPECT_EQ(got->side, want->side) << "trial " << trial;
+    EXPECT_EQ(got->crossing, want->crossing) << "trial " << trial;
+    EXPECT_EQ(got->vol_small, want->vol_small) << "trial " << trial;
+    ++checked;
+  }
+  EXPECT_GT(checked, 450);
+}
+
 TEST(DefsTest, CompleteGraphIsExpander) {
   UndirectedGraph g(8);
   for (Vertex u = 0; u < 8; ++u)

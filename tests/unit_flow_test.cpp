@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "expander/unit_flow.hpp"
@@ -180,6 +181,62 @@ TEST(UnitFlowTest, SinkSlicesSumToTotalSink) {
   check_flow_valid(p, r);
   EXPECT_EQ(r.total_absorbed + r.total_excess, 48);
   EXPECT_EQ(r.total_excess, 0);  // 48 units vs 64 sink capacity
+}
+
+/// FNV-1a over the final labels and edge flows.
+std::uint64_t label_flow_digest(const UnitFlowResult& r) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  auto mix = [&](std::int64_t x) {
+    hash ^= static_cast<std::uint64_t>(x);
+    hash *= 1099511628211ULL;
+  };
+  for (const std::int32_t l : r.label) mix(l);
+  for (const std::int64_t f : r.flow) mix(f);
+  return hash;
+}
+
+TEST(UnitFlowTest, TallHeightKeepsItsArithmetic) {
+  // Production heights are 20·⌈log2 n⌉ (h = 160–240 in bench_trimming), past
+  // one 64-bit word of levels. Sources far above the sinks drive excess up
+  // to h, so every level is visited; the counters and the label/flow digest
+  // pin the sweep order bit for bit.
+  struct Case {
+    std::int32_t height;
+    std::uint64_t edge_scans;
+    std::int32_t push_relabel_calls;
+    std::int64_t total_absorbed;
+    std::int64_t total_excess;
+    std::uint64_t digest;
+  };
+  for (const Case& c : {Case{63, 35017, 151, 28, 181, 0x9c872150fa2e69beULL},
+                        Case{64, 35546, 161, 28, 237, 0x0a792bf611669e03ULL},
+                        Case{65, 36925, 199, 28, 188, 0xe75712f1c39d9d21ULL},
+                        Case{100, 55556, 266, 28, 167, 0xbf217e42af9ce41cULL},
+                        Case{160, 88057, 358, 28, 212, 0x9176b0b692ede50eULL}}) {
+    par::Rng rng(4200 + static_cast<std::uint64_t>(c.height));
+    const Vertex n = 40;
+    UndirectedGraph g = graph::random_regular_expander(n, 3, rng);  // 6-regular
+    UnitFlowProblem p;
+    p.g = &g;
+    p.cap.assign(g.edge_slots(), 3);
+    p.source.assign(static_cast<std::size_t>(n), 0);
+    p.sink.assign(static_cast<std::size_t>(n), 0);
+    for (int k = 0; k < 6; ++k)
+      p.source[rng.next_below(static_cast<std::uint64_t>(n))] += rng.uniform_int(20, 60);
+    for (std::size_t v = 0; v < static_cast<std::size_t>(n); v += 3) p.sink[v] = 2;
+    p.height = c.height;
+    const auto r = parallel_unit_flow(p);
+    check_flow_valid(p, r);
+    check_label_saturation(p, r);
+    check_excess_at_top(p, r);
+    EXPECT_GT(r.total_excess, 0) << "h=" << c.height;
+    EXPECT_EQ(*std::max_element(r.label.begin(), r.label.end()), c.height);
+    EXPECT_EQ(r.edge_scans, c.edge_scans) << "h=" << c.height;
+    EXPECT_EQ(r.push_relabel_calls, c.push_relabel_calls) << "h=" << c.height;
+    EXPECT_EQ(r.total_absorbed, c.total_absorbed) << "h=" << c.height;
+    EXPECT_EQ(r.total_excess, c.total_excess) << "h=" << c.height;
+    EXPECT_EQ(label_flow_digest(r), c.digest) << "h=" << c.height;
+  }
 }
 
 TEST(UnitFlowTest, ResumesFromInitialFlow) {
