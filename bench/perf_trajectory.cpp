@@ -519,7 +519,7 @@ soak::SoakConfig soak_base_config(bool tiny) {
   // Full scale satisfies the acceptance floor of >= 1e5 requests; tiny keeps
   // the CI smoke run to a couple of seconds. Both run at sustained 2x
   // overload: half of what is offered must shed (typed kLoadShed) or expire,
-  // while priority-0 goodput stays high (eviction + DRR dequeue order).
+  // while priority-0 goodput stays high (eviction + priority-first dispatch).
   cfg.requests = tiny ? 2000 : 100000;
   // Engine/client/instance shape: SoakConfig defaults — the acceptance-gate
   // shape (1 slot, queue 12, 16 workers, 2x overload, 16-28 node instances).

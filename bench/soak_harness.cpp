@@ -24,7 +24,6 @@ using Clock = std::chrono::steady_clock;
 /// One scheduled request, fully decided before the clock starts.
 struct Planned {
   double at_us = 0.0;  ///< arrival offset from t0
-  std::uint32_t tenant = 0;
   std::uint32_t priority = 0;
   std::uint32_t instance = 0;
   double deadline_us = 0.0;  ///< 0 = open
@@ -101,13 +100,6 @@ std::vector<Planned> make_schedule(const SoakConfig& cfg, double capacity_rps,
     p.at_us = t;
     p.priority = static_cast<std::uint32_t>(
         pick_share(rng, cfg.priority_share, kNumPriorities));
-    // Hot tenant 0 takes hot_tenant_share; the rest split the remainder.
-    const std::size_t tenants = std::max<std::size_t>(1, cfg.tenants);
-    if (tenants == 1 || rng.next_double() < cfg.hot_tenant_share) {
-      p.tenant = 0;
-    } else {
-      p.tenant = 1 + static_cast<std::uint32_t>(rng.next_below(tenants - 1));
-    }
     p.instance = static_cast<std::uint32_t>(rng.next_below(cfg.num_instances));
     if (rng.next_double() < cfg.deadline_share)
       p.deadline_us = cfg.deadline_scale * eff_service_us * (0.5 + rng.next_double());
@@ -210,7 +202,6 @@ SoakReport run_soak(const SoakConfig& cfg) {
   ecfg.max_in_flight = cfg.slots;
   ecfg.max_queue = cfg.queue;
   ecfg.chaos_cancel_rate = cfg.chaos_cancel_rate;
-  ecfg.chaos_seed = cfg.seed ^ 0xc4a05ULL;
   const Engine engine(ecfg);
 
   // --- Replay. --------------------------------------------------------------
@@ -235,7 +226,6 @@ SoakReport run_soak(const SoakConfig& cfg) {
           if (due > Clock::now()) std::this_thread::sleep_until(due);
         }
         SolveControl control;
-        control.tenant = p.tenant;
         control.priority = p.priority;
         if (p.deadline_us > 0.0)
           control.deadline = core::Deadline::in(std::chrono::duration_cast<Clock::duration>(

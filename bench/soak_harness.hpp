@@ -7,7 +7,7 @@
 // how fast the engine drains — the traffic shape a serving deployment faces,
 // where clients do not slow down because the server is busy. A fixed pool of
 // client threads replays the schedule against Engine::solve with mixed
-// instance sizes, tenants, priorities, and deadline distributions, then the
+// instance sizes, priorities, and deadline distributions, then the
 // report combines client-side latency records with the engine's own metrics
 // snapshot.
 //
@@ -55,8 +55,6 @@ struct SoakConfig {
 
   // Request mix (shares need not be normalized; they are).
   double priority_share[kNumPriorities] = {0.25, 0.25, 0.25, 0.25};
-  std::size_t tenants = 4;
-  double hot_tenant_share = 0.4;  ///< tenant 0's share; the rest split evenly
   double deadline_share = 0.2;  ///< fraction of requests carrying a deadline
   /// Deadline ~ scale * effective service time. Sized so deadlines clear the
   /// queue-wait p99 under 2x overload: admitted work usually finishes in

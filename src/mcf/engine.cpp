@@ -54,6 +54,10 @@ EngineSolveResult refusal(SolveStatus status, const char* detail) {
 /// cadence even without a grant/evict notification.
 constexpr std::chrono::milliseconds kQueuePollTick{2};
 
+/// Salt of the chaos injector's stream: past the batch-index, solve() and
+/// resolve() context salts, so it never shares a stream with a solve.
+constexpr std::uint64_t kChaosSalt = 1ULL << 34;
+
 /// The fingerprint a retained AccelCache is keyed by: handle + structure +
 /// structural epoch. Value-only deltas keep the key (warm CG iterates stay
 /// live across perturbations); any structural change moves it.
@@ -73,37 +77,27 @@ mcf::CertifyReport recertify(const InstanceRecord& rec, const mcf::MinCostFlowRe
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Admission: a bounded backpressure queue in front of the slot pool, with
-// per-tenant quotas, deficit-round-robin fair share, and priority classes.
+// Admission: the slot pool plus one bounded backpressure queue made of
+// kNumPriorities intrusive FIFOs (a head and a tail per priority class).
 //
 // All state lives behind one mutex. Waiters are stack-allocated in the
-// blocked caller's frame and linked into per-(tenant, priority) intrusive
-// FIFOs; a per-priority ring of tenant ids plus a DRR credit per tenant
-// decides who dequeues next. Slot handoff happens inside release(), under
-// the mutex, so a freed slot can never be stolen by a late arrival while an
-// eligible waiter is parked. Progress: a slot is only ever granted to a
-// thread that is actively blocked in acquire(), so every slot holder is a
-// running task and releases eventually — no circular wait.
+// blocked caller's frame and linked into their class's FIFO, so parking a
+// request touches only that Waiter and the head/tail arrays — it allocates
+// nothing. Dispatch serves the head of the most important non-empty class.
+// Slot handoff happens inside release(), under the mutex, so a freed slot
+// can never be stolen by a late arrival while a waiter is parked (the queue
+// is non-empty only while every slot is held or drained). Progress: a slot
+// is only ever granted to a thread that is actively blocked in acquire(),
+// so every slot holder is a running task and releases eventually — no
+// circular wait.
 
 struct Engine::Admission {
   struct Waiter {
     std::condition_variable cv;
     enum class State { kWaiting, kAdmitted, kEvicted } state = State::kWaiting;
-    std::uint32_t tenant = 0;
     std::size_t priority = 0;
-    bool reserved = false;  ///< batch reservation: eviction-exempt
     Waiter* prev = nullptr;
     Waiter* next = nullptr;
-  };
-
-  struct Tenant {
-    std::size_t limit = 0;  ///< max in flight; 0 = uncapped
-    std::uint64_t weight = 1;
-    std::size_t in_flight = 0;
-    std::uint64_t credit[kNumPriorities] = {};
-    Waiter* head[kNumPriorities] = {};
-    Waiter* tail[kNumPriorities] = {};
-    bool in_ring[kNumPriorities] = {};
   };
 
   enum class Outcome {
@@ -122,86 +116,62 @@ struct Engine::Admission {
   };
 
   Admission(const EngineConfig& cfg, std::atomic<std::size_t>* gauge)
-      : slots(cfg.max_in_flight),
-        max_queue(cfg.max_queue),
-        gauge_(gauge) {
-    for (const TenantQuota& q : cfg.quotas) {
-      Tenant& t = tenants_[q.tenant];
-      t.limit = q.max_in_flight;
-      t.weight = std::max<std::uint64_t>(1, q.weight);
-    }
-  }
+      : slots(cfg.max_in_flight), max_queue(cfg.max_queue), gauge_(gauge) {}
 
-  AcquireResult acquire(std::uint32_t tenant_id, std::size_t priority,
-                        Clock::time_point wall, const core::CancelToken* t1,
-                        const core::CancelToken* t2, bool reserved_item, bool warm,
-                        par::FaultInjector* chaos, EngineMetrics& metrics) {
+  AcquireResult acquire(std::size_t priority, Clock::time_point wall,
+                        const core::CancelToken* t1, const core::CancelToken* t2, bool warm,
+                        par::FaultInjector* chaos) {
     std::unique_lock<std::mutex> lock(mu_);
-    if (reserved_item && pending_ > 0) --pending_;  // reservation → live waiter
-
-    const Tenant* t = find_tenant(tenant_id);
-    const bool quota_ok = t == nullptr || t->limit == 0 || t->in_flight < t->limit;
-    const bool slot_free = free_slots_locked() > 0;
-    const std::size_t depth_now = queue_len_ + pending_;
-    if (slot_free && quota_ok) {
-      Tenant& tt = ensure_tenant(tenant_id);
-      ++tt.in_flight;
+    if (free_slots_locked() > 0) {
       ++in_use_;
       publish_gauge();
-      return {Outcome::kAcquired, false, depth_now};
+      return {Outcome::kAcquired, false, queue_len_};
     }
 
-    if (!reserved_item) {
-      // No free (eligible) slot and this request holds no reservation:
-      // shed or queue. Every shed decision here happens before the request
-      // touches instance scratch or a solver context — allocation-free.
-      if (max_queue == 0) return {Outcome::kShedNoCapacity, false, depth_now};
-      // Predict this request's queue wait from the service-time EWMA and
-      // its position; an unmeetable deadline sheds now instead of burning
-      // a slot (or queue residency) on a doomed request. Warm resolves are
-      // judged by their own (much cheaper) track so a cold-calibrated
-      // estimate cannot shed them; an empty track borrows the other as a
-      // conservative stand-in.
-      double est_us = ewma_us_[warm ? 1 : 0];
-      if (est_us == 0.0) est_us = ewma_us_[warm ? 0 : 1];
-      if (wall != Clock::time_point::max() && est_us > 0.0) {
-        const double ahead = static_cast<double>(queue_len_ + pending_ + 1);
-        const double eff_slots = static_cast<double>(
-            std::max<std::size_t>(1, slots > reserved_ ? slots - reserved_ : 1));
-        const auto expected = std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double, std::micro>(est_us * ahead / eff_slots));
-        if (Clock::now() + expected > wall) return {Outcome::kShedDeadline, false, depth_now};
-      }
-      if (queue_len_ + pending_ >= max_queue) {
-        // Full queue: a more important arrival bumps the least important
-        // (and newest) evictable waiter; otherwise the newcomer sheds.
-        if (!evict_locked(priority)) return {Outcome::kShedQueueFull, false, depth_now};
-      }
-      if (slot_free) metrics.count(EngineCounter::kQuotaDeferred);
+    // No free slot: shed or queue. Every shed decision here happens before
+    // the request touches instance scratch or a solver context —
+    // allocation-free.
+    if (max_queue == 0) return {Outcome::kShedNoCapacity, false, queue_len_};
+    // Predict this request's queue wait from the service-time EWMA and its
+    // position; an unmeetable deadline sheds now instead of burning a slot
+    // (or queue residency) on a doomed request. Warm resolves are judged by
+    // their own (much cheaper) track so a cold-calibrated estimate cannot
+    // shed them; an empty track borrows the other as a conservative
+    // stand-in.
+    double est_us = ewma_us_[warm ? 1 : 0];
+    if (est_us == 0.0) est_us = ewma_us_[warm ? 0 : 1];
+    if (wall != Clock::time_point::max() && est_us > 0.0) {
+      const double ahead = static_cast<double>(queue_len_ + 1);
+      const double eff_slots = static_cast<double>(
+          std::max<std::size_t>(1, slots > reserved_ ? slots - reserved_ : 1));
+      const auto expected = std::chrono::duration_cast<Clock::duration>(
+          std::chrono::duration<double, std::micro>(est_us * ahead / eff_slots));
+      if (Clock::now() + expected > wall) return {Outcome::kShedDeadline, false, queue_len_};
     }
+    // Full queue: a more important arrival bumps the newest waiter of the
+    // least important class below it; otherwise the newcomer sheds.
+    if (queue_len_ >= max_queue && !evict_locked(priority))
+      return {Outcome::kShedQueueFull, false, queue_len_};
 
     if (chaos != nullptr && chaos->should_fire(par::FaultKind::kCancelRequest))
-      return {Outcome::kCanceled, false, depth_now};  // enqueue-point chaos draw
+      return {Outcome::kCanceled, false, queue_len_};  // enqueue-point chaos draw
 
     Waiter w;
-    w.tenant = tenant_id;
     w.priority = priority;
-    w.reserved = reserved_item;
     enqueue_locked(&w);
 
     const bool has_deadline = wall != Clock::time_point::max();
     while (true) {
       if (w.state == Waiter::State::kAdmitted) break;
-      if (w.state == Waiter::State::kEvicted)
-        return {Outcome::kShedEvicted, true, queue_len_ + pending_};
+      if (w.state == Waiter::State::kEvicted) return {Outcome::kShedEvicted, true, queue_len_};
       if ((t1 != nullptr && t1->canceled()) || (t2 != nullptr && t2->canceled())) {
         unlink_locked(&w);
-        return {Outcome::kCanceled, true, queue_len_ + pending_};
+        return {Outcome::kCanceled, true, queue_len_};
       }
       const auto now = Clock::now();
       if (has_deadline && now >= wall) {
         unlink_locked(&w);
-        return {Outcome::kTimeout, true, queue_len_ + pending_};
+        return {Outcome::kTimeout, true, queue_len_};
       }
       const auto tick = now + kQueuePollTick;
       w.cv.wait_until(lock, has_deadline ? std::min(tick, wall) : tick);
@@ -209,23 +179,21 @@ struct Engine::Admission {
 
     if (chaos != nullptr && chaos->should_fire(par::FaultKind::kCancelRequest)) {
       // Dequeue-point chaos draw: hand the just-granted slot onward.
-      --tenants_.at(tenant_id).in_flight;
       --in_use_;
       publish_gauge();
       dispatch_locked();
-      return {Outcome::kCanceled, true, queue_len_ + pending_};
+      return {Outcome::kCanceled, true, queue_len_};
     }
-    return {Outcome::kAcquired, true, queue_len_ + pending_};
+    return {Outcome::kAcquired, true, queue_len_};
   }
 
   /// Return a slot; fold the observed service time into the matching wait
   /// predictor track (warm resolves and cold solves have service times an
   /// order of magnitude apart — mixing them made the predictor shed cheap
   /// warm resolves off expensive cold calibration) and hand the slot to the
-  /// next DRR-eligible waiter under the same lock.
-  void release(std::uint32_t tenant_id, double solve_us, bool warm) {
+  /// next waiter under the same lock.
+  void release(double solve_us, bool warm) {
     const std::lock_guard<std::mutex> lock(mu_);
-    --tenants_.at(tenant_id).in_flight;
     --in_use_;
     publish_gauge();
     if (solve_us > 0.0) {
@@ -235,29 +203,13 @@ struct Engine::Admission {
     dispatch_locked();
   }
 
-  /// Queueless batch admission: grab the deterministic prefix of `want`
-  /// that fits the free slots and the tenant's quota, all upfront.
-  std::size_t acquire_batch_upfront(std::uint32_t tenant_id, std::size_t want) {
+  /// Batch admission: grab the deterministic prefix of `want` that fits the
+  /// free slots, all upfront.
+  std::size_t acquire_upfront(std::size_t want) {
     const std::lock_guard<std::mutex> lock(mu_);
-    Tenant& t = ensure_tenant(tenant_id);
-    std::size_t room = free_slots_locked();
-    if (t.limit != 0) room = std::min(room, t.limit > t.in_flight ? t.limit - t.in_flight : 0);
-    const std::size_t n = std::min(want, room);
-    t.in_flight += n;
+    const std::size_t n = std::min(want, free_slots_locked());
     in_use_ += n;
     publish_gauge();
-    return n;
-  }
-
-  /// Queued batch admission: reserve slots-plus-queue capacity for the
-  /// deterministic prefix; each item converts its reservation into a slot
-  /// (or an eviction-exempt parked waiter) when its task runs.
-  std::size_t reserve_batch(std::size_t want) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const std::size_t occupied = queue_len_ + pending_;
-    const std::size_t free_queue = max_queue > occupied ? max_queue - occupied : 0;
-    const std::size_t n = std::min(want, free_slots_locked() + free_queue);
-    pending_ += n;
     return n;
   }
 
@@ -276,21 +228,13 @@ struct Engine::Admission {
 
   std::size_t depth() const {
     const std::lock_guard<std::mutex> lock(mu_);
-    return queue_len_ + pending_;
+    return queue_len_;
   }
 
   const std::size_t slots;
   const std::size_t max_queue;
 
  private:
-  const Tenant* find_tenant(std::uint32_t id) const {
-    const auto it = tenants_.find(id);
-    return it == tenants_.end() ? nullptr : &it->second;
-  }
-
-  /// An unlisted tenant starts uncapped with weight 1 (the Tenant defaults).
-  Tenant& ensure_tenant(std::uint32_t id) { return tenants_[id]; }
-
   std::size_t free_slots_locked() const {
     const std::size_t held = in_use_ + reserved_;
     return slots > held ? slots - held : 0;
@@ -301,103 +245,60 @@ struct Engine::Admission {
   }
 
   void enqueue_locked(Waiter* w) {
-    Tenant& t = ensure_tenant(w->tenant);
     const std::size_t p = w->priority;
-    w->prev = t.tail[p];
+    w->prev = tail_[p];
     w->next = nullptr;
-    if (t.tail[p] != nullptr)
-      t.tail[p]->next = w;
+    if (tail_[p] != nullptr)
+      tail_[p]->next = w;
     else
-      t.head[p] = w;
-    t.tail[p] = w;
-    if (!t.in_ring[p]) {
-      t.in_ring[p] = true;
-      t.credit[p] = t.weight;
-      rings_[p].push_back(w->tenant);
-    }
+      head_[p] = w;
+    tail_[p] = w;
     ++queue_len_;
   }
 
   void unlink_locked(Waiter* w) {
-    Tenant& t = tenants_.at(w->tenant);
     const std::size_t p = w->priority;
     if (w->prev != nullptr)
       w->prev->next = w->next;
     else
-      t.head[p] = w->next;
+      head_[p] = w->next;
     if (w->next != nullptr)
       w->next->prev = w->prev;
     else
-      t.tail[p] = w->prev;
+      tail_[p] = w->prev;
     w->prev = w->next = nullptr;
-    --queue_len_;  // ring entry is reaped lazily by pick_locked
+    --queue_len_;
   }
 
-  /// Deficit round robin within the highest non-empty priority class: each
-  /// ring visit serves up to `weight` waiters from one tenant before the
-  /// cursor moves on, skipping tenants parked at their quota.
-  Waiter* pick_locked() {
-    for (std::size_t p = 0; p < kNumPriorities; ++p) {
-      auto& ring = rings_[p];
-      std::size_t skipped = 0;
-      while (!ring.empty() && skipped < ring.size()) {
-        if (cursor_[p] >= ring.size()) cursor_[p] = 0;
-        Tenant& t = tenants_.at(ring[cursor_[p]]);
-        if (t.head[p] == nullptr) {
-          t.in_ring[p] = false;
-          ring.erase(ring.begin() + static_cast<std::ptrdiff_t>(cursor_[p]));
-          continue;  // the erase shifted the next tenant under the cursor
-        }
-        if (t.limit != 0 && t.in_flight >= t.limit) {
-          cursor_[p] = (cursor_[p] + 1) % ring.size();
-          ++skipped;
-          continue;
-        }
-        if (t.credit[p] == 0) t.credit[p] = t.weight;
-        --t.credit[p];
-        Waiter* w = t.head[p];
-        unlink_locked(w);
-        if (t.credit[p] == 0 || t.head[p] == nullptr) {
-          t.credit[p] = t.weight;
-          if (!ring.empty()) cursor_[p] = (cursor_[p] + 1) % ring.size();
-        }
-        return w;
-      }
-    }
+  /// The head of the most important non-empty class (nullptr: queue empty).
+  Waiter* front_locked() const {
+    for (Waiter* w : head_)
+      if (w != nullptr) return w;
     return nullptr;
-  }
-
-  void grant_locked(Waiter* w) {
-    ++in_use_;
-    ++tenants_.at(w->tenant).in_flight;
-    publish_gauge();
-    w->state = Waiter::State::kAdmitted;
-    w->cv.notify_one();
   }
 
   void dispatch_locked() {
     while (free_slots_locked() > 0) {
-      Waiter* w = pick_locked();
+      Waiter* w = front_locked();
       if (w == nullptr) break;
-      grant_locked(w);
+      unlink_locked(w);
+      ++in_use_;
+      publish_gauge();
+      w->state = Waiter::State::kAdmitted;
+      w->cv.notify_one();
     }
   }
 
   /// Bump the newest waiter of the least important class strictly below the
-  /// newcomer; batch reservations are exempt (their admission was already
-  /// decided deterministically). Returns false when nothing is evictable.
+  /// newcomer. Returns false when nothing is evictable.
   bool evict_locked(std::size_t newcomer_priority) {
     for (std::size_t p = kNumPriorities; p-- > newcomer_priority + 1;) {
-      for (const std::uint32_t id : rings_[p]) {
-        Tenant& t = tenants_.at(id);
-        for (Waiter* w = t.tail[p]; w != nullptr; w = w->prev) {
-          if (w->reserved) continue;
-          unlink_locked(w);
-          w->state = Waiter::State::kEvicted;
-          w->cv.notify_one();
-          return true;
-        }
-      }
+      Waiter* w = tail_[p];
+      if (w == nullptr) continue;
+      unlink_locked(w);
+      w->state = Waiter::State::kEvicted;
+      w->cv.notify_one();
+      return true;
     }
     return false;
   }
@@ -406,14 +307,12 @@ struct Engine::Admission {
   std::size_t in_use_ = 0;
   std::size_t reserved_ = 0;   ///< slots drained via reserve_capacity
   std::size_t queue_len_ = 0;  ///< parked waiters
-  std::size_t pending_ = 0;    ///< latent batch reservations
+  Waiter* head_[kNumPriorities] = {};
+  Waiter* tail_[kNumPriorities] = {};
   /// Service-time predictors for the deadline shed: [0] cold solves,
   /// [1] warm resolves (central-path restart offered).
   double ewma_us_[2] = {0.0, 0.0};
   std::atomic<std::size_t>* gauge_;
-  std::unordered_map<std::uint32_t, Tenant> tenants_;
-  std::vector<std::uint32_t> rings_[kNumPriorities];
-  std::size_t cursor_[kNumPriorities] = {};
 };
 
 // ---------------------------------------------------------------------------
@@ -423,7 +322,8 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
     admission_ = std::make_unique<Admission>(config_, &in_flight_);
   store_ = std::make_unique<InstanceStore>(config_.instance_cache_capacity);
   if (config_.chaos_cancel_rate > 0.0)
-    chaos_.arm(par::FaultKind::kCancelRequest, config_.chaos_cancel_rate, config_.chaos_seed);
+    chaos_.arm(par::FaultKind::kCancelRequest, config_.chaos_cancel_rate,
+               mix_seed(config_.seed, kChaosSalt));
   if (!config_.persist_dir.empty()) {
     PersistConfig pcfg;
     pcfg.dir = config_.persist_dir;
@@ -563,25 +463,24 @@ EngineSolveResult Engine::admit_and_solve(const Instance& inst, const mcf::Solve
   if (admission_ != nullptr && mode != AdmitMode::kPreAcquired) {
     const core::Deadline merged = merge_deadlines(control.deadline, inst.deadline);
     par::FaultInjector* chaos = config_.chaos_cancel_rate > 0.0 ? &chaos_ : nullptr;
-    const auto acq = admission_->acquire(control.tenant, priority, merged.wall, control.cancel,
-                                         engine_token, mode == AdmitMode::kReservedAcquire,
-                                         warm_request, chaos, metrics_);
+    const auto acq = admission_->acquire(priority, merged.wall, control.cancel, engine_token,
+                                         warm_request, chaos);
     switch (acq.outcome) {
       case Admission::Outcome::kAcquired:
         metrics_.count(acq.queued ? EngineCounter::kAdmittedQueued
                                   : EngineCounter::kAdmittedImmediate);
         break;
       case Admission::Outcome::kShedNoCapacity:
-        metrics_.on_shed(priority, EngineCounter::kShedNoCapacity, control.tenant, acq.depth);
+        metrics_.on_shed(priority, EngineCounter::kShedNoCapacity, acq.depth);
         return refusal(SolveStatus::kLoadShed, "no capacity");
       case Admission::Outcome::kShedQueueFull:
-        metrics_.on_shed(priority, EngineCounter::kShedQueueFull, control.tenant, acq.depth);
+        metrics_.on_shed(priority, EngineCounter::kShedQueueFull, acq.depth);
         return refusal(SolveStatus::kLoadShed, "queue full");
       case Admission::Outcome::kShedDeadline:
-        metrics_.on_shed(priority, EngineCounter::kShedDeadline, control.tenant, acq.depth);
+        metrics_.on_shed(priority, EngineCounter::kShedDeadline, acq.depth);
         return refusal(SolveStatus::kLoadShed, "deadline<wait");
       case Admission::Outcome::kShedEvicted:
-        metrics_.on_shed(priority, EngineCounter::kShedEvicted, control.tenant, acq.depth);
+        metrics_.on_shed(priority, EngineCounter::kShedEvicted, acq.depth);
         return refusal(SolveStatus::kLoadShed, "evicted");
       case Admission::Outcome::kTimeout:
         metrics_.count(EngineCounter::kQueueTimeouts);
@@ -607,8 +506,7 @@ EngineSolveResult Engine::admit_and_solve(const Instance& inst, const mcf::Solve
   if (out.result.stats.certified) metrics_.count(EngineCounter::kCertified);
   if (out.result.stats.certification_failures > 0)
     metrics_.count(EngineCounter::kCertificationFailures, out.result.stats.certification_failures);
-  if (admission_ != nullptr)
-    admission_->release(control.tenant, to_us(done - acquired_at), warm_request);
+  if (admission_ != nullptr) admission_->release(to_us(done - acquired_at), warm_request);
   return out;
 }
 
@@ -633,34 +531,25 @@ std::vector<EngineSolveResult> Engine::solve_batch(const std::vector<Instance>& 
   const std::size_t priority = clamp_priority(control.priority);
   metrics_.on_submitted(priority, batch.size());
   // Admission is decided upfront, in index order, before any fan-out: the
-  // first `admitted` items fit the free slots (plus, with a queue, the free
-  // queue capacity), the suffix is shed. The decision is thus independent of
-  // pool scheduling, preserving the serial == pooled bit-identity contract.
+  // first `admitted` items take the free slots, the suffix is shed. The
+  // decision is thus independent of pool scheduling, preserving the
+  // serial == pooled bit-identity contract. Batch items never queue.
   std::size_t admitted = batch.size();
-  AdmitMode mode = AdmitMode::kPreAcquired;
   if (admission_ != nullptr) {
-    if (config_.max_queue == 0) {
-      admitted = admission_->acquire_batch_upfront(control.tenant, batch.size());
-      metrics_.count(EngineCounter::kAdmittedImmediate, admitted);
-    } else {
-      admitted = admission_->reserve_batch(batch.size());
-      mode = AdmitMode::kReservedAcquire;
-    }
+    admitted = admission_->acquire_upfront(batch.size());
     if (admitted < batch.size()) {
-      const EngineCounter kind = config_.max_queue == 0 ? EngineCounter::kShedNoCapacity
-                                                        : EngineCounter::kShedQueueFull;
-      const char* detail = config_.max_queue == 0 ? "no capacity" : "queue full";
-      metrics_.on_shed(priority, kind, control.tenant, queue_depth(), batch.size() - admitted);
+      metrics_.on_shed(priority, EngineCounter::kShedNoCapacity, queue_depth(),
+                       batch.size() - admitted);
       for (std::size_t i = admitted; i < batch.size(); ++i)
-        results[i] = refusal(SolveStatus::kLoadShed, detail);
+        results[i] = refusal(SolveStatus::kLoadShed, "no capacity");
     }
-  } else {
-    metrics_.count(EngineCounter::kAdmittedImmediate, batch.size());
   }
+  metrics_.count(EngineCounter::kAdmittedImmediate, admitted);
   const std::shared_ptr<core::CancelToken> engine_token =
       admitted > 0 ? issue_handle(control) : nullptr;
   const auto solve_one = [&](std::size_t i) {
-    results[i] = admit_and_solve(batch[i], opts, control, /*salt=*/i, engine_token.get(), mode);
+    results[i] = admit_and_solve(batch[i], opts, control, /*salt=*/i, engine_token.get(),
+                                 AdmitMode::kPreAcquired);
   };
   par::ThreadPool* p = pool();
   if (p == nullptr || p->num_threads() <= 1 || admitted <= 1) {

@@ -15,11 +15,11 @@
 //     of (instance, options) — per-solve seeds derive from the engine seed
 //     and the batch index, never from scheduling order.
 //   - Under overload the Engine degrades deliberately instead of queueing
-//     without bound: a CAS slot pool caps solves in flight, a bounded
-//     backpressure queue absorbs bursts, per-tenant quotas and deficit-
-//     round-robin dequeue keep one hot tenant from starving the rest,
-//     priorities (0 = most important) shed low-priority work first, and a
-//     lock-free metrics surface (mcf/metrics.hpp) exports what happened.
+//     without bound: a slot pool caps solves in flight, a bounded
+//     backpressure queue (one FIFO per priority class) absorbs bursts of
+//     blocking callers, priorities (0 = most important) are served first
+//     and shed last, and a lock-free metrics surface (mcf/metrics.hpp)
+//     exports what happened.
 //
 // Instrumented engines (the default) run each solve single-threaded under
 // its own PRAM tracker — batch throughput then comes purely from solving
@@ -78,20 +78,10 @@ struct Instance {
   }
 };
 
-/// Per-tenant admission limits for EngineConfig::quotas.
-struct TenantQuota {
-  std::uint32_t tenant = 0;
-  /// Cap on this tenant's solves in flight (0 = no per-tenant cap). A tenant
-  /// at its cap queues (kQuotaDeferred) even while slots are free.
-  std::size_t max_in_flight = 0;
-  /// Deficit-round-robin share: a tenant with weight w is served w requests
-  /// per rotation of its priority ring. Must be >= 1.
-  std::uint64_t weight = 1;
-};
-
 struct EngineConfig {
   /// Master seed; per-solve context seeds are derived from it (mixed with
-  /// the batch index / call counter) so distinct solves get distinct streams.
+  /// the batch index / call counter) so distinct solves get distinct streams,
+  /// and so is the chaos injector's seed.
   std::uint64_t seed = 0x5eedf00dULL;
   /// PRAM-instrument each solve (single-threaded per solve, exact work/depth
   /// in stats). false = wall-clock mode, inner primitives may use the pool.
@@ -101,26 +91,22 @@ struct EngineConfig {
   par::ThreadPool* pool = nullptr;
   bool use_global_pool = true;
   /// Admission control (DESIGN.md §11–12): upper bound on solves in flight
-  /// across all threads sharing this Engine. 0 = unbounded (the queue,
-  /// quotas, and priorities below are then inert).
+  /// across all threads sharing this Engine. 0 = unbounded (the queue and
+  /// priorities below are then inert).
   std::size_t max_in_flight = 0;
-  /// Backpressure queue capacity in front of the slot pool. 0 = no queue:
-  /// a request that finds no free slot is shed immediately with
-  /// SolveStatus::kLoadShed, and solve_batch admits a deterministic prefix
-  /// (index order) of whatever fits the free slots — the pre-queue
-  /// behaviour. With a queue, overflow sheds typed kLoadShed, arrivals
-  /// whose deadline cannot be met given the predicted queue wait are shed
-  /// up front, and a full queue evicts a strictly-lower-priority waiter to
-  /// make room for a more important arrival.
+  /// Backpressure queue capacity in front of the slot pool, shared by the
+  /// blocking callers (solve, resolve). 0 = no queue: a request that finds
+  /// no free slot is shed immediately with SolveStatus::kLoadShed. With a
+  /// queue, overflow sheds typed kLoadShed, arrivals whose deadline cannot
+  /// be met given the predicted queue wait are shed up front, and a full
+  /// queue evicts a strictly-lower-priority waiter to make room for a more
+  /// important arrival. solve_batch never queues (see there).
   std::size_t max_queue = 0;
-  /// Per-tenant overrides; tenants not listed are uncapped with weight 1.
-  std::vector<TenantQuota> quotas;
   /// Chaos engineering: probability that a kCancelRequest fault fires at the
   /// admission queue's enqueue and dequeue points, turning the request into
-  /// a typed kCanceled result. Draws are deterministic in chaos_seed but
+  /// a typed kCanceled result. Draws are deterministic in `seed` but
   /// ordered by thread interleaving; 0 disables the injector entirely.
   double chaos_cancel_rate = 0.0;
-  std::uint64_t chaos_seed = 0xc4a05eedULL;
   /// Cross-solve instance cache (DESIGN.md §15): how many registered
   /// instances may retain solved artifacts (preconditioner drift state,
   /// central-path warm start, certified optimum) at once; least-recently
@@ -158,10 +144,6 @@ struct SolveControl {
   /// Atomic so a watcher thread can poll for publication (0 = not yet
   /// published) while the solving thread blocks inside solve().
   std::atomic<SolveHandle>* handle = nullptr;
-  /// Fair-share accounting key; requests are queued and quota-checked per
-  /// tenant. Tenants need no registration — ids absent from
-  /// EngineConfig::quotas are uncapped with weight 1.
-  std::uint32_t tenant = 0;
   /// 0 (most important) … kNumPriorities-1. Under overload lower priorities
   /// shed first; values past the ladder clamp to the least important class.
   std::uint32_t priority = 0;
@@ -184,7 +166,7 @@ class Engine {
   /// Solve one instance. Reentrant: safe to call from many threads sharing
   /// this Engine (and its pool) concurrently; each call runs under a private
   /// SolverContext, so returned stats cover exactly this solve. `control`
-  /// carries the request's deadline/cancellation/tenant/priority; under
+  /// carries the request's deadline/cancellation/priority; under
   /// admission control a full engine either parks the request in the
   /// bounded queue (blocking this thread until a slot frees, the deadline
   /// expires, or a token cancels) or sheds it with SolveStatus::kLoadShed.
@@ -198,10 +180,9 @@ class Engine {
   /// index i — independent of thread count and scheduling. The request-level
   /// `control` deadline combines with each item's Instance::deadline; under
   /// admission control, the deterministic prefix of the batch that fits the
-  /// free slots plus free queue capacity is admitted (decided upfront in
-  /// index order, so serial and pooled runs agree exactly) and the rest is
-  /// shed with kLoadShed. Admitted items block for their slot inside their
-  /// own task; their queue reservations are exempt from eviction.
+  /// free slots is admitted (decided upfront in index order, so serial and
+  /// pooled runs agree exactly) and the rest is shed with kLoadShed
+  /// "no capacity". Batch items never wait in the admission queue.
   [[nodiscard]] std::vector<EngineSolveResult> solve_batch(
       const std::vector<Instance>& batch, const mcf::SolveOptions& opts = {},
       const SolveControl& control = {}) const;
@@ -221,7 +202,7 @@ class Engine {
   [[nodiscard]] std::size_t in_flight() const {
     return in_flight_.load(std::memory_order_relaxed);
   }
-  /// Requests parked in (or reserved against) the admission queue.
+  /// Requests parked in the admission queue.
   [[nodiscard]] std::size_t queue_depth() const;
 
   /// Drain control: take up to `n` admission slots out of service (returns
@@ -300,7 +281,7 @@ class Engine {
       InstanceHandle handle) const;
 
  private:
-  struct Admission;  // bounded queue + tenant DRR + priorities (engine.cpp)
+  struct Admission;  // slot pool + one bounded FIFO per priority (engine.cpp)
 
   /// Cross-solve plumbing a resolve threads through admit_and_solve into
   /// solve_with_salt: the retained AccelCache to adopt/harvest, the
@@ -325,11 +306,10 @@ class Engine {
                                                   const core::CancelToken* engine_token,
                                                   const WarmPlumbing* warm = nullptr) const;
 
-  /// How a request reaches its admission slot: a direct solve() acquires in
-  /// full; a batch item under a queue converts its pre-counted reservation
-  /// (blocking, eviction-exempt); a batch item on a queueless engine (or any
-  /// item of an unbounded one) had its slot taken upfront by solve_batch.
-  enum class AdmitMode { kAcquire, kReservedAcquire, kPreAcquired };
+  /// How a request reaches its admission slot: solve() and resolve()
+  /// acquire (and may queue); a solve_batch item had its slot taken upfront
+  /// by solve_batch.
+  enum class AdmitMode { kAcquire, kPreAcquired };
 
   /// Full admission + solve + release for one request (shared by solve(),
   /// each admitted solve_batch item, and resolve()'s solving paths).

@@ -10,7 +10,6 @@ const char* to_string(EngineCounter c) {
     case EngineCounter::kSubmitted: return "Submitted";
     case EngineCounter::kAdmittedImmediate: return "AdmittedImmediate";
     case EngineCounter::kAdmittedQueued: return "AdmittedQueued";
-    case EngineCounter::kQuotaDeferred: return "QuotaDeferred";
     case EngineCounter::kSolvedOk: return "SolvedOk";
     case EngineCounter::kDeadlineExceeded: return "DeadlineExceeded";
     case EngineCounter::kCanceled: return "Canceled";
@@ -131,8 +130,7 @@ MetricsSnapshot EngineMetrics::snapshot() const {
     e.seq = s1 / 2;
     e.reason = static_cast<EngineCounter>(packed & 0xff);
     e.priority = static_cast<std::uint8_t>((packed >> 8) & 0xff);
-    e.tenant = static_cast<std::uint32_t>((packed >> 16) & 0xffffff);
-    e.queue_depth = static_cast<std::uint32_t>(packed >> 40);
+    e.queue_depth = static_cast<std::uint32_t>(packed >> 16);
     snap.shed_trace.push_back(e);
   }
   std::sort(snap.shed_trace.begin(), snap.shed_trace.end(),

@@ -36,14 +36,14 @@ inline constexpr std::size_t kNumPriorities = 4;
 enum class EngineCounter : std::uint8_t {
   kSubmitted = 0,      ///< requests entering solve() / batch items
   kAdmittedImmediate,  ///< took a free slot at arrival (no queue pass)
-  kAdmittedQueued,     ///< entered the admission queue / a batch reservation
-  kQuotaDeferred,      ///< queued while a slot was free (tenant at quota)
+  kAdmittedQueued,     ///< granted a slot after waiting in the admission queue
   // --- terminal outcomes -------------------------------------------------
   kSolvedOk,          ///< solve returned kOk
   kDeadlineExceeded,  ///< expired mid-solve or while queued
   kCanceled,          ///< canceled mid-solve or while queued
   kFailed,            ///< any other non-kOk solver status
-  kShedNoCapacity,    ///< kLoadShed: queueless engine, no free slot (or quota)
+  kShedNoCapacity,    ///< kLoadShed: no free slot and no queue to wait in
+                      ///< (queueless engine, or a solve_batch suffix)
   kShedQueueFull,     ///< kLoadShed: queue at capacity, nothing evictable
   kShedDeadline,      ///< kLoadShed: deadline unmeetable given queue wait
   kShedEvicted,       ///< kLoadShed: evicted by a higher-priority arrival
@@ -85,11 +85,11 @@ const char* to_string(EngineCounter c);
 
 // ---------------------------------------------------------------------------
 // Shed-decision trace ring: a bounded record of the most recent refusals so a
-// shed storm can be diagnosed after the fact ("who was turned away, and why?")
-// without logging on the hot path. Each cell is a tiny seqlock — writers pack
-// the entry into two u64 payload words between seq increments, readers retry
-// torn cells — so recording stays wait-free-ish and allocation-free (the shed
-// fast path is covered by AllocCountTest).
+// shed storm can be diagnosed after the fact ("which class was turned away,
+// and why?") without logging on the hot path. Each cell is a tiny seqlock —
+// writers pack the entry into two u64 payload words between seq increments,
+// readers retry torn cells — so recording stays wait-free-ish and
+// allocation-free (the shed fast path is covered by AllocCountTest).
 
 inline constexpr std::size_t kShedTraceCapacity = 64;
 
@@ -97,7 +97,6 @@ inline constexpr std::size_t kShedTraceCapacity = 64;
 struct ShedTraceEntry {
   std::uint64_t seq = 0;        ///< global shed ordinal (1-based, monotone)
   EngineCounter reason = EngineCounter::kShedNoCapacity;  ///< which kShed* fired
-  std::uint32_t tenant = 0;     ///< SolveControl::tenant of the refused request
   std::uint8_t priority = 0;    ///< its priority lane
   std::uint32_t queue_depth = 0;  ///< admission-queue depth at refusal time
 };
@@ -183,7 +182,7 @@ struct MetricsSnapshot {
   HistogramSnapshot queue_wait;  ///< arrival → slot acquisition, µs (admitted only)
   HistogramSnapshot solve_time;  ///< slot acquisition → solver return, µs
   std::size_t in_flight = 0;     ///< gauge: slots held at snapshot time
-  std::size_t queue_depth = 0;   ///< gauge: queue reservations at snapshot time
+  std::size_t queue_depth = 0;   ///< gauge: requests parked at snapshot time
   /// The last ≤ kShedTraceCapacity refusals, oldest first. Entries observed
   /// mid-write during the copy are skipped, so a snapshot taken during a shed
   /// storm may be slightly shorter than the ring.
@@ -222,13 +221,13 @@ class EngineMetrics {
   }
 
   /// A request was refused with kLoadShed; `kind` is one of the kShed*
-  /// counters naming why. `tenant` and `queue_depth` feed the trace ring —
-  /// a batch refusal (n > 1) records one trace entry for the whole batch.
-  void on_shed(std::size_t priority, EngineCounter kind, std::uint32_t tenant = 0,
-               std::size_t queue_depth = 0, std::uint64_t n = 1) {
+  /// counters naming why. `queue_depth` feeds the trace ring — a batch
+  /// refusal (n > 1) records one trace entry for the whole batch.
+  void on_shed(std::size_t priority, EngineCounter kind, std::size_t queue_depth = 0,
+               std::uint64_t n = 1) {
     count(kind, n);
     priorities_[priority].shed.fetch_add(n, std::memory_order_relaxed);
-    trace_shed(priority, kind, tenant, queue_depth);
+    trace_shed(priority, kind, queue_depth);
   }
 
   /// A request that held (or was denied short of) a slot reached a terminal
@@ -265,29 +264,27 @@ class EngineMetrics {
  private:
   // One trace-ring cell. `seq` doubles as the seqlock word: 0 = empty, odd =
   // write in progress, even = published (entry ordinal = seq / 2). Payload
-  // word packs reason | priority | tenant | queue depth.
+  // word packs reason | priority | queue depth.
   struct TraceCell {
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::uint64_t> packed{0};
   };
 
   static std::uint64_t pack_shed(EngineCounter kind, std::size_t priority,
-                                 std::uint32_t tenant, std::size_t queue_depth) {
+                                 std::size_t queue_depth) {
     const std::uint64_t depth =
-        queue_depth > 0xffffff ? 0xffffff : static_cast<std::uint64_t>(queue_depth);
-    // Field layout: reason[0,8) priority[8,16) tenant[16,40) depth[40,64).
+        queue_depth > 0xffffffff ? 0xffffffff : static_cast<std::uint64_t>(queue_depth);
+    // Field layout: reason[0,8) priority[8,16) depth[16,48).
     return static_cast<std::uint64_t>(kind) | (static_cast<std::uint64_t>(priority & 0xff) << 8) |
-           (static_cast<std::uint64_t>(tenant & 0xffffff) << 16) | (depth << 40);
+           (depth << 16);
   }
 
-  void trace_shed(std::size_t priority, EngineCounter kind, std::uint32_t tenant,
-                  std::size_t queue_depth) {
+  void trace_shed(std::size_t priority, EngineCounter kind, std::size_t queue_depth) {
     // Ordinal 1, 2, ... → cell (ordinal-1) % capacity; published seq = 2*ordinal.
     const std::uint64_t ordinal = shed_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
     TraceCell& cell = shed_trace_[(ordinal - 1) % kShedTraceCapacity];
     cell.seq.store(2 * ordinal - 1, std::memory_order_release);  // mark torn
-    cell.packed.store(pack_shed(kind, priority, tenant, queue_depth),
-                      std::memory_order_release);
+    cell.packed.store(pack_shed(kind, priority, queue_depth), std::memory_order_release);
     cell.seq.store(2 * ordinal, std::memory_order_release);  // publish
   }
 

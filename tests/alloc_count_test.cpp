@@ -13,9 +13,10 @@
 // work-stealing dispatch path itself queues tasks in mutex-guarded deques
 // (which may allocate) and is out of scope for the kernel-level claim.
 //
-// The same technique asserts the Engine's overload-shed fast path (DESIGN.md
-// §12) is allocation-free: a typed kLoadShed refusal from a drained or
-// queue-full engine must never touch the heap.
+// The same technique asserts the Engine's overload paths (DESIGN.md §12) are
+// allocation-free: a typed kLoadShed refusal from a drained or queue-full
+// engine must never touch the heap, and neither may parking a request in the
+// admission queue.
 
 #include <gtest/gtest.h>
 
@@ -23,8 +24,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <new>
 #include <thread>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "core/solver_context.hpp"
@@ -247,8 +250,7 @@ TEST_F(AllocCountTest, AdmissionShedFastPathIsAllocationFree) {
 
 TEST_F(AllocCountTest, QueueFullShedFastPathIsAllocationFree) {
   // Same claim for the bounded-queue overflow shed: a full queue refuses
-  // equal-priority arrivals without enqueueing (no waiter node, no tenant
-  // map insert — only parked requests register state).
+  // equal-priority arrivals before a waiter is ever linked in.
   par::Rng rng(910);
   const graph::Digraph g = graph::random_flow_network(12, 60, 6, 6, rng);
   const Instance inst = Instance::max_flow(g, 0, g.num_vertices() - 1);
@@ -284,6 +286,55 @@ TEST_F(AllocCountTest, QueueFullShedFastPathIsAllocationFree) {
   engine.restore_capacity(1);
   parked.join();
   EXPECT_EQ(parked_res.result.status, SolveStatus::kOk);
+}
+
+TEST_F(AllocCountTest, ParkingInTheQueueIsAllocationFree) {
+  // A parked request is a Waiter in its caller's stack frame, linked into
+  // its priority class's FIFO: parking touches no heap, on a fresh engine
+  // and across priority classes.
+  par::Rng rng(911);
+  const graph::Digraph g = graph::random_flow_network(12, 60, 6, 6, rng);
+  const Instance inst = Instance::max_flow(g, 0, g.num_vertices() - 1);
+  const mcf::SolveOptions opts;
+
+  par::Tracker::instance().set_enabled(false);
+  const Engine engine(
+      {.seed = 911, .use_global_pool = false, .max_in_flight = 1, .max_queue = 4});
+  ASSERT_EQ(engine.reserve_capacity(1), 1u);
+
+  // The client threads exist before the window; each calls solve() only
+  // once released, so the window sees nothing but the parking itself.
+  const std::uint32_t priorities[] = {3, 1, 3, 1};
+  constexpr std::size_t kClients = std::size(priorities);
+  std::atomic<std::size_t> released{0};
+  EngineSolveResult results[kClients];
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (std::size_t i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      while (released.load() <= i) std::this_thread::sleep_for(std::chrono::microseconds(100));
+      SolveControl control;
+      control.priority = priorities[i];
+      results[i] = engine.solve(inst, opts, control);
+    });
+  }
+
+  const std::uint64_t before = g_alloc_count.load();
+  for (std::size_t i = 0; i < kClients; ++i) {
+    released.store(i + 1);
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (engine.queue_depth() < i + 1 && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  const std::uint64_t after = g_alloc_count.load();
+  EXPECT_EQ(engine.queue_depth(), kClients);
+  EXPECT_EQ(after - before, 0u)
+      << "parking " << kClients << " requests allocated " << (after - before)
+      << " times; a parked request must not touch the heap";
+
+  engine.restore_capacity(1);
+  for (auto& c : clients) c.join();
+  for (const EngineSolveResult& r : results) EXPECT_EQ(r.result.status, SolveStatus::kOk);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Overload-hardening acceptance tests for pmcf::Engine (DESIGN.md §12):
-// bounded backpressure queue, per-tenant fair-share admission (quotas +
-// deficit round robin), priorities with eviction, typed load shedding, and
-// the serving-metrics surface.
+// the bounded backpressure queue (one FIFO per priority class), priorities
+// with eviction, typed load shedding, and the serving-metrics surface.
 //
 //  - A seeded burst into a one-slot engine produces exactly reproducible
 //    per-item statuses, identical between serial and pooled execution (the
@@ -9,8 +8,7 @@
 //  - Every refusal is typed (kLoadShed / kDeadlineExceeded / kCanceled with
 //    a short machine-readable detail) and lands in exactly one terminal
 //    metrics counter: terminal_total() == Submitted after every drain.
-//  - The queue drains FIFO within one tenant, round-robin across tenants,
-//    and proportionally to configured DRR weights.
+//  - The queue drains the most important class first, FIFO within a class.
 //  - A full queue evicts the newest lowest-priority waiter for a strictly
 //    more important arrival; equals never evict each other.
 //
@@ -138,19 +136,20 @@ TEST_F(EngineOverloadTest, BurstIntoOneSlotEngineIsDeterministicSerialAndPooled)
   const Engine pooled_engine(base);
   const auto pooled = pooled_engine.solve_batch(batch, combinatorial_opts());
 
-  // Admitted prefix = 1 slot + 3 queue reservations; deterministic suffix
-  // sheds typed. Identical statuses and bit-identical admitted results.
+  // Admitted prefix = the 1 free slot (batch items never queue); the
+  // deterministic suffix sheds typed. Identical statuses and bit-identical
+  // admitted results.
   ASSERT_EQ(serial.size(), batch.size());
   ASSERT_EQ(pooled.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     SCOPED_TRACE(i);
-    EXPECT_EQ(serial[i].result.status, i < 4 ? SolveStatus::kOk : SolveStatus::kLoadShed);
+    EXPECT_EQ(serial[i].result.status, i == 0 ? SolveStatus::kOk : SolveStatus::kLoadShed);
     EXPECT_EQ(pooled[i].result.status, serial[i].result.status);
     EXPECT_EQ(pooled[i].result.flow_value, serial[i].result.flow_value);
     EXPECT_EQ(pooled[i].result.cost, serial[i].result.cost);
     EXPECT_EQ(pooled[i].result.arc_flow, serial[i].result.arc_flow);
-    if (i >= 4) {
-      EXPECT_EQ(serial[i].result.failure_detail, "queue full");
+    if (i > 0) {
+      EXPECT_EQ(serial[i].result.failure_detail, "no capacity");
     }
   }
 
@@ -166,22 +165,22 @@ TEST_F(EngineOverloadTest, BurstIntoOneSlotEngineIsDeterministicSerialAndPooled)
   // counter, and the latency histogram saw every admitted solve.
   const MetricsSnapshot m = serial_engine.metrics_snapshot();
   EXPECT_EQ(m.of(EngineCounter::kSubmitted), batch.size());
-  EXPECT_EQ(m.of(EngineCounter::kSolvedOk), 4u);
-  EXPECT_EQ(m.of(EngineCounter::kShedQueueFull), 4u);
+  EXPECT_EQ(m.of(EngineCounter::kSolvedOk), 1u);
+  EXPECT_EQ(m.of(EngineCounter::kShedNoCapacity), 7u);
   EXPECT_EQ(m.terminal_total(), m.of(EngineCounter::kSubmitted));
-  EXPECT_EQ(m.solve_time.count, 4u);
+  EXPECT_EQ(m.solve_time.count, 1u);
   EXPECT_EQ(m.in_flight, 0u);
   EXPECT_EQ(m.queue_depth, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Dequeue order: FIFO within a tenant, DRR across tenants.
+// Dequeue order: the most important class first, FIFO within a class.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 /// Parks `plan.size()` requests one at a time against a drained one-slot
-/// engine (tenant per entry), releases the slot, and returns the queue
+/// engine (priority per entry), releases the slot, and returns the queue
 /// positions (indices into `plan`) in the order the waiters' solves
 /// completed (slots=1 serializes them).
 std::vector<std::size_t> drain_order(const Engine& engine, const Instance& inst,
@@ -194,7 +193,7 @@ std::vector<std::size_t> drain_order(const Engine& engine, const Instance& inst,
   for (std::size_t i = 0; i < plan.size(); ++i) {
     threads.emplace_back([&, i] {
       SolveControl control;
-      control.tenant = plan[i];
+      control.priority = plan[i];
       const auto res = engine.solve(inst, slow_opts(), control);
       EXPECT_EQ(res.result.status, SolveStatus::kOk);
       const std::lock_guard<std::mutex> lock(order_mu);
@@ -208,105 +207,36 @@ std::vector<std::size_t> drain_order(const Engine& engine, const Instance& inst,
   return order;
 }
 
-std::vector<std::uint32_t> tenants_of(const std::vector<std::size_t>& order,
-                                      const std::vector<std::uint32_t>& plan) {
-  std::vector<std::uint32_t> out;
-  out.reserve(order.size());
-  for (const std::size_t i : order) out.push_back(plan[i]);
-  return out;
-}
+/// Tens-of-millisecond solves: drain_order records a completion after
+/// solve() returns, so the next waiter's solve must outlast any
+/// descheduling of the previous thread on a loaded host.
+Digraph make_drain_graph() { return make_graph(920, 24, 160); }
 
 }  // namespace
 
 TEST_F(EngineOverloadTest, QueueDrainsFifoWithinOneTenant) {
-  const Digraph g = make_graph(920);
+  // One caller's requests at one priority: plain arrival order.
+  const Digraph g = make_drain_graph();
   const Instance inst = Instance::max_flow(g, 0, g.num_vertices() - 1);
   const Engine engine(
       {.seed = 3, .use_global_pool = false, .max_in_flight = 1, .max_queue = 4});
-  const auto order = drain_order(engine, inst, {5, 5, 5});
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(drain_order(engine, inst, {0, 0, 0}), (std::vector<std::size_t>{0, 1, 2}));
   EXPECT_EQ(engine.metrics_snapshot().of(EngineCounter::kAdmittedQueued), 3u);
 }
 
-TEST_F(EngineOverloadTest, DrrAlternatesEqualWeightTenants) {
-  const Digraph g = make_graph(921);
+TEST_F(EngineOverloadTest, QueueDrainsByPriorityThenFifo) {
+  // Mixed classes, queue deep enough that nothing is evicted: the
+  // priority-0 waiter parked last drains first, then each class in
+  // arrival order.
+  const Digraph g = make_drain_graph();
   const Instance inst = Instance::max_flow(g, 0, g.num_vertices() - 1);
   const Engine engine(
-      {.seed = 4, .use_global_pool = false, .max_in_flight = 1, .max_queue = 8});
-  // Park A,A,B,B: fair-share dequeue interleaves the tenants even though
-  // tenant A queued both of its requests first.
-  const auto order = drain_order(engine, inst, {1, 1, 2, 2});
-  EXPECT_EQ(tenants_of(order, {1, 1, 2, 2}), (std::vector<std::uint32_t>{1, 2, 1, 2}));
-}
-
-TEST_F(EngineOverloadTest, DrrServesTenantsProportionallyToWeight) {
-  const Digraph g = make_graph(922);
-  const Instance inst = Instance::max_flow(g, 0, g.num_vertices() - 1);
-  EngineConfig cfg{.seed = 5, .use_global_pool = false, .max_in_flight = 1, .max_queue = 8};
-  cfg.quotas = {{.tenant = 1, .max_in_flight = 0, .weight = 2},
-                {.tenant = 2, .max_in_flight = 0, .weight = 1}};
-  const Engine engine(cfg);
-  const auto order = drain_order(engine, inst, {1, 1, 1, 1, 2, 2});
-  EXPECT_EQ(tenants_of(order, {1, 1, 1, 1, 2, 2}),
-            (std::vector<std::uint32_t>{1, 1, 2, 1, 1, 2}));
-}
-
-// ---------------------------------------------------------------------------
-// Per-tenant quotas: a tenant at its cap queues even while slots are free.
-// ---------------------------------------------------------------------------
-
-TEST_F(EngineOverloadTest, QuotaDefersTenantWhileSlotsStayFreeForOthers) {
-  const Digraph big = make_graph(930, 48, 320);
-  const Digraph small = make_graph(931);
-  const Instance long_inst = Instance::max_flow(big, 0, big.num_vertices() - 1);
-  const Instance short_inst = Instance::max_flow(small, 0, small.num_vertices() - 1);
-
-  EngineConfig cfg{.seed = 6, .use_global_pool = false, .max_in_flight = 2, .max_queue = 4};
-  cfg.quotas = {{.tenant = 7, .max_in_flight = 1, .weight = 1}};
-  const Engine engine(cfg);
-
-  // A: tenant 7 occupies its whole quota with a long default-options solve
-  // (cancelled below once the orchestration has been observed).
-  std::atomic<SolveHandle> a_handle{0};
-  EngineSolveResult a_res;
-  std::thread a([&] {
-    SolveControl control;
-    control.tenant = 7;
-    control.handle = &a_handle;
-    a_res = engine.solve(long_inst, {}, control);
-  });
-  ASSERT_TRUE(wait_until([&] { return engine.in_flight() >= 1; }));
-
-  // B: tenant 7 again — must park (quota), even though a slot is free.
-  EngineSolveResult b_res;
-  std::thread b([&] {
-    SolveControl control;
-    control.tenant = 7;
-    b_res = engine.solve(short_inst, combinatorial_opts(), control);
-  });
-  ASSERT_TRUE(wait_until([&] { return engine.queue_depth() >= 1; }));
-  EXPECT_GE(engine.metrics_snapshot().of(EngineCounter::kQuotaDeferred), 1u);
-
-  // C: a different tenant takes the free slot immediately.
-  SolveControl c_control;
-  c_control.tenant = 8;
-  const auto c_res = engine.solve(short_inst, combinatorial_opts(), c_control);
-  EXPECT_EQ(c_res.result.status, SolveStatus::kOk);
-
-  // Cancel A; its quota frees and B drains.
-  ASSERT_TRUE(wait_until([&] { return a_handle.load() != 0; }));
-  (void)engine.cancel(a_handle.load());
-  a.join();
-  b.join();
-  EXPECT_TRUE(a_res.result.status == SolveStatus::kCanceled ||
-              a_res.result.status == SolveStatus::kOk)
-      << to_string(a_res.result.status);
-  EXPECT_EQ(b_res.result.status, SolveStatus::kOk);
-
+      {.seed = 4, .use_global_pool = false, .max_in_flight = 1, .max_queue = 5});
+  EXPECT_EQ(drain_order(engine, inst, {3, 1, 3, 1, 0}),
+            (std::vector<std::size_t>{4, 1, 3, 0, 2}));
   const MetricsSnapshot m = engine.metrics_snapshot();
-  EXPECT_EQ(m.terminal_total(), m.of(EngineCounter::kSubmitted));
-  EXPECT_EQ(m.in_flight, 0u);
-  EXPECT_EQ(m.queue_depth, 0u);
+  EXPECT_EQ(m.of(EngineCounter::kAdmittedQueued), 5u);
+  EXPECT_EQ(m.of(EngineCounter::kShedEvicted), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -477,7 +407,6 @@ TEST_F(EngineOverloadTest, WarmResolvesAreNotShedByColdCalibratedEstimates) {
 
   // A cold solve with a deadline far below the cold estimate sheds upfront.
   SolveControl cold_control;
-  cold_control.tenant = 42;
   cold_control.priority = 2;
   cold_control.deadline = core::Deadline::in(
       std::chrono::microseconds(static_cast<std::int64_t>(deadline_us)));
@@ -491,7 +420,6 @@ TEST_F(EngineOverloadTest, WarmResolvesAreNotShedByColdCalibratedEstimates) {
   InstanceDelta d;
   d.cost_changes.push_back({0, 9});
   SolveControl warm_control;
-  warm_control.tenant = 42;
   warm_control.deadline = core::Deadline::in(
       std::chrono::microseconds(static_cast<std::int64_t>(deadline_us)));
   const auto warm = engine.resolve(h, d, slow_opts(), warm_control);
@@ -502,12 +430,11 @@ TEST_F(EngineOverloadTest, WarmResolvesAreNotShedByColdCalibratedEstimates) {
   const MetricsSnapshot m = engine.metrics_snapshot();
   EXPECT_EQ(m.of(EngineCounter::kShedDeadline), 1u);  // the cold probe only
 
-  // Satellite ride-along: the refusal landed in the shed-decision trace with
-  // its reason, tenant, priority, and observed queue depth.
+  // The refusal landed in the shed-decision trace with its reason,
+  // priority, and observed queue depth.
   ASSERT_FALSE(m.shed_trace.empty());
   const ShedTraceEntry& e = m.shed_trace.back();
   EXPECT_EQ(e.reason, EngineCounter::kShedDeadline);
-  EXPECT_EQ(e.tenant, 42u);
   EXPECT_EQ(e.priority, 2u);
   EXPECT_EQ(e.queue_depth, 0u);  // nothing was parked when it was refused
 }
@@ -519,11 +446,10 @@ TEST_F(EngineOverloadTest, ShedTraceRingKeepsNewestDecisionsInOrder) {
   EXPECT_EQ(engine.reserve_capacity(1), 1u);
 
   // Overflow the ring so it wraps: only the newest kShedTraceCapacity
-  // decisions survive, oldest-first, with per-request tenant attribution.
+  // decisions survive, oldest-first.
   const std::size_t total = kShedTraceCapacity + 9;
   for (std::size_t i = 0; i < total; ++i) {
     SolveControl control;
-    control.tenant = static_cast<std::uint32_t>(i);
     control.priority = 1;
     const auto res = engine.solve(inst, combinatorial_opts(), control);
     EXPECT_EQ(res.result.status, SolveStatus::kLoadShed);
@@ -537,7 +463,6 @@ TEST_F(EngineOverloadTest, ShedTraceRingKeepsNewestDecisionsInOrder) {
     const ShedTraceEntry& e = m.shed_trace[i];
     EXPECT_EQ(e.seq, total - kShedTraceCapacity + i + 1);
     EXPECT_EQ(e.reason, EngineCounter::kShedNoCapacity);
-    EXPECT_EQ(e.tenant, total - kShedTraceCapacity + i);  // tenant == request index
     EXPECT_EQ(e.priority, 1u);
   }
 }
