@@ -214,32 +214,6 @@ Workload make_reduce(bool tiny) {
           }};
 }
 
-Workload make_scan(bool tiny) {
-  const std::size_t n = tiny ? (1u << 14) : (1u << 22);
-  auto v = std::make_shared<std::vector<std::int64_t>>(n);
-  par::Rng rng(5);
-  for (auto& x : *v) x = static_cast<std::int64_t>(rng.next_below(1000));
-  return {"exclusive_scan", "component", [v] {
-            for (int rep = 0; rep < 4; ++rep) {
-              auto [out, total] = par::exclusive_scan(*v);
-              if (total < 0 || out.size() != v->size()) std::abort();
-            }
-          }};
-}
-
-Workload make_pack(bool tiny) {
-  const std::size_t n = tiny ? (1u << 14) : (1u << 22);
-  auto v = std::make_shared<std::vector<std::uint64_t>>(n);
-  par::Rng rng(9);
-  for (auto& x : *v) x = rng.next_below(1000);
-  return {"pack_indices", "component", [v, n] {
-            for (int rep = 0; rep < 4; ++rep) {
-              const auto idx = par::pack_indices(n, [&](std::size_t i) { return (*v)[i] < 500; });
-              if (idx.size() > n) std::abort();
-            }
-          }};
-}
-
 Workload make_sort(bool tiny) {
   const std::size_t n = tiny ? (1u << 14) : (1u << 21);
   auto v = std::make_shared<std::vector<std::uint64_t>>(n);
@@ -846,8 +820,6 @@ int main(int argc, char** argv) {
   workloads.push_back(make_table1_mincostflow(opt.tiny));
   workloads.push_back(make_table1_reachability(opt.tiny));
   workloads.push_back(make_reduce(opt.tiny));
-  workloads.push_back(make_scan(opt.tiny));
-  workloads.push_back(make_pack(opt.tiny));
   workloads.push_back(make_sort(opt.tiny));
   workloads.push_back(make_spmv(opt.tiny));
   workloads.push_back(make_kernel_spmv(opt.tiny));

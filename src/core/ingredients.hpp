@@ -27,8 +27,7 @@ struct IpmStepIngredient {
   double rob_bucket_eps = 0.1;  ///< bucketing granularity (ds stack)
   double rob_dual_eps = 0.05;   ///< s̄ accuracy (relative to μτ√φ'')
   double rob_primal_eps = 0.02; ///< x̄ accuracy (relative to capacity)
-  /// resync_every = multiplier * ceil(sqrt(n)) when RobustIpmOptions leaves
-  /// it on auto (0).
+  /// The robust IPM resyncs every multiplier * ceil(sqrt(n)) iterations.
   double rob_resync_multiplier = 4.0;
   double rob_center_damping = 0.95;     ///< exact re-centering step damping
   std::int32_t rob_recenter_max = 30;   ///< re-centering steps per epoch

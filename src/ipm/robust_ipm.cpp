@@ -17,6 +17,24 @@
 
 namespace pmcf::ipm {
 
+namespace {
+
+/// Master seed of the ds stack's randomized structures; each structure adds
+/// its own offset, and a rebuild shifts them all.
+constexpr std::uint64_t kSeed = 37;
+/// Leverage oversampling K' of the first sparsifier draw.
+constexpr double kSparsifierOversampling = 1.0;
+/// Recovery policy: reseeded rebuilds of a failed randomized structure
+/// (expander certificate violation, sketch failure) before the solve gives
+/// up with a typed status.
+constexpr std::int32_t kMaxStructureRebuilds = 3;
+/// Recovery policy: redraws of a degenerate sparsifier sample (heavy-hitter
+/// false negatives), each with 4x the oversampling, before the Newton solve
+/// falls back to the dense edge set.
+constexpr std::int32_t kMaxSparsifierRetries = 2;
+
+}  // namespace
+
 using linalg::Vec;
 
 RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Vec y0,
@@ -25,7 +43,7 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
   const linalg::IncidenceOp a(g, lp.dropped);
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
-  par::Rng rng(opts.seed);
+  par::Rng rng(kSeed);
 
   RobustIpmResult res;
   res.x = std::move(x0);
@@ -35,11 +53,8 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
   const core::IpmStepIngredient& stp = core::default_ingredients().step;
   const core::SketchIngredient& skt = core::default_ingredients().sketch;
 
-  const std::int32_t resync_every =
-      opts.resync_every > 0
-          ? opts.resync_every
-          : static_cast<std::int32_t>(stp.rob_resync_multiplier *
-                                      std::ceil(std::sqrt(static_cast<double>(n))));
+  const auto resync_every = static_cast<std::int32_t>(
+      stp.rob_resync_multiplier * std::ceil(std::sqrt(static_cast<double>(n))));
 
   // Exact Lewis weights at epoch boundaries; kept as the epoch's τ reference.
   linalg::LewisOptions lw;
@@ -138,7 +153,7 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
 
       ds::LewisMaintenanceOptions lmo;
       lmo.leverage.leverage.sketch_dim = skt.lewis_maint_sketch_dim;
-      lmo.leverage.seed = opts.seed + 101 + seed_shift;
+      lmo.leverage.seed = kSeed + 101 + seed_shift;
       ds::LewisMaintenance lewis(ctx, a, g_primal,
                                  linalg::constant(m, static_cast<double>(n) / m), lmo);
 
@@ -147,11 +162,11 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
       for (std::size_t i = 0; i < m; ++i) d_weights[i] = 1.0 / (tau[i] * hess[i]);
       Vec d_sqrt = linalg::sqrt(d_weights);
       ds::HeavyHitterOptions hh_opts;
-      hh_opts.seed = opts.seed + 202 + seed_shift;
+      hh_opts.seed = kSeed + 202 + seed_shift;
       hh_opts.decomp.static_opts.power_iters = 24;
       ds::HeavyHitter hh_sparse(ctx, g, d_sqrt, hh_opts);
       ds::HeavySamplerOptions hs_opts;
-      hs_opts.seed = opts.seed + 303 + seed_shift;
+      hs_opts.seed = kSeed + 303 + seed_shift;
       ds::HeavySampler sampler(ctx, g, d_weights, tau, hs_opts);
 
       // Mirror of x̄ for incremental residual updates.
@@ -200,10 +215,10 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
         //    span a connected sparsifier; redraw with widened oversampling,
         //    then fall back to the dense edge set rather than solve a
         //    near-singular system.
-        double k_prime = opts.sparsifier_k;
+        double k_prime = kSparsifierOversampling;
         auto sampled = hh_sparse.leverage_sample(k_prime);
         for (std::int32_t redraw = 0;
-             sampled.size() + 1 < n && redraw < opts.max_sparsifier_retries; ++redraw) {
+             sampled.size() + 1 < n && redraw < kMaxSparsifierRetries; ++redraw) {
           ++res.sparsifier_retries;
           ctx.recovery().note(RecoveryEvent::kSketchRetry);
           k_prime *= 4.0;
@@ -372,7 +387,7 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
       // A randomized structure failed its certificate mid-epoch. The exact
       // iterate res.x/res.y is still valid (x-bar progress since the last
       // resync is discarded); rebuild everything with fresh seeds.
-      if (++failed_epochs > opts.max_structure_rebuilds) {
+      if (++failed_epochs > kMaxStructureRebuilds) {
         res.status = err.status();
         res.detail = err.what();
         return res;

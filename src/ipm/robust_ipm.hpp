@@ -18,12 +18,12 @@
 //   primal sparsification — HeavySampler (Theorem E.2) draws R so that only
 //         Õ(m/√n + n) coordinates of the dense part of δx are touched.
 //
-// Every `resync_every` ≈ √n iterations the structures are rebuilt from the
-// exact state and the iterate is re-centered with the reference IPM's exact
-// Newton step (NewtonSystem; the paper's periodic re-initialization,
-// amortized Õ(m/√n) per iteration). Work is
-// measured by the PRAM tracker; bench_table1_mincostflow compares the
-// per-iteration work of this solver against the reference IPM.
+// Every 4⌈√n⌉ iterations (rob_resync_multiplier) the structures are rebuilt
+// from the exact state and the iterate is re-centered with the reference
+// IPM's exact Newton step (NewtonSystem; the paper's periodic
+// re-initialization, amortized Õ(m/√n) per iteration). Work is measured by
+// the PRAM tracker; bench_table1_mincostflow compares the per-iteration work
+// of this solver against the reference IPM.
 
 #include <cstdint>
 
@@ -32,22 +32,13 @@
 namespace pmcf::ipm {
 
 /// The step schedule (step fraction, γ, the bucketing/dual/primal ε
-/// accuracies, re-centering) is fixed: core::IpmStepIngredient's rob_* fields.
+/// accuracies, re-centering, resync cadence) is fixed:
+/// core::IpmStepIngredient's rob_* fields. The seed, the first sparsifier
+/// oversampling and the recovery budgets are constants in robust_ipm.cpp.
 struct RobustIpmOptions {
   double mu_end = 1e-4;
-  std::int32_t resync_every = 0;  ///< 0 => rob_resync_multiplier*ceil(sqrt(n))
   std::int32_t max_iters = 20000;
-  double sparsifier_k = 1.0;      ///< leverage oversampling K'
   linalg::SolveOptions solve;
-  std::uint64_t seed = 37;
-  /// Recovery policy: how often a failed randomized structure build
-  /// (expander certificate violation, sketch failure) may be retried with a
-  /// fresh seed before the solver gives up with a typed status.
-  std::int32_t max_structure_rebuilds = 3;
-  /// Recovery policy: degenerate sparsifier samples (heavy-hitter false
-  /// negatives) are redrawn with widened oversampling this many times before
-  /// the Newton solve falls back to the dense edge set.
-  std::int32_t max_sparsifier_retries = 2;
 };
 
 struct RobustIpmResult {
@@ -74,7 +65,7 @@ struct RobustIpmResult {
 
 /// Follow the central path with the sublinear ds stack. `ctx` scopes fault
 /// injection, recovery telemetry, and PRAM accounting for the whole ds stack
-/// to the calling solve; randomness still derives from opts.seed so results
+/// to the calling solve; randomness derives from a fixed seed, so results
 /// are a function of (lp, x0, y0, mu0, opts) alone.
 RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, linalg::Vec x0,
                            linalg::Vec y0, double mu0, const RobustIpmOptions& opts = {});

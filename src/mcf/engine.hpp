@@ -24,7 +24,9 @@
 // Instrumented engines (the default) run each solve single-threaded under
 // its own PRAM tracker — batch throughput then comes purely from solving
 // many instances at once. Wall-clock engines (instrument = false) let each
-// solve's inner primitives use the pool too (nested fork-join is supported).
+// solve's inner primitives use the pool too (nested fork-join is supported);
+// those primitives return one result at every pool size, so a wall-clock
+// solve follows the instrumented solve's central path bit for bit.
 
 #include <atomic>
 #include <cstdint>

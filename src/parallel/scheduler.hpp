@@ -5,27 +5,25 @@
 // of a parallel loop is run with its own span counter and the loop contributes
 // max(iteration spans) + ceil(log2 n) to the caller's span — exactly the
 // binary-forking PRAM accounting the paper uses. When instrumentation is
-// disabled and a thread pool is configured, the primitives run genuinely in
-// parallel on the work-stealing pool (wall-clock mode):
+// disabled and a thread pool is configured, loops and long reductions run
+// genuinely in parallel on the work-stealing pool (wall-clock mode):
 //
 //   parallel_for     blocked ranges with grain-size control
-//   parallel_reduce  per-block sequential folds + deterministic ordered
-//                    combine of the block results (a two-level tree)
-//   exclusive_scan   two-pass blocked scan (block sums, then local scans)
-//   pack_indices     per-block filter + scan of block counts + scatter
-//   parallel_sort    sorted blocks + merge-path parallel pairwise merging
+//   parallel_reduce  left folds over blocks whose length depends on n alone,
+//                    combined in block order
+//   parallel_sort    the PRAM charge of a merge sort, then std::sort on the
+//                    calling thread
 //
-// The block decomposition depends only on (n, grain, num_threads), never on
-// timing, so wall-clock results are deterministic for a fixed thread count.
-// The instrumented-mode cost accounting is bit-for-bit identical to the seed
-// implementation: the wall-clock paths never touch the tracker.
+// Every primitive returns one result at every pool size: as in the
+// binary-forking PRAM, a reduction's combine tree depends on n alone, and a
+// loop's blocks write disjoint outputs. The wall-clock paths never touch the
+// tracker, so the instrumented counters do not depend on the pool either.
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
 #include <functional>
 #include <iterator>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -38,6 +36,12 @@ namespace pmcf::par {
 /// mutex-guarded deques a task costs ~1µs to dispatch, so blocks need at
 /// least a few hundred cheap iterations to amortize it.
 inline constexpr std::size_t kMinGrain = 128;
+
+/// Shortest reduction block. A reduction over at most this many elements is
+/// one left fold on the calling thread; a longer one is cut into at most
+/// detail::kMaxBlocks blocks. Every IPM vector of the tests, benches and
+/// examples is shorter, so their sums are the plain left fold.
+inline constexpr std::size_t kReduceBlock = std::size_t{1} << 14;
 
 /// Pool for wall-clock execution under the current bindings: nullptr while
 /// the current tracker instruments (PRAM mode is single-threaded and
@@ -116,261 +120,85 @@ void wall_for(std::size_t lo, std::size_t hi, F&& f) {
                     });
 }
 
-/// parallel_reduce over [lo, hi): combine(map(i)...) with identity `init`.
-/// `combine` must be associative; in wall-clock mode T must additionally be
-/// default-constructible (block results land in a fixed-size slot array) and
-/// the block results are combined in block order, so the result for a fixed
-/// thread count is deterministic.
-template <class T, class Map, class Combine>
-T parallel_reduce(std::size_t lo, std::size_t hi, T init, Map&& map, Combine&& combine) {
-  if (lo >= hi) return init;
-  const std::size_t n = hi - lo;
-  auto& t = current_tracker();
-  T acc = init;
-  if (t.enabled()) {
-    const std::uint64_t d0 = t.depth();
-    std::uint64_t max_d = 0;
-    for (std::size_t i = lo; i < hi; ++i) {
-      t.set_depth(0);
-      acc = combine(std::move(acc), map(i));
-      max_d = std::max(max_d, t.depth());
-    }
-    t.set_depth(d0 + max_d + 2 * ceil_log2(n));
-    t.charge(n, 0);
-    return acc;
-  }
-  ThreadPool* pool = current_wall_pool();
-  if (pool == nullptr || pool->num_threads() <= 1) {
-    for (std::size_t i = lo; i < hi; ++i) acc = combine(std::move(acc), map(i));
-    return acc;
-  }
-  const auto plan =
-      pool->plan_blocks(lo, hi, detail::auto_grain(n, pool->num_threads()));
-  if (plan.blocks <= 1) {
-    for (std::size_t i = lo; i < hi; ++i) acc = combine(std::move(acc), map(i));
-    return acc;
-  }
-  std::array<T, detail::kMaxBlocks> partial{};
-  pool->run_planned(lo, hi, plan, [&](std::size_t b, std::size_t e) {
-    T local = map(b);
-    for (std::size_t i = b + 1; i < e; ++i) local = combine(std::move(local), map(i));
-    partial[(b - lo) / plan.per] = std::move(local);
-  });
-  for (std::size_t b = 0; b < plan.blocks; ++b)
-    acc = combine(std::move(acc), std::move(partial[b]));
-  return acc;
-}
-
-/// wall_for's sibling for reductions: tracker-free, sequential when
-/// instrumented, blocked tree combine otherwise.
-template <class T, class Map, class Combine>
-T wall_reduce(std::size_t lo, std::size_t hi, T init, Map&& map, Combine&& combine) {
-  T acc = init;
-  if (lo >= hi) return acc;
-  ThreadPool* pool = current_wall_pool();
-  const auto plan = pool == nullptr
-                        ? ThreadPool::BlockPlan{}
-                        : pool->plan_blocks(lo, hi, detail::auto_grain(hi - lo, pool->num_threads()));
-  if (pool == nullptr || pool->num_threads() <= 1 || plan.blocks <= 1) {
-    for (std::size_t i = lo; i < hi; ++i) acc = combine(std::move(acc), map(i));
-    return acc;
-  }
-  std::array<T, detail::kMaxBlocks> partial{};
-  pool->run_planned(lo, hi, plan, [&](std::size_t b, std::size_t e) {
-    T local = map(b);
-    for (std::size_t i = b + 1; i < e; ++i) local = combine(std::move(local), map(i));
-    partial[(b - lo) / plan.per] = std::move(local);
-  });
-  for (std::size_t b = 0; b < plan.blocks; ++b)
-    acc = combine(std::move(acc), std::move(partial[b]));
-  return acc;
-}
-
-/// Exclusive prefix sum of `in`; returns the vector of partial sums and the
-/// total. Work O(n), depth O(log n). Wall-clock mode uses the classic
-/// two-pass blocked scan: per-block sums, a sequential scan over the (few)
-/// block sums, then per-block local scans offset by the block prefix.
-template <class T>
-std::pair<std::vector<T>, T> exclusive_scan(const std::vector<T>& in) {
-  ThreadPool* pool = current_wall_pool();
-  const auto plan = pool == nullptr
-                        ? ThreadPool::BlockPlan{}
-                        : pool->plan_blocks(0, in.size(),
-                                            detail::auto_grain(in.size(), pool->num_threads()));
-  if (pool == nullptr || pool->num_threads() <= 1 || plan.blocks <= 1) {
-    std::vector<T> out(in.size());
-    T total{};
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = total;
-      total += in[i];
-    }
-    charge(in.size(), 2 * ceil_log2(std::max<std::size_t>(in.size(), 1)));
-    return {std::move(out), total};
-  }
-  std::vector<T> out(in.size());
-  std::array<T, detail::kMaxBlocks> block_sum{};
-  pool->run_planned(0, in.size(), plan, [&](std::size_t b, std::size_t e) {
-    T s{};
-    for (std::size_t i = b; i < e; ++i) s += in[i];
-    block_sum[b / plan.per] = s;
-  });
-  T total{};
-  for (std::size_t b = 0; b < plan.blocks; ++b) {
-    const T s = block_sum[b];
-    block_sum[b] = total;
-    total += s;
-  }
-  pool->run_planned(0, in.size(), plan, [&](std::size_t b, std::size_t e) {
-    T running = block_sum[b / plan.per];
-    for (std::size_t i = b; i < e; ++i) {
-      out[i] = running;
-      running += in[i];
-    }
-  });
-  return {std::move(out), total};
-}
-
-/// Stable parallel pack: keep indices i in [0, n) with pred(i)==true.
-/// Work O(n), depth O(log n) (scan-based in the model). Wall-clock mode
-/// filters per block, scans the block counts, and scatters — pred is
-/// evaluated exactly once per index.
-template <class Pred>
-std::vector<std::size_t> pack_indices(std::size_t n, Pred&& pred) {
-  ThreadPool* pool = current_wall_pool();
-  const auto plan = pool == nullptr
-                        ? ThreadPool::BlockPlan{}
-                        : pool->plan_blocks(0, n, detail::auto_grain(n, pool->num_threads()));
-  if (pool == nullptr || pool->num_threads() <= 1 || plan.blocks <= 1) {
-    std::vector<std::size_t> out;
-    for (std::size_t i = 0; i < n; ++i)
-      if (pred(i)) out.push_back(i);
-    charge(n, 2 * ceil_log2(std::max<std::size_t>(n, 1)));
-    return out;
-  }
-  std::array<std::vector<std::size_t>, detail::kMaxBlocks> local;
-  pool->run_planned(0, n, plan, [&](std::size_t b, std::size_t e) {
-    auto& mine = local[b / plan.per];
-    mine.reserve(e - b);
-    for (std::size_t i = b; i < e; ++i)
-      if (pred(i)) mine.push_back(i);
-  });
-  std::array<std::size_t, detail::kMaxBlocks> offset{};
-  std::size_t total = 0;
-  for (std::size_t b = 0; b < plan.blocks; ++b) {
-    offset[b] = total;
-    total += local[b].size();
-  }
-  std::vector<std::size_t> out(total);
-  pool->run_planned(0, plan.blocks, ThreadPool::BlockPlan{plan.blocks, 1},
-                    [&](std::size_t b, std::size_t e) {
-                      for (std::size_t blk = b; blk < e; ++blk)
-                        std::copy(local[blk].begin(), local[blk].end(),
-                                  out.begin() + static_cast<std::ptrdiff_t>(offset[blk]));
-                    });
-  return out;
-}
-
 namespace detail {
 
-/// Merge-path split: number of elements to take from sorted [a, a+la) so that
-/// together with k-i elements of sorted [b, b+lb) they form the first k
-/// elements of the merge. Ties prefer the first range (stable).
-template <class It, class Less>
-std::size_t merge_split(It a, std::size_t la, It b, std::size_t lb, std::size_t k, Less& less) {
-  std::size_t lo = k > lb ? k - lb : 0;
-  std::size_t hi = std::min(k, la);
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (less(*(b + static_cast<std::ptrdiff_t>(k - mid - 1)),
-             *(a + static_cast<std::ptrdiff_t>(mid)))) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
+/// The one reduction fold behind parallel_reduce and wall_reduce. [lo, hi)
+/// is cut into blocks of max(kReduceBlock, ⌈n / kMaxBlocks⌉) elements, a plan
+/// that depends on n alone. Each block is folded left to right and the
+/// partials are combined onto `init` in block order, whether the blocks run
+/// on `pool` or on the calling thread, so the result is the same at every
+/// pool size. A range of one block is the plain left fold from `init`.
+template <class T, class Map, class Combine>
+T blocked_fold(ThreadPool* pool, std::size_t lo, std::size_t hi, T init, Map& map,
+               Combine& combine) {
+  const std::size_t n = hi - lo;
+  const std::size_t per = std::max(kReduceBlock, (n + kMaxBlocks - 1) / kMaxBlocks);
+  if (n <= per) {
+    for (std::size_t i = lo; i < hi; ++i) init = combine(std::move(init), map(i));
+    return init;
   }
-  return lo;
-}
-
-/// Parallel merge of two sorted ranges into `out` by cutting the output into
-/// ~equal chunks along merge-path diagonals.
-template <class It, class OutIt, class Less>
-void parallel_merge(ThreadPool& pool, It a, std::size_t la, It b, std::size_t lb, OutIt out,
-                    Less& less) {
-  const std::size_t total = la + lb;
-  const auto plan = pool.plan_blocks(0, total, auto_grain(total, pool.num_threads()));
-  if (plan.blocks <= 1) {
-    std::merge(a, a + static_cast<std::ptrdiff_t>(la), b, b + static_cast<std::ptrdiff_t>(lb),
-               out, less);
-    return;
+  const ThreadPool::BlockPlan plan{(n + per - 1) / per, per};
+  std::array<T, kMaxBlocks> partial{};
+  const auto fold_block = [&](std::size_t b, std::size_t e) {
+    T local = map(b);
+    for (std::size_t i = b + 1; i < e; ++i) local = combine(std::move(local), map(i));
+    partial[(b - lo) / per] = std::move(local);
+  };
+  if (pool != nullptr && pool->num_threads() > 1) {
+    pool->run_planned(lo, hi, plan, fold_block);
+  } else {
+    for (std::size_t b = lo; b < hi; b += per) fold_block(b, std::min(hi, b + per));
   }
-  pool.run_planned(0, total, plan, [&](std::size_t k0, std::size_t k1) {
-    const std::size_t i0 = merge_split(a, la, b, lb, k0, less);
-    const std::size_t i1 = merge_split(a, la, b, lb, k1, less);
-    std::merge(a + static_cast<std::ptrdiff_t>(i0), a + static_cast<std::ptrdiff_t>(i1),
-               b + static_cast<std::ptrdiff_t>(k0 - i0), b + static_cast<std::ptrdiff_t>(k1 - i1),
-               out + static_cast<std::ptrdiff_t>(k0), less);
-  });
+  for (std::size_t b = 0; b < plan.blocks; ++b)
+    init = combine(std::move(init), std::move(partial[b]));
+  return init;
 }
 
 }  // namespace detail
 
-/// Parallel-model sort: work O(n log n), depth O(log^2 n). Wall-clock mode is
-/// a parallel merge sort: sorted blocks, then log(B) rounds of pairwise
-/// merge-path merges between the range and a scratch buffer.
+/// wall_for's sibling for reductions: tracker-free, the blocked fold on the
+/// wall pool (or the calling thread when there is none).
+template <class T, class Map, class Combine>
+T wall_reduce(std::size_t lo, std::size_t hi, T init, Map&& map, Combine&& combine) {
+  if (lo >= hi) return init;
+  return detail::blocked_fold(current_wall_pool(), lo, hi, std::move(init), map, combine);
+}
+
+/// parallel_reduce over [lo, hi): combine(map(i)...) with identity `init`.
+/// `combine` must be associative and T default-constructible (block partials
+/// land in a fixed-size slot array). Every mode runs detail::blocked_fold, so
+/// the result does not depend on the mode or the pool size. Instrumented, it
+/// charges n work and max(iteration depth) + 2⌈lg n⌉ depth.
+template <class T, class Map, class Combine>
+T parallel_reduce(std::size_t lo, std::size_t hi, T init, Map&& map, Combine&& combine) {
+  if (lo >= hi) return init;
+  auto& t = current_tracker();
+  if (!t.enabled()) return wall_reduce<T>(lo, hi, std::move(init), map, combine);
+  const std::uint64_t d0 = t.depth();
+  std::uint64_t max_d = 0;
+  auto spanned = [&](std::size_t i) -> T {
+    t.set_depth(0);
+    T v = map(i);
+    max_d = std::max(max_d, t.depth());
+    return v;
+  };
+  T acc = detail::blocked_fold<T>(nullptr, lo, hi, std::move(init), spanned, combine);
+  t.set_depth(d0 + max_d + 2 * ceil_log2(hi - lo));
+  t.charge(hi - lo, 0);
+  return acc;
+}
+
+/// Parallel-model sort: charges the PRAM cost of a merge sort, work
+/// n·⌈lg n⌉ and depth ⌈lg n⌉² + 1, then runs std::sort on the calling thread
+/// in every mode, so tied elements land in one order at every pool size.
+/// Its one production caller, Csr::from_triplets, sorts once per Laplacian
+/// pattern.
 template <class It, class Less = std::less<>>
 void parallel_sort(It first, It last, Less less = {}) {
   const auto n = static_cast<std::size_t>(std::distance(first, last));
-  ThreadPool* pool = current_wall_pool();
-  if (pool == nullptr || pool->num_threads() <= 1 || n < 2 * kMinGrain) {
-    std::sort(first, last, less);
-    const auto lg = ceil_log2(std::max<std::size_t>(n, 1));
-    charge(n * std::max<std::uint64_t>(lg, 1), lg * lg + 1);
-    return;
-  }
-  // Power-of-two block count so the merge rounds pair up exactly.
-  std::size_t blocks = 1;
-  while (blocks * 2 <= std::min<std::size_t>({2 * pool->num_threads(),
-                                              n / kMinGrain, detail::kMaxBlocks}))
-    blocks *= 2;
-  if (blocks <= 1) {
-    std::sort(first, last, less);
-    return;
-  }
-  const std::size_t per = (n + blocks - 1) / blocks;
-  pool->run_planned(0, blocks, ThreadPool::BlockPlan{blocks, 1},
-                    [&](std::size_t b, std::size_t e) {
-                      for (std::size_t blk = b; blk < e; ++blk) {
-                        const std::size_t s = blk * per;
-                        const std::size_t t = std::min(n, s + per);
-                        if (s < t)
-                          std::sort(first + static_cast<std::ptrdiff_t>(s),
-                                    first + static_cast<std::ptrdiff_t>(t), less);
-                      }
-                    });
-  using V = typename std::iterator_traits<It>::value_type;
-  std::vector<V> scratch(n);
-  bool in_scratch = false;
-  for (std::size_t width = per; width < n; width *= 2) {
-    const std::size_t pair_span = 2 * width;
-    const std::size_t pairs = (n + pair_span - 1) / pair_span;
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const std::size_t s = p * pair_span;
-      const std::size_t mid = std::min(n, s + width);
-      const std::size_t t = std::min(n, s + pair_span);
-      if (in_scratch) {
-        detail::parallel_merge(*pool, scratch.begin() + static_cast<std::ptrdiff_t>(s),
-                               mid - s, scratch.begin() + static_cast<std::ptrdiff_t>(mid),
-                               t - mid, first + static_cast<std::ptrdiff_t>(s), less);
-      } else {
-        detail::parallel_merge(*pool, first + static_cast<std::ptrdiff_t>(s), mid - s,
-                               first + static_cast<std::ptrdiff_t>(mid), t - mid,
-                               scratch.begin() + static_cast<std::ptrdiff_t>(s), less);
-      }
-    }
-    in_scratch = !in_scratch;
-  }
-  if (in_scratch)
-    wall_for(0, n, [&](std::size_t i) { *(first + static_cast<std::ptrdiff_t>(i)) = scratch[i]; });
+  const auto lg = ceil_log2(std::max<std::size_t>(n, 1));
+  charge(n * std::max<std::uint64_t>(lg, 1), lg * lg + 1);
+  std::sort(first, last, less);
 }
 
 /// Fill `v` with f(i). Work O(n), depth max f-depth + O(log n).

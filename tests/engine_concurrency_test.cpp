@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/solver_context.hpp"
@@ -290,6 +292,57 @@ TEST_F(EngineConcurrencyTest, InstrumentationOnlyCounts) {
       EXPECT_EQ(a.stats.robust_steps, b.stats.robust_steps);
       EXPECT_EQ(a.stats.cg_tolerance_escalations, b.stats.cg_tolerance_escalations);
       EXPECT_EQ(a.stats.precond_builds, b.stats.precond_builds);
+    }
+  }
+}
+
+TEST_F(EngineConcurrencyTest, OneArithmeticAtEveryPoolSize) {
+  // Every scheduler primitive returns one result at every pool size (a
+  // reduction's blocks depend on its length alone), so wall-clock Engines
+  // with no pool and on private 2- and 4-thread pools must solve along the
+  // instrumented Engine's central path bit for bit. The instances have more
+  // than par::kMinGrain augmented arcs, so the pooled loops really split.
+  std::deque<Digraph> graphs;
+  for (const std::uint64_t seed : {42u, 7u}) {
+    par::Rng rng(seed);
+    graphs.push_back(graph::random_flow_network(16, 128, 6, 6, rng));
+  }
+  par::ThreadPool pool2(2);
+  par::ThreadPool pool4(4);
+  const Engine instrumented({.use_global_pool = false});
+  const Engine serial({.instrument = false, .use_global_pool = false});
+  const Engine on2({.instrument = false, .pool = &pool2, .use_global_pool = false});
+  const Engine on4({.instrument = false, .pool = &pool4, .use_global_pool = false});
+  const std::pair<const char*, const Engine*> wall_engines[] = {
+      {"serial", &serial}, {"2 threads", &on2}, {"4 threads", &on4}};
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+
+  struct Case {
+    std::size_t graph;
+    mcf::Method method;
+  };
+  for (const Case c : {Case{0, mcf::Method::kReferenceIpm}, Case{1, mcf::Method::kReferenceIpm},
+                       Case{0, mcf::Method::kRobustIpm}}) {
+    SCOPED_TRACE(testing::Message() << "method " << static_cast<int>(c.method) << " instance "
+                                    << c.graph);
+    const Digraph& g = graphs[c.graph];
+    const Instance inst = Instance::max_flow(g, 0, g.num_vertices() - 1);
+    mcf::SolveOptions opts;
+    opts.method = c.method;
+    opts.allow_degradation = false;
+    const auto want = instrumented.solve(inst, opts).result;
+    ASSERT_EQ(want.status, SolveStatus::kOk);
+    for (const auto& [name, engine] : wall_engines) {
+      SCOPED_TRACE(name);
+      const auto got = engine->solve(inst, opts).result;
+      EXPECT_EQ(got.status, want.status);
+      EXPECT_EQ(got.cost, want.cost);
+      EXPECT_EQ(got.arc_flow, want.arc_flow);
+      EXPECT_EQ(got.stats.ipm_iterations, want.stats.ipm_iterations);
+      EXPECT_EQ(bits(got.stats.final_mu), bits(want.stats.final_mu));
+      EXPECT_EQ(bits(got.stats.final_centrality), bits(want.stats.final_centrality));
+      EXPECT_EQ(got.stats.robust_steps, want.stats.robust_steps);
+      EXPECT_EQ(got.stats.cg_tolerance_escalations, want.stats.cg_tolerance_escalations);
     }
   }
 }

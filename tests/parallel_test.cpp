@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <algorithm>
 #include <stdexcept>
 
 #include "parallel/rng.hpp"
@@ -76,22 +76,6 @@ TEST_F(TrackerFixture, ReduceDepthIsLogarithmic) {
   (void)parallel_reduce<int>(
       0, 1024, 0, [](std::size_t) { return 1; }, [](int a, int b) { return a + b; });
   EXPECT_LE(scope.elapsed().depth, 2 * ceil_log2(1024) + 1);
-}
-
-TEST_F(TrackerFixture, ExclusiveScanMatchesStdPartialSum) {
-  std::vector<std::int64_t> in{3, 1, 4, 1, 5, 9, 2, 6};
-  auto [pre, total] = exclusive_scan(in);
-  EXPECT_EQ(total, 31);
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    EXPECT_EQ(pre[i], acc);
-    acc += in[i];
-  }
-}
-
-TEST_F(TrackerFixture, PackIndicesKeepsOrder) {
-  auto evens = pack_indices(10, [](std::size_t i) { return i % 2 == 0; });
-  EXPECT_EQ(evens, (std::vector<std::size_t>{0, 2, 4, 6, 8}));
 }
 
 TEST_F(TrackerFixture, ParallelSortSorts) {

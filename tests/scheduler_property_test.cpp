@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/solver_context.hpp"
@@ -53,19 +55,31 @@ class SchedulerPropertyTest : public ::testing::Test {
 constexpr std::size_t kN = 10000;
 
 TEST_F(SchedulerPropertyTest, ReduceIdenticalAcrossModes) {
-  // Exactly representable values: the blocked combine order differs from the
-  // linear one, so we test with integers where + is truly associative.
-  std::vector<std::int64_t> v(kN);
-  Rng rng(101);
-  for (auto& x : v) x = static_cast<std::int64_t>(rng.next_below(1000)) - 500;
-  auto [a, b, c] = run_all_modes([&] {
-    return parallel_reduce<std::int64_t>(
-        0, v.size(), 0, [&](std::size_t i) { return v[i]; },
-        [](std::int64_t x, std::int64_t y) { return x + y; });
-  });
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, c);
-  EXPECT_EQ(a, std::accumulate(v.begin(), v.end(), std::int64_t{0}));
+  // Floating-point sums, compared bit for bit: the reduction's block plan
+  // depends on the length alone, so every mode folds in one order. Below the
+  // block length that order is the plain left fold; above it, the left folds
+  // of kReduceBlock-element blocks, added up in block order.
+  static_assert(kN < kReduceBlock);
+  for (const std::size_t n : {kN, 5 * kReduceBlock + 321}) {
+    SCOPED_TRACE(n);
+    std::vector<double> v(n);
+    Rng rng(101);
+    for (auto& x : v) x = rng.next_double() - 0.5;
+    auto [a, b, c] = run_all_modes([&] {
+      return parallel_reduce<double>(
+          0, v.size(), 0.0, [&](std::size_t i) { return v[i]; },
+          [](double x, double y) { return x + y; });
+    });
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(c));
+    double want = 0.0;
+    for (std::size_t lo = 0; lo < n; lo += kReduceBlock) {
+      const std::size_t hi = std::min(n, lo + kReduceBlock);
+      want += std::accumulate(v.begin() + static_cast<std::ptrdiff_t>(lo) + 1,
+                              v.begin() + static_cast<std::ptrdiff_t>(hi), v[lo]);
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(want));
+  }
 }
 
 TEST_F(SchedulerPropertyTest, WallReduceIdenticalAcrossModes) {
@@ -81,37 +95,20 @@ TEST_F(SchedulerPropertyTest, WallReduceIdenticalAcrossModes) {
   EXPECT_EQ(a, c);
 }
 
-TEST_F(SchedulerPropertyTest, ScanIdenticalAcrossModes) {
-  std::vector<std::int64_t> v(kN);
-  Rng rng(105);
-  for (auto& x : v) x = static_cast<std::int64_t>(rng.next_below(100));
-  auto [a, b, c] = run_all_modes([&] { return exclusive_scan(v); });
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.first, c.first);
-  EXPECT_EQ(a.second, b.second);
-  EXPECT_EQ(a.second, c.second);
-}
-
-TEST_F(SchedulerPropertyTest, PackIdenticalAcrossModes) {
-  std::vector<std::uint64_t> v(kN);
-  Rng rng(107);
-  for (auto& x : v) x = rng.next_below(100);
-  auto [a, b, c] =
-      run_all_modes([&] { return pack_indices(v.size(), [&](std::size_t i) { return v[i] < 37; }); });
-  EXPECT_EQ(a, b);  // pack is stable: index order preserved in every mode
-  EXPECT_EQ(a, c);
-}
-
 TEST_F(SchedulerPropertyTest, SortIdenticalAcrossModes) {
-  std::vector<std::uint64_t> v(kN);
+  // (key, index) pairs ordered by key alone: many ties, and every mode must
+  // leave them in one order.
+  using Item = std::pair<std::uint64_t, std::size_t>;
+  const auto by_key = [](const Item& x, const Item& y) { return x.first < y.first; };
+  std::vector<Item> v(kN);
   Rng rng(109);
-  for (auto& x : v) x = rng.next_below(500);  // many duplicates
+  for (std::size_t i = 0; i < kN; ++i) v[i] = {rng.next_below(500), i};
   auto [a, b, c] = run_all_modes([&] {
-    std::vector<std::uint64_t> copy = v;
-    parallel_sort(copy.begin(), copy.end());
+    std::vector<Item> copy = v;
+    parallel_sort(copy.begin(), copy.end(), by_key);
     return copy;
   });
-  EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
+  EXPECT_TRUE(std::is_sorted(a.begin(), a.end(), by_key));
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
 }
@@ -136,10 +133,6 @@ TEST_F(SchedulerPropertyTest, PramCountersIndependentOfPoolConfig) {
     (void)parallel_reduce<std::int64_t>(
         0, v.size(), 0, [&](std::size_t i) { return v[i]; },
         [](std::int64_t x, std::int64_t y) { return x + y; });
-    auto [pre, total] = exclusive_scan(v);
-    (void)pre;
-    (void)total;
-    (void)pack_indices(v.size(), [&](std::size_t i) { return v[i] % 2 == 0; });
     parallel_sort(v.begin(), v.end());
     return snapshot();
   };
@@ -172,7 +165,6 @@ TEST_F(SchedulerPropertyTest, PerContextTrackersIsolatedUnderConcurrentSolves) {
     (void)parallel_reduce<std::int64_t>(
         0, v.size(), 0, [&](std::size_t i) { return v[i]; },
         [](std::int64_t x, std::int64_t y) { return x + y; });
-    (void)pack_indices(v.size(), [&](std::size_t i) { return v[i] % 3 == 0; });
     parallel_sort(v.begin(), v.end());
     return ctx.tracker().snapshot();
   };
