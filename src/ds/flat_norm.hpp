@@ -6,8 +6,10 @@
 // Structure of the optimum: for a split β = ||w||_∞ the optimal w is the
 // water-filling w_i = sign(v_i) * min(β, λ |v_i|/τ_i) with λ matched to the
 // residual budget (1-β)/c_norm; the outer 1-D problem over β is unimodal.
-// We solve the inner problem by bisection on λ and the outer by ternary
-// search — O(m log²(1/ε)) work, O(log²(1/ε) + log m) depth.
+// One sort by |v_i|/τ_i and three scans make every split a binary search
+// plus a closed-form λ, and a 32-step ternary search picks β (DESIGN §5.8).
+// Work O(d log d), depth O(log² d) for the sort plus 64 split evaluations
+// of O(log d) each, d = |v|. Requires τ > 0.
 
 #include <cstdint>
 

@@ -116,14 +116,18 @@ GradientReduction::QueryResult GradientReduction::query() const {
   QueryResult res;
   res.s.assign(kk, 0.0);
   res.v.assign(a_->cols(), 0.0);
+  std::size_t combined = 0;
   for (std::size_t t = 0; t < occupied.size(); ++t) {
     const std::size_t bidx = occupied[t];
     res.s[bidx] = fn.w[t];
     if (aggregate_[bidx].empty() || fn.w[t] == 0.0) continue;
     for (std::size_t j = 0; j < res.v.size(); ++j) res.v[j] += fn.w[t] * aggregate_[bidx][j];
+    ++combined;
   }
-  par::charge(occupied.size() * 4 + res.v.size(),
-              par::ceil_log2(occupied.size() + res.v.size() + 2));
+  // The K-bucket scan and s's K slots, 4 per occupied bucket, v's n slots
+  // and n per aggregate combined into it.
+  const std::size_t work = 2 * kk + occupied.size() * 4 + res.v.size() * (1 + combined);
+  par::charge(work, par::ceil_log2(work + 2));
   return res;
 }
 

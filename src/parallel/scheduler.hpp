@@ -191,8 +191,8 @@ T parallel_reduce(std::size_t lo, std::size_t hi, T init, Map&& map, Combine&& c
 /// Parallel-model sort: charges the PRAM cost of a merge sort, work
 /// n·⌈lg n⌉ and depth ⌈lg n⌉² + 1, then runs std::sort on the calling thread
 /// in every mode, so tied elements land in one order at every pool size.
-/// Its one production caller, Csr::from_triplets, sorts once per Laplacian
-/// pattern.
+/// Its production callers are Csr::from_triplets, once per Laplacian
+/// pattern, and ds::flat_norm_argmax, once per robust IPM step.
 template <class It, class Less = std::less<>>
 void parallel_sort(It first, It last, Less less = {}) {
   const auto n = static_cast<std::size_t>(std::distance(first, last));

@@ -5,7 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "ds/flat_norm.hpp"
 #include "core/solver_context.hpp"
@@ -14,6 +17,7 @@
 #include "graph/generators.hpp"
 #include "linalg/incidence.hpp"
 #include "parallel/rng.hpp"
+#include "parallel/scheduler.hpp"
 
 namespace pmcf::ds {
 namespace {
@@ -76,6 +80,170 @@ TEST(FlatNormTest, TinyCApproachesSignVector) {
   const auto res = flat_norm_argmax(v, tau, 1e-7);
   // w ~ sign(v): value ~ ||v||_1.
   EXPECT_NEAR(res.value, 3.5, 1e-3);
+}
+
+/// Reference for flat_norm_argmax's closed form: the same 32-step ternary
+/// search over β, with λ found by a 44-step bisection over all entries at
+/// every split.
+double bisection_inner_value(const Vec& v, const Vec& tau, double beta, double r) {
+  if (beta <= 0.0 || r <= 0.0) return 0.0;
+  auto tau_norm_sq = [&](double lambda) {
+    double acc = 0.0;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      const double wi = std::min(beta, lambda * std::abs(v[i]) / tau[i]);
+      acc += tau[i] * wi * wi;
+    }
+    return acc;
+  };
+  double lo = 0.0, hi = 1.0;
+  while (tau_norm_sq(hi) < r * r) {
+    hi *= 2.0;
+    if (hi > 1e30) break;  // all entries clipped; the cap β binds everywhere
+  }
+  for (int it = 0; it < 44; ++it) {
+    const double mid = 0.5 * (lo + hi);
+    if (tau_norm_sq(mid) < r * r) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  const double lambda = 0.5 * (lo + hi);
+  double val = 0.0;
+  for (std::size_t i = 0; i < v.size(); ++i)
+    val += std::abs(v[i]) * std::min(beta, lambda * std::abs(v[i]) / tau[i]);
+  return val;
+}
+
+double bisection_flat_norm_value(const Vec& v, const Vec& tau, double c) {
+  auto value_at = [&](double beta) { return bisection_inner_value(v, tau, beta, (1.0 - beta) / c); };
+  double lo = 0.0, hi = 1.0;
+  for (int it = 0; it < 32; ++it) {
+    const double m1 = lo + (hi - lo) / 3.0;
+    const double m2 = hi - (hi - lo) / 3.0;
+    if (value_at(m1) < value_at(m2)) {
+      lo = m1;
+    } else {
+      hi = m2;
+    }
+  }
+  const double beta = 0.5 * (lo + hi);
+  return bisection_inner_value(v, tau, beta, (1.0 - beta) / c);
+}
+
+TEST(FlatNormTest, MatchesBisectionReference) {
+  // Seeded sweep over sizes, with zero entries, exactly tied ratios |v_i|/τ_i
+  // (a copy scaled by a power of two), τ log-uniform over 1e-3..1e3, and
+  // c_norm from the all-clipped regime (1e-7) to the nothing-clipped one (1e5).
+  par::Rng rng(94);
+  int all_clipped = 0, none_clipped = 0;
+  for (const std::size_t d : {1u, 2u, 3u, 17u, 64u, 256u}) {
+    for (const double c : {1e-7, 1e-2, 1.0, 8.0, 1e5}) {
+      for (int trial = 0; trial < 6; ++trial) {
+        SCOPED_TRACE(::testing::Message() << "d " << d << " c " << c << " trial " << trial);
+        Vec v(d), tau(d);
+        for (std::size_t i = 0; i < d; ++i) {
+          tau[i] = std::pow(10.0, 6.0 * rng.next_double() - 3.0);
+          v[i] = 2.0 * rng.next_double() - 1.0;
+          if (rng.next_below(5) == 0) v[i] = 0.0;
+          if (i > 0 && rng.next_below(4) == 0) {
+            const std::size_t j = rng.next_below(i);
+            const double scale = std::ldexp(1.0, static_cast<int>(rng.next_below(5)) - 2);
+            tau[i] = tau[j] * scale;
+            v[i] = (rng.next_below(2) == 0 ? 1.0 : -1.0) * v[j] * scale;
+          }
+        }
+        const auto res = flat_norm_argmax(v, tau, c);
+        const double ref = bisection_flat_norm_value(v, tau, c);
+        ASSERT_EQ(res.w.size(), d);
+        EXPECT_LE(std::abs(res.value - ref), 1e-9 * std::max(1.0, std::abs(ref)));
+        EXPECT_LE(mixed_norm(res.w, tau, c), 1.0 + 1e-12);
+        double dot = 0.0;
+        for (std::size_t i = 0; i < d; ++i) dot += v[i] * res.w[i];
+        EXPECT_EQ(res.value, dot);
+        const double beta = linalg::norm_inf(res.w);
+        bool clipped_all = beta > 0.0, clipped_none = true;
+        for (std::size_t i = 0; i < d; ++i) {
+          if (v[i] == 0.0) continue;
+          clipped_all = clipped_all && std::abs(res.w[i]) == beta;
+          clipped_none = clipped_none && std::abs(res.w[i]) < beta;
+        }
+        all_clipped += clipped_all ? 1 : 0;
+        none_clipped += clipped_none && d > 1 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(all_clipped, 0);
+  EXPECT_GT(none_clipped, 0);
+}
+
+TEST(FlatNormTest, DegenerateInputs) {
+  const auto empty = flat_norm_argmax({}, {}, 2.0);
+  EXPECT_TRUE(empty.w.empty());
+  EXPECT_EQ(empty.value, 0.0);
+
+  const auto zero = flat_norm_argmax(Vec(5, 0.0), Vec{0.5, 1.0, 2.0, 1e-3, 1e3}, 2.0);
+  EXPECT_EQ(zero.w, Vec(5, 0.0));
+  EXPECT_EQ(zero.value, 0.0);
+
+  // d = 1: the optimum sits where ||w||_∞ = β meets c·sqrt(τ)·β = 1 - β, so
+  // the value is |v|/(1 + c√τ). The ternary search brackets β to within
+  // (2/3)^32, and the value moves with slope at most |v|·max(1, 1/(c√τ)).
+  for (const double v : {0.7, -3.0}) {
+    for (const double tau : {0.25, 4.0}) {
+      for (const double c : {0.1, 1.0, 8.0}) {
+        SCOPED_TRACE(::testing::Message() << "v " << v << " tau " << tau << " c " << c);
+        const auto res = flat_norm_argmax(Vec{v}, Vec{tau}, c);
+        const double exact = std::abs(v) / (1.0 + c * std::sqrt(tau));
+        const double slope = std::abs(v) * std::max(1.0, 1.0 / (c * std::sqrt(tau)));
+        EXPECT_NEAR(res.value, exact, slope * std::pow(2.0 / 3.0, 32));
+        EXPECT_EQ(std::signbit(res.w[0]), std::signbit(v));
+      }
+    }
+  }
+}
+
+/// (work, depth) charged by f under a fresh instrumented context.
+template <class F>
+std::string charged(F&& f) {
+  core::SolverContext ctx;
+  const core::ContextScope scope(ctx);
+  f();
+  return par::to_string(ctx.tracker().snapshot());
+}
+
+TEST(FlatNormTest, ChargesSortScanAndSearch) {
+  // One call stands for: the sort into water-filling order, the keys map,
+  // three side-by-side scans (an up- and a down-sweep each), 64 split
+  // evaluations of one binary search plus the closed form, and the final
+  // pass that writes w and reduces <v, w>.
+  par::Rng rng(93);
+  for (const std::size_t d : {1u, 64u, 1000u}) {
+    SCOPED_TRACE(d);
+    Vec v(d), tau(d);
+    for (std::size_t i = 0; i < d; ++i) {
+      v[i] = 2.0 * rng.next_double() - 1.0;
+      tau[i] = 0.1 + rng.next_double();
+    }
+    const std::uint64_t lg = par::ceil_log2(d);
+    const std::uint64_t search = par::ceil_log2(d + 1) + 1;
+    const auto want = charged([&] {
+      std::vector<std::size_t> order(d);
+      par::parallel_sort(order.begin(), order.end());
+      par::parallel_for(0, d, [](std::size_t) {});
+      par::charge(6 * d, 2 * lg);
+      for (int split = 0; split < 64; ++split) par::charge(search, search);
+      par::parallel_for(0, d, [](std::size_t) {});
+      (void)par::parallel_reduce<double>(
+          0, d, 0.0, [](std::size_t) { return 0.0; }, std::plus<>());
+    });
+    EXPECT_EQ(charged([&] { (void)flat_norm_argmax(v, tau, 2.0); }), want);
+    // Written out, so that both sides above are not zero: sort (10000, 101),
+    // keys and scans (7000, 30), splits (704, 704), final pass (2000, 30).
+    if (d == 1000) {
+      EXPECT_EQ(want, "work=19704 depth=865");
+    }
+  }
 }
 
 // ---------- tau sampler ----------
