@@ -55,7 +55,8 @@ void BM_Scale(benchmark::State& state) {
   linalg::Vec w(static_cast<std::size_t>(g.num_arcs()), 1.0);
   ds::HeavyHitter hh(pmcf::core::default_context(), g, w);
   bench::run_instrumented(state, [&] {
-    // Move 16 rows between weight buckets.
+    // Scale 16 random rows; only those whose exponent leaves their class's
+    // ±1 window move to another class (class_moves).
     std::vector<std::size_t> idx;
     linalg::Vec vals;
     for (std::size_t k = 0; k < 16; ++k) {
@@ -65,6 +66,7 @@ void BM_Scale(benchmark::State& state) {
     hh.scale(idx, vals);
   });
   state.counters["m"] = static_cast<double>(g.num_arcs());
+  state.counters["class_moves"] = static_cast<double>(hh.class_moves());
 }
 BENCHMARK(BM_Scale)->Arg(100)->Arg(200)->Arg(400)->Unit(benchmark::kMillisecond)->Iterations(1);
 

@@ -204,17 +204,6 @@ void GradientAccumulator::move(const std::vector<std::size_t>& idx,
   par::charge(idx.size() + 1, par::ceil_log2(idx.size() + 2));
 }
 
-void GradientAccumulator::set_accuracy(const std::vector<std::size_t>& idx, const Vec& acc) {
-  for (std::size_t k = 0; k < idx.size(); ++k) {
-    const std::size_t i = idx[k];
-    disarm(i);
-    refresh(i);
-    accuracy_[i] = acc[k];
-    rearm(i);
-  }
-  par::charge(idx.size() + 1, par::ceil_log2(idx.size() + 2));
-}
-
 GradientAccumulator::QueryResult GradientAccumulator::query(const Vec& s,
                                                             const std::vector<std::size_t>& h_idx,
                                                             const Vec& h_val) {
@@ -284,11 +273,6 @@ void PrimalGradientMaintenance::update(const std::vector<std::size_t>& idx, cons
   const auto buckets = reduction_.update(idx, b, c, d);
   accumulator_.scale(idx, b);
   accumulator_.move(idx, buckets);
-}
-
-void PrimalGradientMaintenance::set_accuracy(const std::vector<std::size_t>& idx,
-                                             const Vec& acc) {
-  accumulator_.set_accuracy(idx, acc);
 }
 
 Vec PrimalGradientMaintenance::query_product() {

@@ -82,7 +82,6 @@ class GradientAccumulator {
 
   void scale(const std::vector<std::size_t>& idx, const linalg::Vec& a);
   void move(const std::vector<std::size_t>& idx, const std::vector<std::int32_t>& bucket);
-  void set_accuracy(const std::vector<std::size_t>& idx, const linalg::Vec& acc);
 
   struct QueryResult {
     const linalg::Vec* approx;         ///< pointer to x̄
@@ -120,7 +119,6 @@ class PrimalGradientMaintenance {
   /// UPDATE of Theorem D.1: g, τ̃, z at idx.
   void update(const std::vector<std::size_t>& idx, const linalg::Vec& b, const linalg::Vec& c,
               const linalg::Vec& d);
-  void set_accuracy(const std::vector<std::size_t>& idx, const linalg::Vec& acc);
 
   /// QUERYPRODUCT: returns A^T G ∇Ψ(z̄)^♭(τ̄); remembers s for QuerySum.
   [[nodiscard]] linalg::Vec query_product();

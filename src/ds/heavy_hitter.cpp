@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 
 #include "core/solver_context.hpp"
@@ -17,6 +18,16 @@ using graph::Vertex;
 using linalg::Vec;
 
 constexpr std::int32_t kZeroWeight = std::numeric_limits<std::int32_t>::min();
+
+/// A row stays in class e while ⌊log₂ w⌋ ∈ [e − kClassSlack, e + kClassSlack],
+/// so a class holds weights in [2^(e−1), 2^(e+2)), a factor 8. heavy_query's
+/// threshold and kLeverageOversample read this range.
+constexpr std::int32_t kClassSlack = 1;
+
+/// Oversampling of the 1/deg leverage overestimate. Within a cluster the
+/// weights agree within a factor 8 (kClassSlack), not 2, which needs 4× the
+/// oversampling the factor-2 classes needed (16).
+constexpr double kLeverageOversample = 64.0;
 
 /// Degree-weighted mean of h over a cluster (the shift making h' orthogonal
 /// to the degree vector, eq. (8)).
@@ -86,11 +97,15 @@ void HeavyHitter::scale(const std::vector<std::size_t>& idx, const Vec& vals) {
     const auto& a = g_->arc(static_cast<graph::EdgeId>(e));
     const std::int32_t nb =
         (vals[k] <= 0.0 || a.from == a.to) ? kZeroWeight : exponent_of(vals[k]);
-    if (nb != row_bucket_[e]) {
-      if (row_bucket_[e] != kZeroWeight)
-        erases[row_bucket_[e]].push_back(static_cast<std::int64_t>(e));
+    const std::int32_t cur = row_bucket_[e];
+    const bool stays = (cur == kZeroWeight || nb == kZeroWeight)
+                           ? nb == cur
+                           : std::abs(nb - cur) <= kClassSlack;
+    if (!stays) {
+      if (cur != kZeroWeight) erases[cur].push_back(static_cast<std::int64_t>(e));
       if (nb != kZeroWeight) inserts[nb].push_back({a.from, a.to, static_cast<std::int64_t>(e)});
       row_bucket_[e] = nb;
+      ++class_moves_;
     }
     weights_[e] = vals[k];
   }
@@ -115,9 +130,10 @@ std::vector<std::size_t> HeavyHitter::heavy_query(const Vec& h, double eps) {
   if (ctx_->fault().should_fire(par::FaultKind::kHeavyHitterMiss)) return out;
   for (const Bucket& b : buckets_) {
     if (b.count == 0) continue;
-    // g_e < 2^{exp+1}, so a heavy row needs |h_u - h_v| >= eps / 2^{exp+1},
-    // hence an endpoint with |h'_v| >= eps / 2^{exp+2}.
-    const double delta = eps / std::ldexp(1.0, b.exponent + 1);
+    // g_e < 2^{exp+2} (kClassSlack), so a heavy row needs
+    // |h_u - h_v| >= eps / 2^{exp+2}, hence an endpoint with
+    // |h'_v| >= eps / 2^{exp+3}.
+    const double delta = eps / std::ldexp(1.0, b.exponent + 1 + kClassSlack);
     for (const auto* cl : b.decomp->clusters()) {
       const double shift = cluster_shift(*cl, h);
       const auto& cg = cl->graph();
@@ -147,6 +163,8 @@ double HeavyHitter::sample_mass(const Vec& h) const {
   double mass = 0.0;
   for (const Bucket& b : buckets_) {
     if (b.count == 0) continue;
+    // The representative w² = 2^{2e} of a class's weights in [2^{e−1}, 2^{e+2}):
+    // any common scale cancels in q = K / mass.
     const double w2 = std::ldexp(1.0, 2 * b.exponent);
     for (const auto* cl : b.decomp->clusters()) {
       const double shift = cluster_shift(*cl, h);
@@ -246,7 +264,7 @@ std::vector<std::size_t> HeavyHitter::leverage_sample(double k_prime) {
         const auto d = static_cast<double>(cg.degree(v));
         if (d == 0.0) continue;
         const double p =
-            std::min(16.0 * k_prime * lg / (opts_.phi * opts_.phi * d), 1.0);
+            std::min(kLeverageOversample * k_prime * lg / (opts_.phi * opts_.phi * d), 1.0);
         const auto incidents = cg.incident(v);
         if (p >= 1.0) {
           for (const auto& inc : incidents)
@@ -286,8 +304,10 @@ Vec HeavyHitter::leverage_bound(const std::vector<std::size_t>& idx, double k_pr
     const auto ep = cl->graph().endpoints(local);
     const auto du = static_cast<double>(cl->graph().degree(ep.u));
     const auto dv = static_cast<double>(cl->graph().degree(ep.v));
-    const double pu = std::min(16.0 * k_prime * lg / (opts_.phi * opts_.phi * du), 1.0);
-    const double pv = std::min(16.0 * k_prime * lg / (opts_.phi * opts_.phi * dv), 1.0);
+    const double pu =
+        std::min(kLeverageOversample * k_prime * lg / (opts_.phi * opts_.phi * du), 1.0);
+    const double pv =
+        std::min(kLeverageOversample * k_prime * lg / (opts_.phi * opts_.phi * dv), 1.0);
     out[k] = std::min(pu + pv, 1.0);
   }
   par::charge(idx.size() + 1, par::ceil_log2(idx.size() + 2));

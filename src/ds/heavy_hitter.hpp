@@ -2,12 +2,15 @@
 // HeavyHitter data structure (Lemma B.1 / Corollary B.2).
 //
 // Rows of Diag(g)·A (A the incidence matrix of a digraph) are grouped into
-// weight buckets g_e ∈ [2^i, 2^{i+1}); each bucket maintains a dynamic
-// expander decomposition of its (undirected view) edge set (Lemma 3.1).
-// Because each cluster is an expander, an edge with |g_e (Ah)_e| >= ε must
-// have an endpoint whose degree-shifted potential h'_v is >= ε/2^{i+2}, so
-// HEAVYQUERY only scans the incident edges of those few vertices — work
-// Õ(||Diag(g)Ah||² ε^{-2} + n log W) instead of O(m).
+// weight classes; each class maintains a dynamic expander decomposition of
+// its (undirected view) edge set (Lemma 3.1). A row enters class
+// i = ⌊log₂ g_e⌋ and stays there while ⌊log₂ g_e⌋ ∈ {i−1, i, i+1}, so class
+// i holds weights in [2^{i−1}, 2^{i+2}) and a row that oscillates around a
+// power of two is not erased from one decomposition and re-inserted into
+// another. Because each cluster is an expander, an edge with
+// |g_e (Ah)_e| >= ε must have an endpoint whose degree-shifted potential h'_v
+// is >= ε/2^{i+3}, so HEAVYQUERY only scans the incident edges of those few
+// vertices — work Õ(||Diag(g)Ah||² ε^{-2} + n log W) instead of O(m).
 //
 // SAMPLE / PROBABILITY / LEVERAGESCORESAMPLE implement the ℓ2-proportional
 // and leverage-score-overestimate sampling of Lemma B.1 with work
@@ -45,7 +48,8 @@ class HeavyHitter {
   HeavyHitter(core::SolverContext& ctx, const graph::Digraph& g, linalg::Vec weights,
               Options opts = {});
 
-  /// weights[idx[k]] <- vals[k]; moves rows between weight buckets.
+  /// weights[idx[k]] <- vals[k]; moves a row to its exact class only when
+  /// its exponent leaves its class's ±1 window or it turns zero or non-zero.
   void scale(const std::vector<std::size_t>& idx, const linalg::Vec& vals);
 
   /// All arcs e with |g_e (Ah)_e| >= eps. `h` has one entry per vertex (set
@@ -69,6 +73,8 @@ class HeavyHitter {
   [[nodiscard]] double weight(std::size_t e) const { return weights_[e]; }
   [[nodiscard]] std::size_t num_buckets() const { return buckets_.size(); }
   [[nodiscard]] std::uint64_t last_query_scans() const { return last_query_scans_; }
+  /// Rows scale() has moved between classes since construction.
+  [[nodiscard]] std::uint64_t class_moves() const { return class_moves_; }
 
  private:
   struct Bucket {
@@ -92,6 +98,7 @@ class HeavyHitter {
   std::vector<std::int32_t> row_bucket_;  ///< exponent per arc; INT32_MIN = zero weight
   par::Rng rng_;
   std::uint64_t last_query_scans_ = 0;
+  std::uint64_t class_moves_ = 0;
 };
 
 }  // namespace pmcf::ds

@@ -61,8 +61,9 @@ std::vector<HeavySampler::Entry> HeavySampler::sample(const Vec& h) {
   std::sort(merged.begin(), merged.end());
   merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
 
-  // Per-index probabilities under each component, then the thinning step of
-  // Algorithm 10 line 24: keep i with min(1, u+v+w) / (1-(1-u)(1-v)(1-w)).
+  // The three component draws are independent, so i is in `merged` with
+  // probability hit = 1-(1-u)(1-v)(1-w), at least each component's rate;
+  // R_ii = 1/hit makes E[R] = I.
   const Vec pv = hh_.probability(merged, h, 3.0 * opts_.c1 * static_cast<double>(m_) / sqrt_n);
   std::vector<Entry> out;
   out.reserve(merged.size());
@@ -71,10 +72,8 @@ std::vector<HeavySampler::Entry> HeavySampler::sample(const Vec& h) {
     const double u = tau_sampler_.probability(i, 3.0 * opts_.c3);
     const double v = pv[k];
     const double w = p_unif;
-    const double target = std::min(1.0, u + v + w);
     const double hit = 1.0 - (1.0 - u) * (1.0 - v) * (1.0 - w);
-    const double keep = hit > 0.0 ? std::min(target / hit, 1.0) : 1.0;
-    if (rng_.next_double() < keep) out.push_back({i, 1.0 / target});
+    if (hit > 0.0) out.push_back({i, 1.0 / hit});
   }
   par::charge(merged.size() + 1, par::ceil_log2(merged.size() + 2));
   return out;

@@ -424,5 +424,51 @@ TEST(HeavyHitterTest, QueryWorkIsOutputSensitive) {
   EXPECT_LT(hh.last_query_scans(), 6000u) << "scan count must be Õ(n), not O(m)";
 }
 
+TEST(HeavyHitterTest, LazyClassesKeepQueryExact) {
+  // Rows stay in their class while their exponent moves by at most one, so a
+  // class spans a factor 8 of weights; the query must still find every heavy
+  // row. Weights start at 2^k·(0.9..1.1) and random rows drift by factors up
+  // to 3.5 each round.
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    par::Rng rng(700 + seed);
+    const Digraph g = graph::random_flow_network(30, 180, 5, 5, rng);
+    const auto m = static_cast<std::size_t>(g.num_arcs());
+    Vec w(m);
+    for (auto& x : w)
+      x = std::ldexp(0.9 + 0.2 * rng.next_double(), static_cast<int>(rng.next_below(6)) - 3);
+    HeavyHitter hh(pmcf::core::default_context(), g, w);
+    for (int round = 0; round < 30; ++round) {
+      std::vector<std::size_t> idx;
+      Vec vals;
+      for (std::size_t e = 0; e < m; ++e) {
+        if (rng.next_double() >= 0.3) continue;
+        w[e] *= std::pow(3.5, 2.0 * rng.next_double() - 1.0);
+        idx.push_back(e);
+        vals.push_back(w[e]);
+      }
+      hh.scale(idx, vals);
+      Vec h(30);
+      for (auto& x : h) x = rng.next_double() * 2.0 - 1.0;
+      EXPECT_EQ(hh.heavy_query(h, 0.5), brute_heavy(g, w, h, 0.5))
+          << "seed " << seed << " round " << round;
+    }
+  }
+
+  // A row oscillating across 2^0 never moves; a row scaled ×8 moves once.
+  HhFixture f(20, 80, 104);
+  Vec w(80, 1.0);
+  HeavyHitter hh(pmcf::core::default_context(), f.g, w);
+  for (int t = 0; t < 10; ++t) hh.scale({4}, {t % 2 == 0 ? 0.9 : 1.1});
+  EXPECT_EQ(hh.class_moves(), 0u);
+  hh.scale({9}, {8.0});
+  EXPECT_EQ(hh.class_moves(), 1u);
+  w[4] = 1.1;
+  w[9] = 8.0;
+  Vec h(20);
+  par::Rng rng(105);
+  for (auto& x : h) x = rng.next_double();
+  EXPECT_EQ(hh.heavy_query(h, 0.5), brute_heavy(f.g, w, h, 0.5));
+}
+
 }  // namespace
 }  // namespace pmcf::ds

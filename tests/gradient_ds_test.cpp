@@ -208,10 +208,11 @@ TEST(PrimalGradientTest, UpdateMovesCoordinatesConsistently) {
 
 TEST(HeavySamplerTest, InverseProbabilitiesAreUnbiasedWeights) {
   par::Rng rng(131);
-  const Vertex n = 20;
-  const Digraph g = graph::random_flow_network(n, 100, 4, 4, rng);
-  Vec w(100), tau(100);
-  for (std::size_t i = 0; i < 100; ++i) {
+  const Vertex n = 16;
+  const std::size_t m = 96;
+  const Digraph g = graph::random_flow_network(n, static_cast<std::int64_t>(m), 4, 4, rng);
+  Vec w(m), tau(m);
+  for (std::size_t i = 0; i < m; ++i) {
     w[i] = 0.5 + rng.next_double();
     tau[i] = 0.05 + 0.1 * rng.next_double();
   }
@@ -219,16 +220,18 @@ TEST(HeavySamplerTest, InverseProbabilitiesAreUnbiasedWeights) {
   Vec h(static_cast<std::size_t>(n));
   for (auto& x : h) x = rng.next_double() - 0.5;
   h[static_cast<std::size_t>(n - 1)] = 0.0;
-  // E[Σ_{i in R} (1/p_i) 1_{i=j}] = 1: empirically estimate for one index.
-  const std::size_t target = 7;
-  double acc = 0.0;
-  const int trials = 2000;
+  // E[R_jj] = E[Σ_{i in R} (1/p_i) 1_{i=j}] = 1 for every index j.
+  Vec acc(m, 0.0);
+  const int trials = 4000;
   for (int t = 0; t < trials; ++t) {
-    for (const auto& entry : hs.sample(h)) {
-      if (entry.index == target) acc += entry.inv_prob;
-    }
+    for (const auto& entry : hs.sample(h)) acc[entry.index] += entry.inv_prob;
   }
-  EXPECT_NEAR(acc / trials, 1.0, 0.25);
+  double mean = 0.0;
+  for (std::size_t j = 0; j < m; ++j) {
+    EXPECT_NEAR(acc[j] / trials, 1.0, 0.05) << "index " << j;
+    mean += acc[j] / trials / static_cast<double>(m);
+  }
+  EXPECT_NEAR(mean, 1.0, 0.01);
 }
 
 TEST(HeavySamplerTest, OutputSizeScalesWithSqrtN) {
