@@ -180,23 +180,13 @@ void GradientAccumulator::disarm(std::size_t i) {
   low_[b].erase(low_[b].find({base_[i] - slack, i}));
 }
 
-void GradientAccumulator::scale(const std::vector<std::size_t>& idx, const Vec& a) {
+void GradientAccumulator::update(const std::vector<std::size_t>& idx, const Vec& g,
+                                 const std::vector<std::int32_t>& bucket) {
   for (std::size_t k = 0; k < idx.size(); ++k) {
     const std::size_t i = idx[k];
     disarm(i);
     refresh(i);
-    g_[i] = a[k];
-    rearm(i);
-  }
-  par::charge(idx.size() + 1, par::ceil_log2(idx.size() + 2));
-}
-
-void GradientAccumulator::move(const std::vector<std::size_t>& idx,
-                               const std::vector<std::int32_t>& bucket) {
-  for (std::size_t k = 0; k < idx.size(); ++k) {
-    const std::size_t i = idx[k];
-    disarm(i);
-    refresh(i);
+    g_[i] = g[k];
     bucket_[i] = bucket[k];
     base_[i] = f_[static_cast<std::size_t>(bucket_[i])];
     rearm(i);
@@ -271,8 +261,7 @@ PrimalGradientMaintenance::PrimalGradientMaintenance(const linalg::IncidenceOp& 
 void PrimalGradientMaintenance::update(const std::vector<std::size_t>& idx, const Vec& b,
                                        const Vec& c, const Vec& d) {
   const auto buckets = reduction_.update(idx, b, c, d);
-  accumulator_.scale(idx, b);
-  accumulator_.move(idx, buckets);
+  accumulator_.update(idx, b, buckets);
 }
 
 Vec PrimalGradientMaintenance::query_product() {

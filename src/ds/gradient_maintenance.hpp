@@ -80,8 +80,10 @@ class GradientAccumulator {
   GradientAccumulator(linalg::Vec x_init, linalg::Vec g, std::vector<std::int32_t> bucket,
                       std::int32_t num_buckets, linalg::Vec accuracy);
 
-  void scale(const std::vector<std::size_t>& idx, const linalg::Vec& a);
-  void move(const std::vector<std::size_t>& idx, const std::vector<std::int32_t>& bucket);
+  /// Set g_i = g[k] and move i to bucket[k] for i = idx[k]: one disarm,
+  /// refresh and rearm per coordinate.
+  void update(const std::vector<std::size_t>& idx, const linalg::Vec& g,
+              const std::vector<std::int32_t>& bucket);
 
   struct QueryResult {
     const linalg::Vec* approx;         ///< pointer to x̄
