@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "bench_common.hpp"
 #include "core/solver_context.hpp"
 #include "ds/heavy_hitter.hpp"
@@ -55,18 +57,23 @@ void BM_Scale(benchmark::State& state) {
   linalg::Vec w(static_cast<std::size_t>(g.num_arcs()), 1.0);
   ds::HeavyHitter hh(pmcf::core::default_context(), g, w);
   bench::run_instrumented(state, [&] {
-    // Scale 16 random rows; only those whose exponent leaves their class's
-    // ±1 window move to another class (class_moves).
+    // Scale 16 random rows by 2^(±(3 + 3U)). A row of class e weighs
+    // [2^(e-1), 2^(e+2)), so each such factor leaves the class's ±1 window
+    // and the row moves to another class's decomposition.
     std::vector<std::size_t> idx;
     linalg::Vec vals;
     for (std::size_t k = 0; k < 16; ++k) {
-      idx.push_back(rng.next_below(static_cast<std::uint64_t>(g.num_arcs())));
-      vals.push_back(0.1 + 4.0 * rng.next_double());
+      const std::size_t i = rng.next_below(static_cast<std::uint64_t>(g.num_arcs()));
+      const double octaves = 3.0 + 3.0 * rng.next_double();
+      w[i] *= std::exp2(rng.next_double() < 0.5 ? -octaves : octaves);
+      idx.push_back(i);
+      vals.push_back(w[i]);
     }
     hh.scale(idx, vals);
   });
   state.counters["m"] = static_cast<double>(g.num_arcs());
-  state.counters["class_moves"] = static_cast<double>(hh.class_moves());
+  state.counters["class_moves"] =
+      static_cast<double>(hh.class_moves()) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_Scale)->Arg(100)->Arg(200)->Arg(400)->Unit(benchmark::kMillisecond)->Iterations(1);
 

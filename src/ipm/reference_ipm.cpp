@@ -27,6 +27,19 @@ double initial_mu(const IpmLp& lp, double target_centrality) {
   return max_cu * static_cast<double>(m) / (2.0 * std::sqrt(2.0) * n * target_centrality) + 1.0;
 }
 
+double duality_gap(const IpmLp& lp, const Vec& x, const Vec& y, const Vec& s, const Vec& rp) {
+  const double arcs = par::parallel_reduce<double>(
+      0, x.size(), 0.0,
+      [&](std::size_t e) {
+        return s[e] > 0.0 ? x[e] * s[e] : (lp.cap[e] - x[e]) * -s[e];
+      },
+      [](double p, double q) { return p + q; });
+  const double residual = par::parallel_reduce<double>(
+      0, y.size(), 0.0, [&](std::size_t v) { return y[v] * rp[v]; },
+      [](double p, double q) { return p + q; });
+  return arcs - residual;
+}
+
 NewtonSystem::NewtonSystem(const IpmLp& lp, const linalg::IncidenceOp& a) : lp_(lp), a_(a) {
   for (Vec* v : {&hess_, &grad_, &s_, &z_, &d_, &resid_, &dresid_, &ay_, &a_dy_, &dx_, &dn_})
     v->resize(a.rows());
@@ -191,8 +204,11 @@ IpmResult reference_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Vec y
         std::max(res.max_primal_residual, linalg::norm_inf(newton.primal_residual()));
 
     // Only shrink mu when sufficiently centered; otherwise re-center first.
+    // A centred iterate stops the path at mu_end or as soon as its duality
+    // gap pins the integral optimum.
     if (res.final_centrality < stp.ref_centrality_slack) {
-      if (res.mu <= opts.mu_end) {
+      if (res.mu <= opts.mu_end ||
+          duality_gap(lp, res.x, res.y, newton.slack(), newton.primal_residual()) < 1.0) {
         res.converged = true;
         break;
       }

@@ -43,7 +43,7 @@ struct IpmLp {
 /// The step schedule (step fraction, centrality slack, boundary margin,
 /// Lewis refresh cadence) is fixed: core::IpmStepIngredient's ref_* fields.
 struct IpmOptions {
-  double mu_end = 1e-4;          ///< terminate when mu drops below this
+  double mu_end = 1e-4;          ///< terminate here at the latest (duality_gap < 1 may stop sooner)
   std::int32_t max_iters = 20000;
   bool exact_leverage = false;         ///< dense oracle (tiny instances only)
   linalg::LeverageOptions leverage;    ///< JL estimator settings
@@ -108,6 +108,8 @@ class NewtonSystem {
                   const linalg::Vec& tau, double keep, const linalg::SolveOptions& solve);
 
   [[nodiscard]] const linalg::Vec& hess() const { return hess_; }
+  /// s = c - Ay at the last eval_center point.
+  [[nodiscard]] const linalg::Vec& slack() const { return s_; }
   [[nodiscard]] const linalg::Vec& primal_residual() const { return rp_; }
 
  private:
@@ -117,11 +119,23 @@ class NewtonSystem {
   linalg::Vec atx_, rp_, rhs_, rhsn_;                                        // size n
 };
 
+/// Duality gap of (x, y) from s = c - Ay and r_p = b - A^T x:
+///   Σ_e [x_e·max(s_e, 0) + (u_e - x_e)·max(-s_e, 0)] - y^T r_p,
+/// which equals c^T x - L(y) for the Lagrangian bound
+/// L(y) = b^T y + Σ_e u_e·min(0, s_e) <= OPT. Every arc term is non-negative
+/// for 0 <= x <= u, so only the residual term can pull the sum down. With
+/// integral data the LP optimum is integral, so once the gap of a feasible
+/// x falls below 1 no integer lies between OPT and c^T x other than OPT
+/// itself: both IPMs stop there (DESIGN.md §6) and round.
+double duality_gap(const IpmLp& lp, const linalg::Vec& x, const linalg::Vec& y,
+                   const linalg::Vec& s, const linalg::Vec& rp);
+
 /// Closed-form initial mu making x0 (with φ'(x0)=0, e.g. x0=u/2) ε-centered
 /// for y0 = 0 (Definition F.1 approximate centrality).
 double initial_mu(const IpmLp& lp, double target_centrality = 0.1);
 
-/// Follow the central path from (x0, y0, mu0) down to opts.mu_end. `ctx`
+/// Follow the central path from (x0, y0, mu0) until a centred iterate has
+/// duality_gap < 1 or mu <= opts.mu_end. `ctx`
 /// scopes the Newton-system recovery ladder, sketch retries, and PRAM
 /// accounting to the calling solve; randomness still derives from opts.seed
 /// so results are a function of (lp, x0, y0, mu0, opts) alone.

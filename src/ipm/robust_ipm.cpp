@@ -100,7 +100,6 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
         if (res.final_centrality < stp.rob_recenter_threshold) break;
         const NewtonStep st = newton.step(ctx, res.x, res.y, res.mu, tau,
                                           stp.rob_center_damping, opts.solve);
-        res.dense_fallbacks += st.dense_fallback ? 1 : 0;
         if (st.status != SolveStatus::kOk) {
           res.status = st.status;
           res.detail = is_lifecycle_error(st.status)
@@ -109,7 +108,12 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
           return res;
         }
       }
-      if (res.mu <= opts.mu_end && res.final_centrality < 1.0) {
+      // The gap stop reads eval_center's s and r_p, which belong to the
+      // current (x, y) only when the loop above ended on a centred point.
+      const bool centred = res.final_centrality < stp.rob_recenter_threshold;
+      if ((res.mu <= opts.mu_end && res.final_centrality < 1.0) ||
+          (centred &&
+           duality_gap(lp, res.x, res.y, newton.slack(), newton.primal_residual()) < 1.0)) {
         res.converged = true;
         break;
       }

@@ -60,10 +60,15 @@ struct RobustIpmResult {
   std::string detail;
   std::int32_t structure_rebuilds = 0;   ///< reseeded ds-stack rebuilds
   std::int32_t sparsifier_retries = 0;   ///< redrawn degenerate samples
-  std::int32_t dense_fallbacks = 0;      ///< solves on the dense edge set
+  /// Robust steps solved on the dense edge set after the sparsifier redraws
+  /// stayed too thin. Re-centring Newton fallbacks are not counted here; the
+  /// solve's recovery sink counts both kinds as kDenseFallback.
+  std::int32_t dense_fallbacks = 0;
 };
 
-/// Follow the central path with the sublinear ds stack. `ctx` scopes fault
+/// Follow the central path with the sublinear ds stack, stopping at the
+/// first epoch boundary whose re-centred iterate has duality_gap < 1 (or at
+/// mu_end). `ctx` scopes fault
 /// injection, recovery telemetry, and PRAM accounting for the whole ds stack
 /// to the calling solve; randomness derives from a fixed seed, so results
 /// are a function of (lp, x0, y0, mu0, opts) alone.

@@ -256,16 +256,12 @@ bool accept_warm_start(const AugmentedLp& aug, const WarmStart& warm, double mu_
   }
   for (const double yv : warm.y)
     if (!std::isfinite(yv)) return false;
-  // Restart a few octaves above the termination threshold: enough runway for
-  // the damped Newton recentering to absorb the perturbation, a tiny
-  // fraction of the cold mu0 (which scales with the instance's cost mass).
-  // Warm iterations all run in the expensive low-mu regime (CG escalations,
-  // near-boundary preconditioner churn; measured ~2x the cost of a cold
-  // iteration), so the runway is kept short: 4 resolved faster than 64. A
+  // Restart where the previous solve stopped: the duality-gap stop (DESIGN.md
+  // §6) leaves that point centred and a few octaves above mu_end, so the
+  // Newton re-centring absorbs a value-only perturbation from there. A
   // restart that proves too aggressive is caught by certification and
   // retried cold, never served wrong.
-  constexpr double kMuBoost = 4.0;
-  mu0 = std::min(mu0, std::max(std::max(warm.mu, mu_end) * kMuBoost, mu_end));
+  mu0 = std::min(mu0, std::max(warm.mu, mu_end));
   x0 = std::move(x);
   y0 = warm.y;
   par::charge(static_cast<std::uint64_t>(m) + n, par::ceil_log2(std::max<std::size_t>(m, 2)));
@@ -313,6 +309,7 @@ MinCostFlowResult solve_core(core::SolverContext& ctx, const Digraph& core,
       res.stats.final_centrality = r.final_centrality;
       res.stats.robust_step_work = r.robust_step_work;
       res.stats.robust_steps = r.robust_steps;
+      res.stats.robust_step_dense_fallbacks = r.dense_fallbacks;
       res.status = r.status;
       if (r.status != SolveStatus::kOk) {
         res.failure_component = "ipm::robust_ipm";

@@ -91,6 +91,10 @@ struct SolveStats {
   /// rebuild costs are excluded (amortized separately).
   std::uint64_t robust_step_work = 0;
   std::int32_t robust_steps = 0;
+  /// Robust IPM only: robust steps whose sparsifier sample stayed too thin
+  /// after its redraws and solved on the dense edge set. `dense_fallbacks`
+  /// below counts these together with the Newton solves' fallbacks.
+  std::int32_t robust_step_dense_fallbacks = 0;
   // --- resilience telemetry (DESIGN.md "Failure model and recovery") ------
   Method answered_by = Method::kReferenceIpm;  ///< tier that produced the answer
   std::int32_t tiers_attempted = 0;            ///< 1 = no degradation happened

@@ -282,6 +282,39 @@ TEST_F(EngineResolveTest, CostOnlyDeltaRestartsFromCentralPath) {
   EXPECT_GT(warm.result.stats.warm_mu0, 0.0);
 }
 
+TEST_F(EngineResolveTest, WarmResolveRestartsWhereThePreviousSolveStopped) {
+  const Digraph g = make_graph(916);
+  const Engine engine;
+  const auto opts = fast_opts();
+  const InstanceHandle h = engine.register_instance(Instance::max_flow(g, 0, g.num_vertices() - 1));
+  EngineSolveResult prev = engine.resolve(h, {}, opts);
+  ASSERT_EQ(prev.result.status, SolveStatus::kOk);
+  Mirror mirror(g);
+  // Value-only deltas in a row: each resolve restarts at the mu where the
+  // one before it stopped, which the duality-gap stop leaves above mu_end.
+  for (const EdgeId arc : {0, 3, 5}) {
+    SCOPED_TRACE(arc);
+    InstanceDelta d;
+    d.cost_changes = {{arc, mirror.arcs[static_cast<std::size_t>(arc)].cost + 1}};
+    mirror.apply(d);
+    const EngineSolveResult warm = engine.resolve(h, d, opts);
+    ASSERT_EQ(warm.result.status, SolveStatus::kOk);
+    EXPECT_TRUE(warm.result.stats.certified);
+    ASSERT_EQ(warm.result.stats.warm_source, "central-path");
+    EXPECT_GT(prev.result.stats.final_mu, opts.ipm.mu_end);
+    EXPECT_EQ(warm.result.stats.warm_mu0, prev.result.stats.final_mu);
+
+    const Digraph cold_g = mirror.live_graph();
+    const Engine cold_engine;
+    const EngineSolveResult cold =
+        cold_engine.solve(Instance::max_flow(cold_g, 0, cold_g.num_vertices() - 1), opts);
+    ASSERT_EQ(cold.result.status, SolveStatus::kOk);
+    EXPECT_EQ(warm.result.cost, cold.result.cost);
+    EXPECT_EQ(warm.result.flow_value, cold.result.flow_value);
+    prev = warm;
+  }
+}
+
 // --- observability counters -------------------------------------------------
 
 TEST_F(EngineResolveTest, CacheCountersTellTheTruth) {

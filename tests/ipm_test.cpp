@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "baselines/ssp.hpp"
 #include "core/solver_context.hpp"
@@ -12,6 +15,7 @@
 #include "ipm/barrier.hpp"
 #include "ipm/reference_ipm.hpp"
 #include "ipm/rounding.hpp"
+#include "linalg/incidence.hpp"
 #include "mcf/min_cost_flow.hpp"
 #include "parallel/rng.hpp"
 
@@ -104,6 +108,181 @@ TEST(ReferenceIpmTest, StaysFeasibleAndCentered) {
   EXPECT_LT(res.stats.final_centrality, 1.0);
   EXPECT_GT(res.stats.ipm_iterations, 10);
 }
+
+/// A b-flow LP with even capacities and b = A^T (u/2), so u/2 is a feasible
+/// interior point; its optimum comes from the SSP oracle.
+struct GapLp {
+  Digraph graph;
+  ipm::IpmLp lp;
+  Vec x_mid;   ///< u/2
+  Vec x_opt;   ///< an optimal integral flow
+  double opt = 0.0;
+};
+
+GapLp make_gap_lp(std::uint64_t seed, std::int64_t max_cost) {
+  par::Rng rng(seed);
+  const Vertex n = 8;
+  const Digraph base = graph::random_flow_network(n, 24, 4, max_cost, rng);
+  GapLp out;
+  out.graph = Digraph(n);
+  std::vector<std::int64_t> supply(static_cast<std::size_t>(n), 0);
+  for (const auto& a : base.arcs()) {
+    out.graph.add_arc(a.from, a.to, 2 * a.cap, a.cost);
+    supply[static_cast<std::size_t>(a.from)] += a.cap;  // supply = -b
+    supply[static_cast<std::size_t>(a.to)] -= a.cap;
+  }
+  out.lp.graph = &out.graph;
+  out.lp.dropped = n - 1;
+  out.lp.b.assign(static_cast<std::size_t>(n), 0.0);
+  for (Vertex v = 0; v + 1 < n; ++v)
+    out.lp.b[static_cast<std::size_t>(v)] = -static_cast<double>(supply[static_cast<std::size_t>(v)]);
+  for (const auto& a : out.graph.arcs()) {
+    out.lp.cost.push_back(static_cast<double>(a.cost));
+    out.lp.cap.push_back(static_cast<double>(a.cap));
+    out.x_mid.push_back(static_cast<double>(a.cap) / 2.0);
+  }
+  const auto ssp = baselines::ssp_min_cost_b_flow(out.graph, supply);
+  out.x_opt.assign(ssp.arc_flow.begin(), ssp.arc_flow.end());
+  out.opt = static_cast<double>(ssp.cost);
+  return out;
+}
+
+/// duality_gap(x, y) with s = c - Ay and r_p = b - A^T x as eval_center
+/// forms them (dropped row of r_p zeroed).
+double gap_at(const GapLp& g, const Vec& x, const Vec& y) {
+  const linalg::IncidenceOp a(g.graph, g.lp.dropped);
+  const Vec s = linalg::sub(g.lp.cost, a.apply(y));
+  Vec rp = linalg::sub(g.lp.b, a.apply_transpose(x));
+  a.mask_dropped(rp);
+  return ipm::duality_gap(g.lp, x, y, s, rp);
+}
+
+/// The Lagrangian bound L(y) = b^T y + Σ_e u_e·min(0, s_e), written out.
+double lagrangian_bound(const GapLp& g, const Vec& y) {
+  const linalg::IncidenceOp a(g.graph, g.lp.dropped);
+  const Vec s = linalg::sub(g.lp.cost, a.apply(y));
+  double bound = linalg::dot(g.lp.b, y);
+  for (std::size_t e = 0; e < s.size(); ++e) bound += g.lp.cap[e] * std::min(0.0, s[e]);
+  return bound;
+}
+
+double cost_of(const GapLp& g, const Vec& x) { return linalg::dot(g.lp.cost, x); }
+
+TEST(DualityGapTest, LagrangianBoundIsWeakAndTheGapBoundsTheCostExcess) {
+  for (const std::uint64_t seed : {301u, 302u, 303u, 304u}) {
+    for (const std::int64_t max_cost : {6, 1}) {  // 1: costs in {0, 1}, many ties
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " max_cost " << max_cost);
+      const GapLp g = make_gap_lp(seed, max_cost);
+      const std::size_t n = g.lp.b.size();
+      const std::size_t m = g.lp.cap.size();
+      par::Rng rng(seed + 7);
+      for (int trial = 0; trial < 20; ++trial) {
+        Vec y(n), x(m);
+        for (double& v : y) v = 20.0 * rng.next_double() - 10.0;
+        y[n - 1] = 0.0;
+        for (std::size_t e = 0; e < m; ++e) x[e] = g.lp.cap[e] * rng.next_double();
+        const double bound = lagrangian_bound(g, y);
+        const double tol = 1e-9 * (1.0 + std::abs(bound));
+        // Weak duality: every y bounds the optimum from below.
+        EXPECT_LE(bound, g.opt + tol);
+        // The per-arc form equals c^T x - L(y) at any x in the box, feasible
+        // or not, so it is never below the cost excess over the optimum.
+        for (const Vec* pt : std::vector<const Vec*>{&x, &g.x_mid, &g.x_opt}) {
+          const double gap = gap_at(g, *pt, y);
+          EXPECT_NEAR(gap, cost_of(g, *pt) - bound, tol);
+          EXPECT_GE(gap, cost_of(g, *pt) - g.opt - tol);
+        }
+      }
+    }
+  }
+}
+
+TEST(DualityGapTest, GapFallsBelowOneOnlyNearTheOptimum) {
+  int far_points = 0;
+  for (const std::uint64_t seed : {311u, 312u, 313u, 314u}) {
+    for (const std::int64_t max_cost : {6, 1}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " max_cost " << max_cost);
+      const GapLp g = make_gap_lp(seed, max_cost);
+      // Feasible points between the optimum and u/2: while their cost excess
+      // is at least 1, no dual vector closes the gap below 1.
+      par::Rng rng(seed + 11);
+      for (const double theta : {1.0, 0.5, 0.25, 0.125}) {
+        Vec x(g.x_opt.size());
+        for (std::size_t e = 0; e < x.size(); ++e)
+          x[e] = (1.0 - theta) * g.x_opt[e] + theta * g.x_mid[e];
+        if (cost_of(g, x) - g.opt < 1.0) continue;
+        ++far_points;
+        for (int trial = 0; trial < 10; ++trial) {
+          Vec y(g.lp.b.size());
+          for (double& v : y) v = 20.0 * rng.next_double() - 10.0;
+          y.back() = 0.0;
+          EXPECT_GE(gap_at(g, x, y), 1.0) << "theta " << theta;
+        }
+      }
+      // The reference IPM stops on the path once its own gap is below 1,
+      // well above mu_end, and that point is within 1 of the optimum.
+      ipm::IpmOptions opts = fast_ipm_options();
+      opts.mu_end = 1e-6;
+      const ipm::IpmResult r = ipm::reference_ipm(pmcf::core::default_context(), g.lp, g.x_mid,
+                                                  Vec(g.lp.b.size(), 0.0),
+                                                  ipm::initial_mu(g.lp), opts);
+      ASSERT_EQ(r.status, SolveStatus::kOk);
+      EXPECT_GT(r.mu, opts.mu_end);
+      const double gap = gap_at(g, r.x, r.y);
+      EXPECT_LT(gap, 1.0);
+      EXPECT_GE(gap, 0.0);
+      EXPECT_LT(cost_of(g, r.x) - g.opt, 1.0);
+    }
+  }
+  EXPECT_GE(far_points, 16);
+}
+
+/// Differential sweep of the duality-gap stop: both IPM tiers at the default
+/// mu_end on seeded max-flow instances, with distinct, tied ({0, 1}) and
+/// all-zero core costs. Every answer must come from the requested tier,
+/// certify and equal SSP, and the gap stop must end every path above mu_end.
+struct GapStopCase {
+  mcf::Method method;
+  std::int64_t max_cost;
+  std::uint64_t seed;
+};
+
+class GapStopSweep : public ::testing::TestWithParam<GapStopCase> {};
+
+TEST_P(GapStopSweep, CertifiesAndMatchesSsp) {
+  const GapStopCase c = GetParam();
+  par::Rng rng(c.seed);
+  const Vertex n = c.method == mcf::Method::kRobustIpm ? 10 : 14;
+  const Digraph g = graph::random_flow_network(n, 4 * n, 6, c.max_cost, rng);
+  const auto oracle = baselines::ssp_min_cost_max_flow(g, 0, n - 1);
+  mcf::SolveOptions opts;
+  opts.method = c.method;
+  const auto res = mcf::min_cost_max_flow(g, 0, n - 1, opts);
+  ASSERT_EQ(res.status, SolveStatus::kOk);
+  EXPECT_EQ(res.stats.answered_by, c.method);
+  EXPECT_TRUE(res.stats.certified);
+  EXPECT_EQ(res.flow_value, oracle.flow);
+  EXPECT_EQ(res.cost, oracle.cost);
+  EXPECT_GT(res.stats.final_mu, opts.ipm.mu_end) << "the gap stop did not fire";
+}
+
+std::vector<GapStopCase> gap_stop_cases() {
+  std::vector<GapStopCase> out;
+  for (const std::int64_t max_cost : {6, 1, 0}) {
+    for (std::uint64_t seed = 0; seed < 6; ++seed)
+      out.push_back({mcf::Method::kReferenceIpm, max_cost, 700 + seed});
+    for (std::uint64_t seed = 0; seed < 3; ++seed)
+      out.push_back({mcf::Method::kRobustIpm, max_cost, 800 + seed});
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(BothTiers, GapStopSweep, ::testing::ValuesIn(gap_stop_cases()),
+                         [](const ::testing::TestParamInfo<GapStopCase>& param_info) {
+                           const GapStopCase& c = param_info.param;
+                           return std::string(mcf::to_string(c.method)) + "_cost" +
+                                  std::to_string(c.max_cost) + "_seed" + std::to_string(c.seed);
+                         });
 
 TEST(MinCostFlowTest, MatchesSspOnDiamond) {
   Digraph g(4);

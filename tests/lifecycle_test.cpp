@@ -260,9 +260,10 @@ TEST_F(LifecycleTest, CancelTokenFromAnotherThreadIsObservedCooperatively) {
   // is inherently racy — either the solve observed the token (kCanceled) or
   // it finished first (kOk) — but it must always be typed and the context
   // must stay intact.
+  // 16 vertices and 90 arcs keep the uncanceled solve ~640 IPM iterations
+  // long before its duality-gap stop, so the cancellation usually lands.
   const Digraph g = make_graph(106, 16, 90);
-  auto opts = fast_opts();
-  opts.ipm.mu_end = 1e-6;  // long enough that cancellation usually lands
+  const auto opts = fast_opts();
 
   core::CancelToken token;
   core::SolverContext ctx(pinned_ctx_opts(15));
@@ -415,9 +416,10 @@ TEST_F(LifecycleEngineTest, RequestDeadlineAndTokenPropagateToEveryBatchItem) {
 }
 
 TEST_F(LifecycleEngineTest, CancelHandleReachesASolveOnAnotherThread) {
+  // ~670 IPM iterations before the duality-gap stop: long enough that the
+  // cancel usually lands mid-IPM.
   const Digraph g = make_graph(403, 16, 90);
-  auto opts = fast_opts();
-  opts.ipm.mu_end = 1e-6;  // long enough that the cancel usually lands mid-IPM
+  const auto opts = fast_opts();
 
   const Engine engine({.seed = 88, .use_global_pool = false});
   std::atomic<SolveHandle> handle{0};

@@ -291,6 +291,41 @@ TEST_F(FaultFixture, CgStagnationRecoversViaDenseFallback) {
   EXPECT_GT(res.stats.injected_faults, 0u);
 }
 
+TEST_F(FaultFixture, HeavyHitterMissSolvesRobustStepsOnTheDenseEdgeSet) {
+  const Digraph g = seed_instance(10);
+  const auto oracle = baselines::ssp_min_cost_max_flow(g, 0, g.num_vertices() - 1);
+  const ScopedFault fault(FaultKind::kHeavyHitterMiss, 1.0, 12);
+  const auto res =
+      mcf::min_cost_max_flow(g, 0, g.num_vertices() - 1, test_opts(mcf::Method::kRobustIpm));
+  ASSERT_EQ(res.status, SolveStatus::kOk);
+  EXPECT_EQ(res.cost, oracle.cost);
+  EXPECT_EQ(res.stats.answered_by, mcf::Method::kRobustIpm)
+      << "an empty sparsifier sample must be absorbed inside the tier";
+  // Every draw comes back empty, so each robust step redraws twice and then
+  // solves on the dense edge set.
+  ASSERT_GT(res.stats.robust_steps, 0);
+  EXPECT_EQ(res.stats.robust_step_dense_fallbacks, res.stats.robust_steps);
+  EXPECT_GE(res.stats.sketch_retries, 2u * static_cast<std::uint64_t>(res.stats.robust_steps));
+  EXPECT_GE(res.stats.dense_fallbacks,
+            static_cast<std::uint64_t>(res.stats.robust_step_dense_fallbacks));
+}
+
+TEST_F(FaultFixture, RecenteringFallbacksAreNotRobustStepFallbacks) {
+  const Digraph g = seed_instance(6);
+  const auto oracle = baselines::ssp_min_cost_max_flow(g, 0, g.num_vertices() - 1);
+  const ScopedFault fault(FaultKind::kCgStagnation, 1.0, 3);
+  const auto res =
+      mcf::min_cost_max_flow(g, 0, g.num_vertices() - 1, test_opts(mcf::Method::kRobustIpm));
+  ASSERT_EQ(res.status, SolveStatus::kOk);
+  EXPECT_EQ(res.cost, oracle.cost);
+  ASSERT_EQ(res.stats.answered_by, mcf::Method::kRobustIpm);
+  ASSERT_EQ(res.stats.tiers_attempted, 1);
+  // Stalled CG sends the re-centring Newton solves to dense elimination;
+  // the robust steps' sparsifier samples are untouched.
+  EXPECT_GE(res.stats.dense_fallbacks, 1u);
+  EXPECT_EQ(res.stats.robust_step_dense_fallbacks, 0);
+}
+
 TEST_F(FaultFixture, SketchCorruptionRecoversViaRetryAndExactFallback) {
   const Digraph g = seed_instance(7);
   const auto oracle = baselines::ssp_min_cost_max_flow(g, 0, g.num_vertices() - 1);

@@ -125,8 +125,8 @@ TEST(RobustIpmTest, RecenteringKeepsItsArithmetic) {
     std::int64_t cost;
     std::int64_t flow;
   };
-  for (const Case& c : {Case{1001, 11, 401, 0x3f194891ceb082d2ULL, 2174, 433},
-                        Case{1002, 12, 414, 0x3f18f86f3b64f882ULL, 2412, 325}}) {
+  for (const Case& c : {Case{1001, 11, 336, 0x3f9cab6390c9eb6eULL, 2174, 433},
+                        Case{1002, 12, 352, 0x3f915114e9b677fdULL, 2412, 325}}) {
     par::Rng rng(c.seed);
     const Digraph g = graph::random_flow_network(c.n, 6 * c.n, 100, 6, rng);
     mcf::SolveOptions opts;
