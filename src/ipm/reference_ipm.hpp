@@ -43,7 +43,7 @@ struct IpmLp {
 /// The step schedule (step fraction, centrality slack, boundary margin,
 /// Lewis refresh cadence) is fixed: core::IpmStepIngredient's ref_* fields.
 struct IpmOptions {
-  double mu_end = 1e-4;          ///< terminate here at the latest (duality_gap < 1 may stop sooner)
+  double mu_end = 1e-4;          ///< path floor; duality_gap < 1 may stop sooner
   std::int32_t max_iters = 20000;
   bool exact_leverage = false;         ///< dense oracle (tiny instances only)
   linalg::LeverageOptions leverage;    ///< JL estimator settings
@@ -135,10 +135,10 @@ double duality_gap(const IpmLp& lp, const linalg::Vec& x, const linalg::Vec& y,
 double initial_mu(const IpmLp& lp, double target_centrality = 0.1);
 
 /// Follow the central path from (x0, y0, mu0) until a centred iterate has
-/// duality_gap < 1 or mu <= opts.mu_end. `ctx`
-/// scopes the Newton-system recovery ladder, sketch retries, and PRAM
-/// accounting to the calling solve; randomness still derives from opts.seed
-/// so results are a function of (lp, x0, y0, mu0, opts) alone.
+/// duality_gap < 1 or mu <= opts.mu_end. `ctx` scopes the Newton-system
+/// recovery ladder, sketch retries, and PRAM accounting to the calling solve;
+/// randomness still derives from opts.seed so results are a function of
+/// (lp, x0, y0, mu0, opts) alone.
 IpmResult reference_ipm(core::SolverContext& ctx, const IpmLp& lp, linalg::Vec x0, linalg::Vec y0,
                         double mu0, const IpmOptions& opts = {});
 

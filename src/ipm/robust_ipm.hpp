@@ -68,10 +68,10 @@ struct RobustIpmResult {
 
 /// Follow the central path with the sublinear ds stack, stopping at the
 /// first epoch boundary whose re-centred iterate has duality_gap < 1 (or at
-/// mu_end). `ctx` scopes fault
-/// injection, recovery telemetry, and PRAM accounting for the whole ds stack
-/// to the calling solve; randomness derives from a fixed seed, so results
-/// are a function of (lp, x0, y0, mu0, opts) alone.
+/// mu_end). `ctx` scopes fault injection, recovery telemetry, and PRAM
+/// accounting for the whole ds stack to the calling solve; randomness
+/// derives from a fixed seed, so results are a function of
+/// (lp, x0, y0, mu0, opts) alone.
 RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, linalg::Vec x0,
                            linalg::Vec y0, double mu0, const RobustIpmOptions& opts = {});
 

@@ -241,8 +241,8 @@ class Engine {
   ///     (exact __int128 arithmetic, zero trust in the cache) and replayed;
   ///   - values-only delta → warm re-solve: the retained AccelCache rides in
   ///     (Laplacian value-refresh + drift-gated preconditioner reuse) and
-  ///     the IPM restarts from the previous central-path point at a boosted
-  ///     mu instead of the cold mu0;
+  ///     the IPM restarts from the previous central-path point at the mu
+  ///     where that solve stopped instead of the cold mu0;
   ///   - structural delta (arc add/remove) → epoch bump, artifacts
   ///     invalidated, cold re-solve.
   /// Every result is independently certified (SolveOptions::certify is

@@ -9,7 +9,8 @@
 //  - add an auxiliary vertex z (the dropped incidence column) with one arc
 //    per imbalanced vertex so that x0 = u/2 is a feasible interior point
 //    with phi'(x0) = 0, giving a closed-form eps-centered start;
-//  - follow the central path (reference or robust IPM) to small mu;
+//  - follow the central path (reference or robust IPM) until its duality
+//    gap is below 1, which pins the integral optimum, or mu reaches mu_end;
 //  - round to the exact integral optimum (ipm/rounding.hpp).
 
 #include <cstdint>

@@ -134,8 +134,8 @@ GapLp make_gap_lp(std::uint64_t seed, std::int64_t max_cost) {
   out.lp.graph = &out.graph;
   out.lp.dropped = n - 1;
   out.lp.b.assign(static_cast<std::size_t>(n), 0.0);
-  for (Vertex v = 0; v + 1 < n; ++v)
-    out.lp.b[static_cast<std::size_t>(v)] = -static_cast<double>(supply[static_cast<std::size_t>(v)]);
+  for (std::size_t v = 0; v + 1 < supply.size(); ++v)
+    out.lp.b[v] = -static_cast<double>(supply[v]);
   for (const auto& a : out.graph.arcs()) {
     out.lp.cost.push_back(static_cast<double>(a.cost));
     out.lp.cap.push_back(static_cast<double>(a.cap));
