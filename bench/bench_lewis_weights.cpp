@@ -26,8 +26,8 @@ void BM_LewisMaintenance(benchmark::State& state) {
 
   const int queries = 20;
   bench::run_instrumented(state, [&] {
-    ds::LewisMaintenanceOptions opts;
-    opts.leverage.leverage.sketch_dim = 8;
+    ds::LeverageMaintenanceOptions opts;
+    opts.leverage.sketch_dim = 8;
     ds::LewisMaintenance lm(pmcf::core::default_context(), a, w, linalg::constant(a.rows(), static_cast<double>(n) / a.rows()),
                             opts);
     for (int t = 0; t < queries; ++t) {

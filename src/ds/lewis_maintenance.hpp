@@ -6,12 +6,12 @@
 // under entrywise Scale updates, with amortized Õ(m/√n) work per Query.
 // Mechanism (simplified from the paper's JL + dyadic HeavyHitter machinery,
 // justified by the same slow-drift conditions (10)-(14)):
-//   - cached JL projection vectors y_r give σ_i ≈ Σ_r (v_i (A y_r)_i)² in
-//     O(k) work per entry;
-//   - Scale marks entries dirty; Query re-evaluates only dirty entries
-//     against the cached projections (first-order accurate for slow drift);
-//   - every T = Θ(√n) queries the projections and all entries are rebuilt
-//     (the paper's periodic re-initialization), amortizing to Õ(m/√n).
+//   - a rebuild estimates every entry as σ_i ≈ Σ_r (v_i (A y_r)_i)² from k
+//     JL rows, redrawn from the structure's seed, so every rebuild uses the
+//     same JL matrix and σ̄ moves only where v moved;
+//   - Scale only records the new v; σ̄ ignores it until the next rebuild;
+//   - every T = ⌈√n⌉-th Query rebuilds (the paper's periodic
+//     re-initialization), amortizing the O(m·k) rebuild to Õ(m/√n).
 
 #include <cstdint>
 #include <vector>
@@ -19,63 +19,41 @@
 #include "linalg/incidence.hpp"
 #include "linalg/leverage.hpp"
 #include "linalg/kernels.hpp"
-#include "parallel/rng.hpp"
 
 namespace pmcf::ds {
 
 struct LeverageMaintenanceOptions {
-  double eps = 0.1;
-  std::int32_t period = 0;   ///< T; 0 => ceil(sqrt(n))
-  /// Rebuild early once Σ |Δv_i|/v_i since the last rebuild exceeds this
-  /// (cross-row leverage effects are only tracked through rebuilds; the
-  /// paper's condition (14) bounds exactly this drift).
-  double drift_budget = 0.1;
   linalg::LeverageOptions leverage;
-  std::uint64_t seed = 29;
+  std::uint64_t seed = 29;  ///< seeds the one JL matrix of every rebuild
 };
 
 class LeverageMaintenance {
  public:
-  /// `ctx` scopes the periodic-rebuild SDD solves (fault injection + PRAM
-  /// accounting) to the owning solve; it must outlive this structure.
+  /// `ctx` scopes the rebuild SDD solves (fault injection + PRAM accounting)
+  /// to the owning solve; it must outlive this structure. Builds σ̄ once.
   LeverageMaintenance(core::SolverContext& ctx, const linalg::IncidenceOp& a, linalg::Vec v,
                       linalg::Vec z, LeverageMaintenanceOptions opts = {});
 
   /// v_i <- c_k for i = idx[k].
   void scale(const std::vector<std::size_t>& idx, const linalg::Vec& c);
 
-  struct QueryResult {
-    const linalg::Vec* approx;         ///< σ̄ (+ regularizer z)
-    std::vector<std::size_t> changed;  ///< entries updated since last query
-    bool rebuilt = false;
-  };
-  QueryResult query();
+  /// Counts one query and rebuilds σ̄ on every ⌈√n⌉-th; returns whether it
+  /// rebuilt.
+  bool query();
+
+  /// Re-estimates all m entries of σ̄ from the current v and restarts the
+  /// query period.
+  void rebuild();
 
   [[nodiscard]] const linalg::Vec& approx() const { return sigma_bar_; }
-  [[nodiscard]] std::int32_t queries() const { return t_; }
 
  private:
-  void rebuild();
-  [[nodiscard]] double estimate_entry(std::size_t i) const;
-
   core::SolverContext* ctx_;
   const linalg::IncidenceOp* a_;
   LeverageMaintenanceOptions opts_;
   std::int32_t period_;
   linalg::Vec v_, z_, sigma_bar_;
-  std::vector<linalg::Vec> projections_;  ///< cached A y_r per sketch row
-  double norm_scale_ = 1.0;               ///< v normalization at last rebuild
-  std::vector<std::size_t> dirty_;
-  std::vector<char> dirty_flag_;
-  double drift_ = 0.0;
-  par::Rng rng_;
   std::int32_t t_ = 0;
-};
-
-struct LewisMaintenanceOptions {
-  double eps = 0.1;
-  double p = 0.0;  ///< 0 => the IPM default 1 - 1/(4 log(4m/n))
-  LeverageMaintenanceOptions leverage;
 };
 
 /// Theorem C.1: maintain τ̄ ≈_ε regularized Lewis weights of Diag(g)A under
@@ -84,7 +62,7 @@ class LewisMaintenance {
  public:
   /// `ctx` threads through to the inner LeverageMaintenance.
   LewisMaintenance(core::SolverContext& ctx, const linalg::IncidenceOp& a, linalg::Vec g,
-                   linalg::Vec z, LewisMaintenanceOptions opts = {});
+                   linalg::Vec z, LeverageMaintenanceOptions opts = {});
 
   void scale(const std::vector<std::size_t>& idx, const linalg::Vec& b);
 
@@ -92,16 +70,16 @@ class LewisMaintenance {
     const linalg::Vec* approx;         ///< τ̄
     std::vector<std::size_t> changed;  ///< entries whose τ̄ moved > ε/10
   };
+  /// τ̄ changes only on a query that rebuilds the leverage structure.
   QueryResult query();
 
   [[nodiscard]] const linalg::Vec& approx() const { return tau_bar_; }
 
  private:
-  const linalg::IncidenceOp* a_;
-  LewisMaintenanceOptions opts_;
   double expo_;
-  linalg::Vec g_, z_, tau_bar_;
+  linalg::Vec g_;
   LeverageMaintenance leverage_;
+  linalg::Vec tau_bar_;
 };
 
 }  // namespace pmcf::ds

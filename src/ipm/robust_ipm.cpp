@@ -62,9 +62,6 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
   lw.leverage.sketch_dim = skt.robust_epoch_sketch_dim;
   Vec tau(m, static_cast<double>(n) / static_cast<double>(m) + 0.5);
 
-  std::uint64_t sparsifier_edge_sum = 0;
-  std::uint64_t sparsifier_solves = 0;
-
   // The epoch-boundary re-centering takes the reference IPM's exact step.
   NewtonSystem newton(lp, a);
 
@@ -86,7 +83,6 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
     }
     try {
       // ---------------- epoch resync (exact, amortized over resync_every) ----
-      ++res.resyncs;
       {
         const Vec hess = barrier_hess(res.x, lp.cap);
         const Vec v = linalg::map(hess, [](double h) { return 1.0 / std::sqrt(h); });
@@ -155,9 +151,9 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
         dual_weights[i] = res.mu * tau[i] * std::sqrt(hess[i]);
       ds::DualMaintenance dual(ctx, g, s_exact, dual_weights, dopts);
 
-      ds::LewisMaintenanceOptions lmo;
-      lmo.leverage.leverage.sketch_dim = skt.lewis_maint_sketch_dim;
-      lmo.leverage.seed = kSeed + 101 + seed_shift;
+      ds::LeverageMaintenanceOptions lmo;
+      lmo.leverage.sketch_dim = skt.lewis_maint_sketch_dim;
+      lmo.seed = kSeed + 101 + seed_shift;
       ds::LewisMaintenance lewis(ctx, a, g_primal,
                                  linalg::constant(m, static_cast<double>(n) / m), lmo);
 
@@ -233,14 +229,11 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
           ++res.dense_fallbacks;
           ctx.recovery().note(RecoveryEvent::kDenseFallback);
           d_sparse = d_weights;
-          sparsifier_edge_sum += m;
         } else {
           const Vec qs = hh_sparse.leverage_bound(sampled, k_prime);
-          sparsifier_edge_sum += sampled.size();
           for (std::size_t k = 0; k < sampled.size(); ++k)
             d_sparse[sampled[k]] = d_weights[sampled[k]] / std::max(qs[k], 1e-12);
         }
-        ++sparsifier_solves;
         const double dmax = std::max(linalg::norm_inf(d_sparse), 1e-300);
         const Vec d_scaled = linalg::scale(d_sparse, 1.0 / dmax);
         // Cached assembly (value-only refresh of the epoch-stable pattern).
@@ -405,7 +398,6 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
     res.status = SolveStatus::kIterationLimit;
     res.detail = "ipm::robust_ipm: max_iters reached before mu_end";
   }
-  res.sparsifier_edges = sparsifier_solves > 0 ? sparsifier_edge_sum / sparsifier_solves : 0;
   return res;
 }
 

@@ -8,7 +8,8 @@
 //   s̄  — DualMaintenance (Theorem E.1): dyadic HeavyHitter drift detection,
 //         only coordinates that moved are re-read;
 //   τ̄  — LewisMaintenance (Theorem C.1): warm-started sketched leverage
-//         scores, entries refreshed on scaling changes;
+//         scores, rebuilt from one JL matrix every ⌈√n⌉ steps and held
+//         still in between;
 //   x̄, gradient — PrimalGradientMaintenance (Theorem D.1): the centrality
 //         vector z̄ is bucketed, the steepest-descent step ∇Ψ(z̄)^♭(τ̄) is
 //         computed over O(ε⁻² log n) buckets, and x̄ accumulates per-bucket
@@ -46,14 +47,12 @@ struct RobustIpmResult {
   linalg::Vec y;
   double mu = 0.0;
   std::int32_t iterations = 0;
-  std::int32_t resyncs = 0;
   bool converged = false;
   double final_centrality = 0.0;
   /// Work charged during non-resync iterations / their count — the
   /// sublinear-per-iteration quantity of the paper.
   std::uint64_t robust_step_work = 0;
   std::int32_t robust_steps = 0;
-  std::uint64_t sparsifier_edges = 0;  ///< avg sampled edges per solve
   /// kOk when converged; otherwise the typed failure that ended the solve
   /// (kSketchFailure after exhausted rebuilds, kNumericalFailure, ...).
   SolveStatus status = SolveStatus::kOk;
