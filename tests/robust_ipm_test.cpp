@@ -87,6 +87,29 @@ TEST(LeverageMaintenanceTest, RebuildsOnlyOnItsPeriodFromOneSketch) {
   EXPECT_EQ(bits(lm.approx()), rebuilt);
 }
 
+TEST(LewisMaintenanceTest, ReportsChangesOnlyAfterARebuild) {
+  par::Rng rng(145);
+  const Digraph g = graph::random_flow_network(12, 48, 4, 4, rng);
+  const linalg::IncidenceOp a(g);
+  Vec w(48);
+  for (auto& x : w) x = 0.5 + rng.next_double();
+  ds::LewisMaintenance lm(pmcf::core::default_context(), a, w, linalg::constant(48, 12.0 / 48.0));
+  const auto period = static_cast<int>(std::ceil(std::sqrt(static_cast<double>(a.cols()))));
+  std::vector<std::size_t> idx;
+  Vec b;
+  for (std::size_t i = 0; i < w.size(); i += 3) {
+    idx.push_back(i);
+    b.push_back(10.0 * w[i]);
+  }
+  lm.scale(idx, b);
+  const Vec before = lm.approx();
+  for (int q = 1; q < period; ++q) {
+    EXPECT_TRUE(lm.query().changed.empty()) << "query " << q;
+    EXPECT_EQ(lm.approx(), before) << "query " << q;
+  }
+  EXPECT_FALSE(lm.query().changed.empty());
+}
+
 TEST(LewisMaintenanceTest, StaysNearFixedPoint) {
   par::Rng rng(142);
   const Digraph g = graph::random_flow_network(12, 48, 4, 4, rng);
