@@ -6,6 +6,7 @@
 
 #include "bench_common.hpp"
 #include "core/solver_context.hpp"
+#include "ds/heavy_hitter.hpp"
 #include "ds/heavy_sampler.hpp"
 #include "graph/generators.hpp"
 #include "parallel/rng.hpp"
@@ -22,7 +23,8 @@ void BM_Sample(benchmark::State& state) {
   const std::size_t m = static_cast<std::size_t>(g.num_arcs());
   linalg::Vec w(m, 1.0);
   linalg::Vec tau(m, static_cast<double>(n) / static_cast<double>(m));
-  ds::HeavySampler hs(pmcf::core::default_context(), g, w, tau);
+  ds::HeavyHitter hh(pmcf::core::default_context(), g, w, {.seed = 24});
+  ds::HeavySampler hs(hh, g, tau);
   linalg::Vec h(static_cast<std::size_t>(n));
   for (auto& x : h) x = rng.next_double() - 0.5;
   h[static_cast<std::size_t>(n - 1)] = 0.0;

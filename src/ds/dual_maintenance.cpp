@@ -15,11 +15,9 @@ DualMaintenance::DualMaintenance(core::SolverContext& ctx, const graph::Digraph&
                                  Vec w, DualMaintenanceOptions opts)
     : ctx_(&ctx), g_(&g), a_(g), opts_(opts), w_(std::move(w)) {
   const auto n = static_cast<std::size_t>(g.num_vertices());
-  period_ = opts_.period > 0
-                ? opts_.period
-                : static_cast<std::int32_t>(std::uint64_t{1}
-                                            << par::ceil_log2(static_cast<std::uint64_t>(
-                                                   std::ceil(std::sqrt(static_cast<double>(n)))) + 1));
+  period_ = static_cast<std::int32_t>(
+      std::uint64_t{1}
+      << par::ceil_log2(static_cast<std::uint64_t>(std::ceil(std::sqrt(static_cast<double>(n)))) + 1));
   levels_ = static_cast<std::int32_t>(par::ceil_log2(static_cast<std::uint64_t>(period_))) + 1;
   reinitialize(std::move(v_init));
 }
@@ -30,7 +28,6 @@ void DualMaintenance::reinitialize(Vec v_init) {
   v_bar_ = v_init_;
   f_hat_.assign(n, 0.0);
   f_level_.assign(static_cast<std::size_t>(levels_), Vec(n, 0.0));
-  pending_.assign(static_cast<std::size_t>(levels_), {});
   t_ = 0;
   // HeavyHitter rows weighted by 1/w: a drift of 0.2 w_i ε shows up as a
   // weighted magnitude of 0.2 ε.
@@ -77,10 +74,6 @@ DualMaintenance::AddResult DualMaintenance::add(const Vec& h) {
       const auto heavy = hh_->heavy_query(fj, threshold);
       candidates.insert(candidates.end(), heavy.begin(), heavy.end());
       fj.assign(fj.size(), 0.0);
-      // Deferred accuracy-change re-checks scheduled on this level.
-      auto& pend = pending_[static_cast<std::size_t>(j)];
-      candidates.insert(candidates.end(), pend.begin(), pend.end());
-      pend.clear();
     }
   }
   std::sort(candidates.begin(), candidates.end());
@@ -90,19 +83,6 @@ DualMaintenance::AddResult DualMaintenance::add(const Vec& h) {
   res.changed = verify(candidates);
   res.approx = &v_bar_;
   return res;
-}
-
-void DualMaintenance::set_accuracy(const std::vector<std::size_t>& idx, const Vec& delta) {
-  Vec inv(idx.size());
-  for (std::size_t k = 0; k < idx.size(); ++k) {
-    w_[idx[k]] = delta[k];
-    inv[k] = delta[k] > 0.0 ? 1.0 / delta[k] : 0.0;
-  }
-  hh_->scale(idx, inv);
-  // Re-check the touched indices immediately and at every dyadic boundary.
-  (void)verify(idx);
-  for (auto& pend : pending_) pend.insert(pend.end(), idx.begin(), idx.end());
-  par::charge(idx.size() + 1, par::ceil_log2(idx.size() + 2));
 }
 
 Vec DualMaintenance::compute_exact() const {

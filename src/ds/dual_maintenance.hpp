@@ -20,9 +20,9 @@
 
 namespace pmcf::ds {
 
+/// T, the rebuild period, is 2^⌈log₂(⌈√n⌉+1)⌉.
 struct DualMaintenanceOptions {
   double eps = 0.05;
-  std::int32_t period = 0;  ///< T; 0 => 2^ceil(log2(sqrt(n)))
   HeavyHitterOptions hh;
 };
 
@@ -41,14 +41,10 @@ class DualMaintenance {
   /// Accumulate one step h ∈ R^n (the dropped coordinate must be 0).
   AddResult add(const linalg::Vec& h);
 
-  /// w_i <- delta_i for i in idx (accuracy change forces re-verification).
-  void set_accuracy(const std::vector<std::size_t>& idx, const linalg::Vec& delta);
-
   /// The exact v^(t) (O(m) work).
   [[nodiscard]] linalg::Vec compute_exact() const;
 
   [[nodiscard]] const linalg::Vec& approx() const { return v_bar_; }
-  [[nodiscard]] std::int32_t steps() const { return t_; }
 
  private:
   void reinitialize(linalg::Vec v_init);
@@ -66,7 +62,6 @@ class DualMaintenance {
   linalg::Vec v_bar_;
   linalg::Vec f_hat_;                       // Σ h since reinit
   std::vector<linalg::Vec> f_level_;        // dyadic window sums
-  std::vector<std::vector<std::size_t>> pending_;  // F_j: deferred re-checks
   std::unique_ptr<HeavyHitter> hh_;
   std::int32_t t_ = 0;
 };

@@ -131,18 +131,6 @@ GradientReduction::QueryResult GradientReduction::query() const {
   return res;
 }
 
-Vec GradientReduction::recompute_aggregate(std::int32_t bucket) const {
-  Vec agg(a_->cols(), 0.0);
-  const auto d = static_cast<std::size_t>(a_->dropped());
-  for (std::size_t i = 0; i < bucket_.size(); ++i) {
-    if (bucket_[i] != bucket) continue;
-    const auto& arc = a_->graph().arc(static_cast<graph::EdgeId>(i));
-    if (static_cast<std::size_t>(arc.from) != d) agg[static_cast<std::size_t>(arc.from)] -= g_[i];
-    if (static_cast<std::size_t>(arc.to) != d) agg[static_cast<std::size_t>(arc.to)] += g_[i];
-  }
-  return agg;
-}
-
 // ---------------- GradientAccumulator ----------------
 
 GradientAccumulator::GradientAccumulator(Vec x_init, Vec g, std::vector<std::int32_t> bucket,

@@ -52,8 +52,6 @@ class GradientReduction {
   [[nodiscard]] double potential() const { return psi_; }
   [[nodiscard]] std::int32_t num_buckets() const { return num_buckets_; }
   [[nodiscard]] std::int32_t bucket_of_index(std::size_t i) const { return bucket_[i]; }
-  /// Recompute one bucket aggregate from scratch (test oracle).
-  [[nodiscard]] linalg::Vec recompute_aggregate(std::int32_t bucket) const;
   /// Bucket representatives (test oracle): returns (tau_rep, z_rep).
   [[nodiscard]] std::pair<double, double> bucket_reps(std::int32_t bucket) const;
 

@@ -70,8 +70,6 @@ class HeavyHitter {
   [[nodiscard]] linalg::Vec leverage_bound(const std::vector<std::size_t>& idx,
                                            double k_prime) const;
 
-  [[nodiscard]] double weight(std::size_t e) const { return weights_[e]; }
-  [[nodiscard]] std::size_t num_buckets() const { return buckets_.size(); }
   [[nodiscard]] std::uint64_t last_query_scans() const { return last_query_scans_; }
   /// Rows scale() has moved between classes since construction.
   [[nodiscard]] std::uint64_t class_moves() const { return class_moves_; }

@@ -9,35 +9,31 @@ namespace pmcf::ds {
 
 namespace {
 using linalg::Vec;
-}
 
-HeavySampler::HeavySampler(core::SolverContext& ctx, const graph::Digraph& g, Vec weights,
-                           Vec tau, HeavySamplerOptions opts)
-    : g_(&g),
-      opts_(opts),
-      hh_(ctx, g, std::move(weights), [&] {
-        auto h = opts.hh;
-        h.seed = opts.seed + 1;
-        return h;
-      }()),
-      tau_sampler_(std::vector<double>(tau.begin(), tau.end()),
-                   static_cast<std::size_t>(g.num_vertices()), opts.seed + 2),
-      rng_(opts.seed),
+/// Theorem E.2's constants C1 (ℓ2 term), C2 (uniform term), C3 (τ term).
+constexpr double kC1 = 1.0;
+constexpr double kC2 = 1.0;
+constexpr double kC3 = 1.0;
+}  // namespace
+
+HeavySampler::HeavySampler(HeavyHitter& hh, const graph::Digraph& g, Vec tau, std::uint64_t seed)
+    : hh_(&hh),
+      tau_sampler_(std::move(tau), static_cast<std::size_t>(g.num_vertices()), seed + 2),
+      rng_(seed),
       m_(static_cast<std::size_t>(g.num_arcs())),
       n_(static_cast<std::size_t>(g.num_vertices())) {}
 
-void HeavySampler::scale(const std::vector<std::size_t>& idx, const Vec& a, const Vec& b) {
-  hh_.scale(idx, a);
-  tau_sampler_.scale(idx, std::vector<double>(b.begin(), b.end()));
+void HeavySampler::scale(const std::vector<std::size_t>& idx, const Vec& tau) {
+  tau_sampler_.scale(idx, tau);
 }
 
 std::vector<HeavySampler::Entry> HeavySampler::sample(const Vec& h) {
   const double sqrt_n = std::sqrt(static_cast<double>(n_));
   // Component samplers (each oversamples by 3x as in Algorithm 10).
-  const auto i_u = tau_sampler_.sample(3.0 * opts_.c3);
-  const auto i_v = hh_.sample(h, 3.0 * opts_.c1 * static_cast<double>(m_) / sqrt_n);
+  const auto i_u = tau_sampler_.sample(3.0 * kC3);
+  const auto i_v = hh_->sample(h, 3.0 * kC1 * static_cast<double>(m_) / sqrt_n);
   std::vector<std::size_t> i_w;
-  const double p_unif = std::min(3.0 * opts_.c2 / sqrt_n, 1.0);
+  const double p_unif = std::min(3.0 * kC2 / sqrt_n, 1.0);
   if (p_unif >= 1.0) {
     i_w.resize(m_);
     for (std::size_t i = 0; i < m_; ++i) i_w[i] = i;
@@ -64,12 +60,12 @@ std::vector<HeavySampler::Entry> HeavySampler::sample(const Vec& h) {
   // The three component draws are independent, so i is in `merged` with
   // probability hit = 1-(1-u)(1-v)(1-w), at least each component's rate;
   // R_ii = 1/hit makes E[R] = I.
-  const Vec pv = hh_.probability(merged, h, 3.0 * opts_.c1 * static_cast<double>(m_) / sqrt_n);
+  const Vec pv = hh_->probability(merged, h, 3.0 * kC1 * static_cast<double>(m_) / sqrt_n);
   std::vector<Entry> out;
   out.reserve(merged.size());
   for (std::size_t k = 0; k < merged.size(); ++k) {
     const std::size_t i = merged[k];
-    const double u = tau_sampler_.probability(i, 3.0 * opts_.c3);
+    const double u = tau_sampler_.probability(i, 3.0 * kC3);
     const double v = pv[k];
     const double w = p_unif;
     const double hit = 1.0 - (1.0 - u) * (1.0 - v) * (1.0 - w);

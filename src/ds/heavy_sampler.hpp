@@ -7,7 +7,6 @@
 // HeavyHitter ℓ2-sampling, a uniform m/√n Bernoulli, and the τ-sampler.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ds/heavy_hitter.hpp"
@@ -18,14 +17,6 @@
 
 namespace pmcf::ds {
 
-struct HeavySamplerOptions {
-  double c1 = 1.0;
-  double c2 = 1.0;
-  double c3 = 1.0;
-  std::uint64_t seed = 23;
-  HeavyHitterOptions hh;
-};
-
 class HeavySampler {
  public:
   /// One entry of the sampled diagonal.
@@ -34,21 +25,20 @@ class HeavySampler {
     double inv_prob;  ///< R_{i,i} = 1/p_i
   };
 
-  /// `ctx` scopes fault injection inside the composed HeavyHitter to the
-  /// owning solve; it must outlive this structure.
-  HeavySampler(core::SolverContext& ctx, const graph::Digraph& g, linalg::Vec weights,
-               linalg::Vec tau, HeavySamplerOptions opts = {});
+  /// `hh` holds the rows' weights g and is borrowed, not owned: the caller
+  /// scales it (it may answer other queries too) and it must outlive this
+  /// structure. `seed` drives the uniform draw and the τ-sampler.
+  HeavySampler(HeavyHitter& hh, const graph::Digraph& g, linalg::Vec tau,
+               std::uint64_t seed = 23);
 
-  /// g_i <- a_i, tau_i <- b_i for i in idx.
-  void scale(const std::vector<std::size_t>& idx, const linalg::Vec& a, const linalg::Vec& b);
+  /// τ_i <- tau[k] for i = idx[k].
+  void scale(const std::vector<std::size_t>& idx, const linalg::Vec& tau);
 
   /// Draw R for direction h (vertex potentials; dropped coordinate 0).
   [[nodiscard]] std::vector<Entry> sample(const linalg::Vec& h);
 
  private:
-  const graph::Digraph* g_;
-  HeavySamplerOptions opts_;
-  HeavyHitter hh_;
+  HeavyHitter* hh_;
   TauSampler tau_sampler_;
   par::Rng rng_;
   std::size_t m_;

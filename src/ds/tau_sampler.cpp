@@ -13,13 +13,12 @@ TauSampler::TauSampler(std::vector<double> tau, std::size_t n, std::uint64_t see
   const std::size_t m = tau_.size();
   bucket_.assign(m, 0);
   members_.assign(static_cast<std::size_t>(kMaxExp - kMinExp + 1), {});
-  position_.assign(1, {});  // unused dimension kept minimal
-  position_[0].assign(m, -1);
+  position_.assign(m, -1);
   for (std::size_t i = 0; i < m; ++i) {
     assert(tau_[i] > 0.0);
     const std::int32_t b = bucket_of(tau_[i]);
     bucket_[i] = b;
-    position_[0][i] = static_cast<std::int32_t>(members_[static_cast<std::size_t>(b - kMinExp)].size());
+    position_[i] = static_cast<std::int32_t>(members_[static_cast<std::size_t>(b - kMinExp)].size());
     members_[static_cast<std::size_t>(b - kMinExp)].push_back(i);
     tau_sum_ += tau_[i];
   }
@@ -41,15 +40,15 @@ void TauSampler::scale(const std::vector<std::size_t>& idx, const std::vector<do
     if (nb == bucket_[i]) continue;
     // Swap-remove from the old bucket.
     auto& old_list = members_[static_cast<std::size_t>(bucket_[i] - kMinExp)];
-    const auto pos = static_cast<std::size_t>(position_[0][i]);
+    const auto pos = static_cast<std::size_t>(position_[i]);
     if (pos + 1 != old_list.size()) {
       old_list[pos] = old_list.back();
-      position_[0][old_list[pos]] = static_cast<std::int32_t>(pos);
+      position_[old_list[pos]] = static_cast<std::int32_t>(pos);
     }
     old_list.pop_back();
     bucket_[i] = nb;
     auto& new_list = members_[static_cast<std::size_t>(nb - kMinExp)];
-    position_[0][i] = static_cast<std::int32_t>(new_list.size());
+    position_[i] = static_cast<std::int32_t>(new_list.size());
     new_list.push_back(i);
   }
   par::charge(idx.size() + 1, par::ceil_log2(idx.size() + 2));

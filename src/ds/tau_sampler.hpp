@@ -35,7 +35,7 @@ class TauSampler {
   std::vector<double> tau_;
   std::vector<std::int32_t> bucket_;                 // per index
   std::vector<std::vector<std::size_t>> members_;    // per bucket: index list
-  std::vector<std::vector<std::int32_t>> position_;  // inverse of members_
+  std::vector<std::int32_t> position_;               // inverse of members_
   double tau_sum_ = 0.0;
   std::size_t n_;
   par::Rng rng_;

@@ -5,6 +5,7 @@
 
 #include "ds/dual_maintenance.hpp"
 #include "ds/gradient_maintenance.hpp"
+#include "ds/heavy_hitter.hpp"
 #include "ds/heavy_sampler.hpp"
 #include "ds/lewis_maintenance.hpp"
 #include "ipm/barrier.hpp"
@@ -157,17 +158,12 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
       ds::LewisMaintenance lewis(ctx, a, g_primal,
                                  linalg::constant(m, static_cast<double>(n) / m), lmo);
 
-      // Sparsifier sampling + primal sampler share the weights (τ Φ'')^{-1}.
+      // One heavy hitter on d = (τ Φ'')^{-1} answers both the sparsifier's
+      // leverage sampling and the primal sampler's ℓ2 sampling.
       Vec d_weights(m);
       for (std::size_t i = 0; i < m; ++i) d_weights[i] = 1.0 / (tau[i] * hess[i]);
-      Vec d_sqrt = linalg::sqrt(d_weights);
-      ds::HeavyHitterOptions hh_opts;
-      hh_opts.seed = kSeed + 202 + seed_shift;
-      hh_opts.decomp.static_opts.power_iters = 24;
-      ds::HeavyHitter hh_sparse(ctx, g, d_sqrt, hh_opts);
-      ds::HeavySamplerOptions hs_opts;
-      hs_opts.seed = kSeed + 303 + seed_shift;
-      ds::HeavySampler sampler(ctx, g, d_weights, tau, hs_opts);
+      ds::HeavyHitter hh(ctx, g, d_weights, {.seed = kSeed + 304 + seed_shift});
+      ds::HeavySampler sampler(hh, g, tau, kSeed + 303 + seed_shift);
 
       // Mirror of x̄ for incremental residual updates.
       Vec x_mirror = res.x;
@@ -210,19 +206,21 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
         const Vec v1 = pg.query_product();  // A^T G ∇Ψ(z̄)^♭(τ̄)
 
         // 3. Sparsified Newton solves: H ≈ A^T T̄^{-1} Φ''^{-1} A from
-        //    leverage-sampled edges (Lemma B.1 LeverageScoreSample).
+        //    leverage-sampled edges (Lemma B.1 LeverageScoreSample). The
+        //    rows are √d·a_e; hh's classes are keyed on d, so √d inside a
+        //    cluster spans at most 2^1.5 (DESIGN §6 item 7).
         //    Heavy-hitter false negatives can leave the sample too thin to
         //    span a connected sparsifier; redraw with widened oversampling,
         //    then fall back to the dense edge set rather than solve a
         //    near-singular system.
         double k_prime = kSparsifierOversampling;
-        auto sampled = hh_sparse.leverage_sample(k_prime);
+        auto sampled = hh.leverage_sample(k_prime);
         for (std::int32_t redraw = 0;
              sampled.size() + 1 < n && redraw < kMaxSparsifierRetries; ++redraw) {
           ++res.sparsifier_retries;
           ctx.recovery().note(RecoveryEvent::kSketchRetry);
           k_prime *= 4.0;
-          sampled = hh_sparse.leverage_sample(k_prime);
+          sampled = hh.leverage_sample(k_prime);
         }
         Vec d_sparse(m, 0.0);
         if (sampled.size() + 1 < n) {
@@ -230,7 +228,7 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
           ctx.recovery().note(RecoveryEvent::kDenseFallback);
           d_sparse = d_weights;
         } else {
-          const Vec qs = hh_sparse.leverage_bound(sampled, k_prime);
+          const Vec qs = hh.leverage_bound(sampled, k_prime);
           for (std::size_t k = 0; k < sampled.size(); ++k)
             d_sparse[sampled[k]] = d_weights[sampled[k]] / std::max(qs[k], 1e-12);
         }
@@ -304,8 +302,7 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
         // 5. Propagate x̄ changes: residual, Lewis scaling, sampler weights.
         {
           std::vector<std::size_t> moved;
-          Vec lw_vals;
-          Vec hh_vals, hs_a, hs_b;
+          Vec lw_vals, d_vals, tau_vals;
           for (const std::size_t i : sum_res.changed) {
             double xi = (*sum_res.approx)[i];
             xi = std::clamp(xi, 0.02 * lp.cap[i], 0.98 * lp.cap[i]);
@@ -318,17 +315,15 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
             moved.push_back(i);
             const double h2 = 1.0 / xi / xi + 1.0 / (lp.cap[i] - xi) / (lp.cap[i] - xi);
             lw_vals.push_back(1.0 / std::sqrt(h2));
-            const double dw = 1.0 / (tau_cur[i] * h2);
-            hh_vals.push_back(std::sqrt(dw));
-            hs_a.push_back(dw);
-            hs_b.push_back(tau_cur[i]);
-            d_weights[i] = dw;
+            d_weights[i] = 1.0 / (tau_cur[i] * h2);
+            d_vals.push_back(d_weights[i]);
+            tau_vals.push_back(tau_cur[i]);
           }
           rp[static_cast<std::size_t>(a.dropped())] = 0.0;
           if (!moved.empty()) {
             lewis.scale(moved, lw_vals);
-            hh_sparse.scale(moved, hh_vals);
-            sampler.scale(moved, hs_a, hs_b);
+            hh.scale(moved, d_vals);
+            sampler.scale(moved, tau_vals);
             stale.insert(stale.end(), moved.begin(), moved.end());
           }
         }

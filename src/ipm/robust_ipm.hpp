@@ -14,10 +14,12 @@
 //         vector z̄ is bucketed, the steepest-descent step ∇Ψ(z̄)^♭(τ̄) is
 //         computed over O(ε⁻² log n) buckets, and x̄ accumulates per-bucket
 //         steps lazily;
-//   Newton system — solved on a leverage-score spectral sparsifier with
-//         Õ(n) edges sampled through the HeavyHitter (Lemma B.1);
-//   primal sparsification — HeavySampler (Theorem E.2) draws R so that only
-//         Õ(m/√n + n) coordinates of the dense part of δx are touched.
+//   Newton system and primal sparsification — one HeavyHitter (Lemma B.1)
+//         per epoch, keyed on d = (τ̄Φ'')^{-1}, answers both samplers: its
+//         LEVERAGESCORESAMPLE picks the Õ(n) edges of the spectral
+//         sparsifier the Newton system is solved on, and the HeavySampler
+//         (Theorem E.2) borrows it to draw R so that only Õ(m/√n + n)
+//         coordinates of the dense part of δx are touched.
 //
 // Every 4⌈√n⌉ iterations (rob_resync_multiplier) the structures are rebuilt
 // from the exact state and the iterate is re-centered with the reference
