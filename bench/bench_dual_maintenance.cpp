@@ -20,11 +20,12 @@ void BM_DualAdds(benchmark::State& state) {
   par::Rng rng(41);
   const auto g = graph::random_flow_network(n, density * n, 4, 4, rng);
   const std::size_t m = static_cast<std::size_t>(g.num_arcs());
+  const linalg::IncidenceOp a(g);
 
   const int adds = 20;
   std::size_t total_changed = 0;
   bench::run_instrumented(state, [&] {
-    ds::DualMaintenance dm(pmcf::core::default_context(), g, linalg::Vec(m, 0.0), linalg::Vec(m, 1.0), {.eps = 0.2});
+    ds::DualMaintenance dm(pmcf::core::default_context(), a, linalg::Vec(m, 0.0), linalg::Vec(m, 1.0), {.eps = 0.2});
     for (int t = 0; t < adds; ++t) {
       linalg::Vec h(static_cast<std::size_t>(n), 0.0);
       for (int k = 0; k < 3; ++k)

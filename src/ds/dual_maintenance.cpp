@@ -9,42 +9,42 @@ namespace pmcf::ds {
 
 namespace {
 using linalg::Vec;
-}
 
-DualMaintenance::DualMaintenance(core::SolverContext& ctx, const graph::Digraph& g, Vec v_init,
-                                 Vec w, DualMaintenanceOptions opts)
-    : ctx_(&ctx), g_(&g), a_(g), opts_(opts), w_(std::move(w)) {
-  const auto n = static_cast<std::size_t>(g.num_vertices());
+/// HeavyHitter rows weighted by 1/w: a drift of 0.2 w_i ε shows up as a
+/// weighted magnitude of 0.2 ε.
+Vec inverse_weights(const Vec& w) {
+  Vec inv_w(w.size());
+  for (std::size_t i = 0; i < w.size(); ++i) inv_w[i] = w[i] > 0.0 ? 1.0 / w[i] : 0.0;
+  return inv_w;
+}
+}  // namespace
+
+DualMaintenance::DualMaintenance(core::SolverContext& ctx, const linalg::IncidenceOp& a,
+                                 Vec v_init, Vec w, DualMaintenanceOptions opts)
+    : a_(&a),
+      opts_(opts),
+      w_(std::move(w)),
+      hh_(ctx, a.graph(), inverse_weights(w_), opts_.hh),
+      v_init_(std::move(v_init)),
+      v_bar_(v_init_),
+      f_hat_(a.cols(), 0.0) {
+  const std::size_t n = a.cols();
   period_ = static_cast<std::int32_t>(
       std::uint64_t{1}
       << par::ceil_log2(static_cast<std::uint64_t>(std::ceil(std::sqrt(static_cast<double>(n)))) + 1));
   levels_ = static_cast<std::int32_t>(par::ceil_log2(static_cast<std::uint64_t>(period_))) + 1;
-  reinitialize(std::move(v_init));
-}
-
-void DualMaintenance::reinitialize(Vec v_init) {
-  const auto n = static_cast<std::size_t>(g_->num_vertices());
-  v_init_ = std::move(v_init);
-  v_bar_ = v_init_;
-  f_hat_.assign(n, 0.0);
   f_level_.assign(static_cast<std::size_t>(levels_), Vec(n, 0.0));
-  t_ = 0;
-  // HeavyHitter rows weighted by 1/w: a drift of 0.2 w_i ε shows up as a
-  // weighted magnitude of 0.2 ε.
-  Vec inv_w(w_.size());
-  for (std::size_t i = 0; i < w_.size(); ++i) inv_w[i] = w_[i] > 0.0 ? 1.0 / w_[i] : 0.0;
-  hh_ = std::make_unique<HeavyHitter>(*ctx_, *g_, std::move(inv_w), opts_.hh);
 }
 
 std::vector<std::size_t> DualMaintenance::verify(const std::vector<std::size_t>& idx) {
   std::vector<std::size_t> changed;
   const double tol = 0.2 * opts_.eps / static_cast<double>(std::max(levels_, 1));
   for (const std::size_t i : idx) {
-    const auto& arc = g_->arc(static_cast<graph::EdgeId>(i));
+    const auto& arc = a_->graph().arc(static_cast<graph::EdgeId>(i));
     const auto u = static_cast<std::size_t>(arc.from);
     const auto v = static_cast<std::size_t>(arc.to);
-    const double fu = u == static_cast<std::size_t>(a_.dropped()) ? 0.0 : f_hat_[u];
-    const double fv = v == static_cast<std::size_t>(a_.dropped()) ? 0.0 : f_hat_[v];
+    const double fu = u == static_cast<std::size_t>(a_->dropped()) ? 0.0 : f_hat_[u];
+    const double fv = v == static_cast<std::size_t>(a_->dropped()) ? 0.0 : f_hat_[v];
     const double exact = v_init_[i] + (fv - fu);
     if (std::abs(v_bar_[i] - exact) >= tol * w_[i]) {
       v_bar_[i] = exact;
@@ -57,8 +57,12 @@ std::vector<std::size_t> DualMaintenance::verify(const std::vector<std::size_t>&
 
 DualMaintenance::AddResult DualMaintenance::add(const Vec& h) {
   if (t_ == period_) {
-    // Periodic rebuild from the exact current vector.
-    reinitialize(compute_exact());
+    // Periodic re-base from the exact current vector. Every dyadic window
+    // fired and restarted at step T, so nothing else needs resetting.
+    v_init_ = compute_exact();
+    v_bar_ = v_init_;
+    f_hat_.assign(f_hat_.size(), 0.0);
+    t_ = 0;
   }
   ++t_;
   par::parallel_for(0, f_hat_.size(), [&](std::size_t i) { f_hat_[i] += h[i]; });
@@ -71,7 +75,7 @@ DualMaintenance::AddResult DualMaintenance::add(const Vec& h) {
     auto& fj = f_level_[static_cast<std::size_t>(j)];
     par::parallel_for(0, fj.size(), [&](std::size_t i) { fj[i] += h[i]; });
     if (t_ % (std::int32_t{1} << j) == 0) {
-      const auto heavy = hh_->heavy_query(fj, threshold);
+      const auto heavy = hh_.heavy_query(fj, threshold);
       candidates.insert(candidates.end(), heavy.begin(), heavy.end());
       fj.assign(fj.size(), 0.0);
     }
@@ -87,7 +91,7 @@ DualMaintenance::AddResult DualMaintenance::add(const Vec& h) {
 
 Vec DualMaintenance::compute_exact() const {
   Vec out(v_init_.size());
-  const Vec af = a_.apply(f_hat_);
+  const Vec af = a_->apply(f_hat_);
   par::parallel_for(0, out.size(), [&](std::size_t i) { out[i] = v_init_[i] + af[i]; });
   return out;
 }

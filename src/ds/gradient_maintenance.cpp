@@ -33,7 +33,6 @@ GradientReduction::GradientReduction(const linalg::IncidenceOp& a, Vec g, Vec ta
     bucket_[i] = flat_bucket(tau_[i], z_[i]);
     ++bucket_size_[static_cast<std::size_t>(bucket_[i])];
     add_to_aggregate(i, g_[i]);
-    psi_ += std::cosh(opts_.lambda * z_[i]);
   }
   par::charge(m, par::ceil_log2(std::max<std::size_t>(m, 2)));
 }
@@ -77,7 +76,6 @@ std::vector<std::int32_t> GradientReduction::update(const std::vector<std::size_
   std::vector<std::int32_t> out(idx.size());
   for (std::size_t k = 0; k < idx.size(); ++k) {
     const std::size_t i = idx[k];
-    psi_ += std::cosh(opts_.lambda * d[k]) - std::cosh(opts_.lambda * z_[i]);
     add_to_aggregate(i, -g_[i]);
     --bucket_size_[static_cast<std::size_t>(bucket_[i])];
     g_[i] = b[k];

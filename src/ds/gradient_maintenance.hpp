@@ -49,7 +49,6 @@ class GradientReduction {
   };
   [[nodiscard]] QueryResult query() const;
 
-  [[nodiscard]] double potential() const { return psi_; }
   [[nodiscard]] std::int32_t num_buckets() const { return num_buckets_; }
   [[nodiscard]] std::int32_t bucket_of_index(std::size_t i) const { return bucket_[i]; }
   /// Bucket representatives (test oracle): returns (tau_rep, z_rep).
@@ -70,7 +69,6 @@ class GradientReduction {
   std::vector<std::int32_t> bucket_;       // per coordinate
   std::vector<std::int64_t> bucket_size_;  // per bucket
   std::vector<linalg::Vec> aggregate_;     // per bucket: A^T G 1_I ∈ R^n
-  double psi_ = 0.0;
 };
 
 class GradientAccumulator {
@@ -128,7 +126,6 @@ class PrimalGradientMaintenance {
                                              const linalg::Vec& h_val,
                                              double step_scale = 1.0);
   [[nodiscard]] linalg::Vec compute_exact_sum() const { return accumulator_.compute_exact(); }
-  [[nodiscard]] double potential() const { return reduction_.potential(); }
 
  private:
   GradientReduction reduction_;

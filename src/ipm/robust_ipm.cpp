@@ -117,7 +117,6 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
 
       // ---------------- build the robust structures for this epoch ----------
       Vec hess = barrier_hess(res.x, lp.cap);
-      Vec grad = barrier_grad(res.x, lp.cap);
       Vec g_primal(m);  // Φ''^{-1/2}
       par::parallel_for(0, m, [&](std::size_t i) { g_primal[i] = 1.0 / std::sqrt(hess[i]); });
       Vec s_exact = linalg::sub(lp.cost, a.apply(res.y));
@@ -150,7 +149,7 @@ RobustIpmResult robust_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Ve
       Vec dual_weights(m);
       for (std::size_t i = 0; i < m; ++i)
         dual_weights[i] = res.mu * tau[i] * std::sqrt(hess[i]);
-      ds::DualMaintenance dual(ctx, g, s_exact, dual_weights, dopts);
+      ds::DualMaintenance dual(ctx, a, s_exact, dual_weights, dopts);
 
       ds::LeverageMaintenanceOptions lmo;
       lmo.leverage.sketch_dim = skt.lewis_maint_sketch_dim;

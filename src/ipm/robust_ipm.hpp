@@ -5,11 +5,12 @@
 // Laplacian every iteration — Θ(m) work per step. This solver replaces each
 // of those with the paper's sublinear data structures:
 //
-//   s̄  — DualMaintenance (Theorem E.1): dyadic HeavyHitter drift detection,
-//         only coordinates that moved are re-read;
+//   s̄  — DualMaintenance (Theorem E.1): dyadic drift detection by one
+//         HeavyHitter on 1/w; only coordinates that moved are re-read, and
+//         every T = Θ(√n) steps the vectors re-base on the exact s;
 //   τ̄  — LewisMaintenance (Theorem C.1): warm-started sketched leverage
-//         scores, rebuilt from one JL matrix every ⌈√n⌉ steps and held
-//         still in between;
+//         scores, held still between rebuilds; every ⌈√n⌉ steps it forms
+//         v = τ̄^{1/2−1/p} ⊙ g once and re-estimates from one JL matrix;
 //   x̄, gradient — PrimalGradientMaintenance (Theorem D.1): the centrality
 //         vector z̄ is bucketed, the steepest-descent step ∇Ψ(z̄)^♭(τ̄) is
 //         computed over O(ε⁻² log n) buckets, and x̄ accumulates per-bucket
@@ -24,9 +25,11 @@
 // Every 4⌈√n⌉ iterations (rob_resync_multiplier) the structures are rebuilt
 // from the exact state and the iterate is re-centered with the reference
 // IPM's exact Newton step (NewtonSystem; the paper's periodic
-// re-initialization, amortized Õ(m/√n) per iteration). Work is measured by
-// the PRAM tracker; bench_table1_mincostflow compares the per-iteration work
-// of this solver against the reference IPM.
+// re-initialization, amortized Õ(m/√n) per iteration). Inside an epoch no
+// heavy hitter is built twice: on their own √n periods the dual structure
+// only re-bases its vectors and the Lewis structure only re-estimates σ̄.
+// Work is measured by the PRAM tracker; bench_table1_mincostflow compares
+// the per-iteration work of this solver against the reference IPM.
 
 #include <cstdint>
 

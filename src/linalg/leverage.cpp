@@ -50,17 +50,11 @@ Vec leverage_scores_exact(const IncidenceOp& a, const Vec& v) {
   return sigma;
 }
 
-namespace {
-
-/// One JL estimate with `k` sketch rows. May be silently wrong: the sketch
-/// is Monte-Carlo and the kSketchCorruption injection point simulates the
-/// failure mode by zeroing the estimate.
-Vec sketched_leverage_once(core::SolverContext& ctx, const IncidenceOp& a, const Vec& v,
-                           const Csr& lap, const SddPreconditioner& precond, std::size_t k,
-                           par::Rng& rng, const SolveOptions& solve) {
+Vec sketched_leverage(core::SolverContext& ctx, const IncidenceOp& a, const Vec& v,
+                      const Csr& lap, const SddPreconditioner& precond, std::size_t k,
+                      par::Rng& rng, const SolveOptions& solve) {
   const std::size_t m = a.rows();
   Vec sigma(m, 0.0);
-  if (ctx.fault().should_fire(par::FaultKind::kSketchCorruption)) return sigma;
   const double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k));
   // The k sketch rows are independent; in the PRAM model they run in parallel
   // (depth is one solve batch + O(log)). All k Rademacher rows are drawn up
@@ -92,6 +86,8 @@ Vec sketched_leverage_once(core::SolverContext& ctx, const IncidenceOp& a, const
   par::parallel_for(0, m, [&](std::size_t e) { sigma[e] = std::clamp(sigma[e], 0.0, 1.0); });
   return sigma;
 }
+
+namespace {
 
 /// Leverage scores of any row scaling of the incidence matrix sum to its
 /// rank (n-1); a sketch whose (clamped) sum lands far outside that is
@@ -132,7 +128,11 @@ Vec leverage_scores(core::SolverContext& ctx, const IncidenceOp& a, const Vec& v
     if (attempt > 0) ctx.recovery().note(RecoveryEvent::kSketchRetry);
     // Attempt 0 consumes `rng` exactly as the non-resilient version did;
     // retries keep drawing from the same stream, i.e. fresh Rademacher rows.
-    Vec sigma = sketched_leverage_once(ctx, a, v, lap, precond, k, rng, opts.solve);
+    // The kSketchCorruption injection point simulates a silently wrong
+    // sketch by zeroing the estimate.
+    Vec sigma = ctx.fault().should_fire(par::FaultKind::kSketchCorruption)
+                    ? Vec(a.rows(), 0.0)
+                    : sketched_leverage(ctx, a, v, lap, precond, k, rng, opts.solve);
     if (plausible_leverage(sigma, a.cols())) return sigma;
   }
 

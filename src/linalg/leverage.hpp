@@ -5,6 +5,9 @@
 //  - exact (dense inverse oracle) for tests and tiny instances,
 //  - sketched: the standard JL estimator [LS13 App. B.2, as cited in C.1] —
 //    O~(1/eps^2) SDD solves plus O(km) work, O~(1) depth per solve batch.
+//    sketched_leverage is its one JL pass: leverage_scores validates it and
+//    retries with wider sketches, and ds::LeverageMaintenance runs it at
+//    every rebuild.
 
 #include "core/solver_context.hpp"
 #include "linalg/dense.hpp"
@@ -25,6 +28,16 @@ struct LeverageOptions {
   /// 1e-10 (see SketchIngredient::solve_tolerance).
   SolveOptions solve{.tolerance = core::default_ingredients().sketch.solve_tolerance};
 };
+
+/// One JL estimate of σ(VA) from `k` Rademacher rows drawn from `rng`,
+/// clamped to [0, 1]: the k SDD systems against `lap` (the Laplacian
+/// AᵀV²A with the dropped row pinned) share one blocked CG. Monte-Carlo and
+/// unvalidated, so it may be silently wrong; leverage_scores wraps it with
+/// validation and retries, ds::LeverageMaintenance re-seeds `rng` to redraw
+/// the same JL matrix at every rebuild.
+Vec sketched_leverage(core::SolverContext& ctx, const IncidenceOp& a, const Vec& v,
+                      const Csr& lap, const SddPreconditioner& precond, std::size_t k,
+                      par::Rng& rng, const SolveOptions& solve);
 
 /// JL-sketched leverage scores, clamped to [0, 1]. Sketch-retry recovery and
 /// the kSketchCorruption injection point are scoped to `ctx`. Throws

@@ -23,6 +23,12 @@ using graph::Digraph;
 using graph::Vertex;
 using linalg::Vec;
 
+std::vector<std::uint64_t> bits(const Vec& x) {
+  std::vector<std::uint64_t> b(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) b[i] = std::bit_cast<std::uint64_t>(x[i]);
+  return b;
+}
+
 TEST(LeverageMaintenanceTest, TracksExactUnderSlowDrift) {
   par::Rng rng(141);
   const Digraph g = graph::random_flow_network(15, 60, 4, 4, rng);
@@ -32,12 +38,12 @@ TEST(LeverageMaintenanceTest, TracksExactUnderSlowDrift) {
   ds::LeverageMaintenanceOptions opts;
   opts.leverage.sketch_dim = 200;  // tight sketch for the tolerance below
   ds::LeverageMaintenance lm(pmcf::core::default_context(), a, v, Vec(60, 0.0), opts);
+  // Rebuilt on LewisMaintenance's ⌈√n⌉ schedule, held still in between.
+  const auto period = static_cast<int>(std::ceil(std::sqrt(static_cast<double>(a.cols()))));
   for (int step = 0; step < 20; ++step) {
     // Slow multiplicative drift of a few entries.
-    std::vector<std::size_t> idx{static_cast<std::size_t>(rng.next_below(60))};
-    v[idx[0]] *= 1.02;
-    lm.scale(idx, {v[idx[0]]});
-    lm.query();
+    v[rng.next_below(60)] *= 1.02;
+    if ((step + 1) % period == 0) lm.rebuild(v);
     const Vec exact = linalg::leverage_scores_exact(a, v);
     // JL estimation is statistical (std ~ 1/sqrt(k)); check aggregate error
     // tightly and individual rows loosely.
@@ -58,33 +64,17 @@ TEST(LeverageMaintenanceTest, RebuildsOnlyOnItsPeriodFromOneSketch) {
   Vec v(60);
   for (auto& x : v) x = 0.5 + rng.next_double();
   ds::LeverageMaintenance lm(pmcf::core::default_context(), a, v, Vec(60, 0.0));
-  const auto period = static_cast<int>(std::ceil(std::sqrt(static_cast<double>(a.cols()))));
-  ASSERT_GT(period, 1);
-  auto bits = [](const Vec& x) {
-    std::vector<std::uint64_t> b(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) b[i] = std::bit_cast<std::uint64_t>(x[i]);
-    return b;
-  };
-  // Every third row x10: scaling all rows would cancel in the normalization.
-  std::vector<std::size_t> idx;
-  Vec c;
-  for (std::size_t i = 0; i < v.size(); i += 3) {
-    idx.push_back(i);
-    c.push_back(10.0 * v[i]);
-  }
-  lm.scale(idx, c);
   const auto built = bits(lm.approx());
-  for (int q = 1; q < period; ++q) {
-    EXPECT_FALSE(lm.query()) << "query " << q;
-    EXPECT_EQ(bits(lm.approx()), built) << "query " << q;
-  }
-  EXPECT_TRUE(lm.query());
-  const auto rebuilt = bits(lm.approx());
-  EXPECT_NE(rebuilt, built);
-  // With v unchanged, the next period's rebuild draws the same JL matrix.
-  for (int q = 1; q < period; ++q) EXPECT_FALSE(lm.query()) << "query " << q;
-  EXPECT_TRUE(lm.query());
-  EXPECT_EQ(bits(lm.approx()), rebuilt);
+  // Every rebuild draws the same JL matrix, so the same v gives the same σ̄.
+  lm.rebuild(v);
+  EXPECT_EQ(bits(lm.approx()), built);
+  // Every third row x10: scaling all rows would cancel in the normalization.
+  Vec moved = v;
+  for (std::size_t i = 0; i < moved.size(); i += 3) moved[i] *= 10.0;
+  lm.rebuild(moved);
+  EXPECT_NE(bits(lm.approx()), built);
+  lm.rebuild(v);
+  EXPECT_EQ(bits(lm.approx()), built);
 }
 
 TEST(LewisMaintenanceTest, ReportsChangesOnlyAfterARebuild) {
@@ -93,21 +83,33 @@ TEST(LewisMaintenanceTest, ReportsChangesOnlyAfterARebuild) {
   const linalg::IncidenceOp a(g);
   Vec w(48);
   for (auto& x : w) x = 0.5 + rng.next_double();
-  ds::LewisMaintenance lm(pmcf::core::default_context(), a, w, linalg::constant(48, 12.0 / 48.0));
+  const Vec z = linalg::constant(48, 12.0 / 48.0);
+  ds::LewisMaintenance lm(pmcf::core::default_context(), a, w, z);
+  // The twin takes the final g in one scale just before the rebuild.
+  ds::LewisMaintenance twin(pmcf::core::default_context(), a, w, z);
   const auto period = static_cast<int>(std::ceil(std::sqrt(static_cast<double>(a.cols()))));
+  ASSERT_GT(period, 1);
   std::vector<std::size_t> idx;
   Vec b;
   for (std::size_t i = 0; i < w.size(); i += 3) {
     idx.push_back(i);
     b.push_back(10.0 * w[i]);
   }
-  lm.scale(idx, b);
   const Vec before = lm.approx();
   for (int q = 1; q < period; ++q) {
+    // lm takes its rows one at a time, each first at a passing value.
+    for (auto k = static_cast<std::size_t>(q - 1); k < idx.size(); k += period - 1) {
+      lm.scale({idx[k]}, {3.0 * w[idx[k]]});
+      lm.scale({idx[k]}, {b[k]});
+    }
     EXPECT_TRUE(lm.query().changed.empty()) << "query " << q;
+    EXPECT_TRUE(twin.query().changed.empty()) << "query " << q;
     EXPECT_EQ(lm.approx(), before) << "query " << q;
   }
+  twin.scale(idx, b);
   EXPECT_FALSE(lm.query().changed.empty());
+  EXPECT_FALSE(twin.query().changed.empty());
+  EXPECT_EQ(bits(twin.approx()), bits(lm.approx()));
 }
 
 TEST(LewisMaintenanceTest, StaysNearFixedPoint) {
