@@ -244,11 +244,10 @@ Workload make_spmv(bool tiny) {
 }
 
 Workload make_kernel_spmv(bool tiny) {
-  // The raw SpMV kernel through the Csr dispatch (DESIGN.md §13): in the
-  // serial wall configuration this runs the SELL-4-σ gather kernel over the
-  // RCM-renumbered layout; with PMCF_SIMD=OFF (or under the tracker) it is
-  // the plain CSR row walk. Values are refreshed between reps so the lazy
-  // value-regather path is part of what is measured, as it is inside an IPM.
+  // The raw SpMV kernel through Csr::apply_into (DESIGN.md §13): in the
+  // serial wall configuration and under the tracker it is the CSR row walk
+  // on the calling thread, with or without the AVX2 kernels.
+  // Values are rewritten through vals_mut() between reps, as inside an IPM.
   const auto n = static_cast<graph::Vertex>(tiny ? 128 : 1536);
   const std::int64_t m = static_cast<std::int64_t>(n) * 24;
   par::Rng rng(29);

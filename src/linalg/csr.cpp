@@ -4,19 +4,10 @@
 #include <cassert>
 #include <numeric>
 
-#include "linalg/rcm.hpp"
-#include "linalg/simd.hpp"
 #include "linalg/simd_kernels.hpp"
 #include "parallel/scheduler.hpp"
 
 namespace pmcf::linalg {
-
-namespace {
-/// Sorting window of the SELL-4-σ layout: rows are length-sorted within
-/// σ-sized windows of the RCM order — large enough to squeeze padding out of
-/// the 4-row slices, small enough to keep the RCM locality.
-constexpr std::size_t kSellSigma = 64;
-}  // namespace
 
 Csr::Csr(std::size_t n, std::vector<std::int64_t> offsets, std::vector<std::int32_t> cols,
          std::vector<double> vals)
@@ -34,8 +25,6 @@ Csr& Csr::operator=(const Csr& o) {
     val_ = o.val_;
     row_depth_ = o.row_depth_;
     std::lock_guard<std::mutex> g(cache_mu_);
-    sell_.reset();
-    sell_fresh_ = false;
     part_.blocks = 0;
   }
   return *this;
@@ -47,11 +36,8 @@ Csr::Csr(Csr&& o) noexcept
       col_(std::move(o.col_)),
       val_(std::move(o.val_)),
       row_depth_(o.row_depth_),
-      sell_(std::move(o.sell_)),
-      sell_fresh_(o.sell_fresh_),
       part_(o.part_) {
   o.n_ = 0;
-  o.sell_fresh_ = false;
   o.part_.blocks = 0;
 }
 
@@ -62,97 +48,11 @@ Csr& Csr::operator=(Csr&& o) noexcept {
     col_ = std::move(o.col_);
     val_ = std::move(o.val_);
     row_depth_ = o.row_depth_;
-    sell_ = std::move(o.sell_);
-    sell_fresh_ = o.sell_fresh_;
     part_ = o.part_;
     o.n_ = 0;
-    o.sell_fresh_ = false;
     o.part_.blocks = 0;
   }
   return *this;
-}
-
-std::vector<double>& Csr::vals_mut() {
-  std::lock_guard<std::mutex> g(cache_mu_);
-  sell_fresh_ = false;  // values about to change; regather on the next apply
-  return val_;
-}
-
-void Csr::build_sell() const {
-  auto layout = std::make_unique<SellLayout>();
-  std::vector<std::int32_t> perm = rcm_order(n_, off_, col_);
-  // Descending row length within σ-windows: slices of similar-length rows
-  // waste almost no padding slots, while rows stay near their RCM position.
-  for (std::size_t w = 0; w < n_; w += kSellSigma) {
-    const std::size_t hi = std::min(n_, w + kSellSigma);
-    std::stable_sort(perm.begin() + static_cast<std::ptrdiff_t>(w),
-                     perm.begin() + static_cast<std::ptrdiff_t>(hi),
-                     [&](std::int32_t a, std::int32_t b) {
-                       return off_[static_cast<std::size_t>(a) + 1] - off_[static_cast<std::size_t>(a)] >
-                              off_[static_cast<std::size_t>(b) + 1] - off_[static_cast<std::size_t>(b)];
-                     });
-  }
-  const std::size_t slices = (n_ + 3) / 4;
-  layout->slices = slices;
-  layout->order.assign(4 * slices, -1);
-  layout->lens4.assign(4 * slices, 0);
-  layout->slice_off.assign(slices + 1, 0);
-  for (std::size_t p = 0; p < n_; ++p) {
-    layout->order[p] = perm[p];
-    layout->lens4[p] = off_[static_cast<std::size_t>(perm[p]) + 1] -
-                       off_[static_cast<std::size_t>(perm[p])];
-  }
-  for (std::size_t s = 0; s < slices; ++s) {
-    std::int64_t width = 0;
-    for (std::size_t l = 0; l < 4; ++l)
-      width = std::max(width, layout->lens4[4 * s + l]);
-    layout->slice_off[s + 1] = layout->slice_off[s] + 4 * width;
-  }
-  const auto slots = static_cast<std::size_t>(layout->slice_off[slices]);
-  // Padding slots: column 0 keeps the pad-lane gathers in bounds; the value
-  // is never read (the kernels blend pad products away).
-  layout->cols.assign(slots, 0);
-  layout->vals.assign(slots, -0.0);
-  for (std::size_t s = 0; s < slices; ++s) {
-    const auto base = static_cast<std::size_t>(layout->slice_off[s]);
-    for (std::size_t l = 0; l < 4; ++l) {
-      const std::int32_t row = layout->order[4 * s + l];
-      if (row < 0) continue;
-      const std::int64_t r0 = off_[static_cast<std::size_t>(row)];
-      const auto len = static_cast<std::size_t>(layout->lens4[4 * s + l]);
-      for (std::size_t t = 0; t < len; ++t) {
-        const std::size_t slot = base + 4 * t + l;
-        layout->cols[slot] = col_[static_cast<std::size_t>(r0) + t];
-        layout->vals[slot] = val_[static_cast<std::size_t>(r0) + t];
-      }
-    }
-  }
-  sell_ = std::move(layout);
-}
-
-void Csr::regather_sell() const {
-  SellLayout& s = *sell_;
-  for (std::size_t sl = 0; sl < s.slices; ++sl) {
-    const auto base = static_cast<std::size_t>(s.slice_off[sl]);
-    for (std::size_t l = 0; l < 4; ++l) {
-      const std::int32_t row = s.order[4 * sl + l];
-      if (row < 0) continue;
-      const std::int64_t r0 = off_[static_cast<std::size_t>(row)];
-      const auto len = static_cast<std::size_t>(s.lens4[4 * sl + l]);
-      for (std::size_t t = 0; t < len; ++t)
-        s.vals[base + 4 * t + l] = val_[static_cast<std::size_t>(r0) + t];
-    }
-  }
-}
-
-const Csr::SellLayout* Csr::sell() const {
-  std::lock_guard<std::mutex> g(cache_mu_);
-  if (!sell_fresh_) {
-    if (!sell_) build_sell();
-    else regather_sell();
-    sell_fresh_ = true;
-  }
-  return sell_.get();
 }
 
 void Csr::partition_rows(std::size_t blocks, std::size_t* bounds) const {
@@ -196,11 +96,6 @@ void Csr::charge_spmv(std::size_t k) const {
   par::charge(k * val_.size() + n_, row_depth_ + par::ceil_log2(n_));
 }
 
-void Csr::warm_caches() const {
-  if (n_ == 0) return;
-  if (simd::available()) (void)sell();
-}
-
 Vec Csr::apply(const Vec& x) const {
   Vec y(n_);
   apply_into(x, y);
@@ -212,19 +107,9 @@ void Csr::apply_into(const Vec& x, Vec& y) const {
   assert(y.size() == n_);
   charge_spmv(1);
   const auto rows = [&](std::size_t r0, std::size_t r1) {
-    simd::csr_spmv(off_.data(), col_.data(), val_.data(), x.data(), y.data(), r0, r1);
+    simd::scalar::csr_spmv(off_.data(), col_.data(), val_.data(), x.data(), y.data(), r0, r1);
   };
-  if (run_row_blocks(rows)) return;
-  // Calling thread: SELL-4-σ when the AVX2 kernels are live, else the row
-  // walk. Per-row sums are identical either way (same CSR accumulation
-  // order; SELL only changes which row is processed when).
-  if (simd::enabled() && n_ > 0) {
-    const SellLayout* s = sell();
-    simd::sell_spmv(s->slice_off.data(), s->cols.data(), s->vals.data(), s->lens4.data(),
-                    s->order.data(), s->slices, x.data(), y.data());
-  } else {
-    rows(0, n_);
-  }
+  if (!run_row_blocks(rows)) rows(0, n_);
 }
 
 void Csr::apply_block_into(const Vec& x, Vec& y, std::size_t k) const {

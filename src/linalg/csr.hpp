@@ -8,26 +8,15 @@
 // term, is computed once at construction (the structure is immutable).
 //
 // The arithmetic is the canonical per-row sum in CSR term order from +0.0,
-// exact per row, so every execution path below produces the same bits:
-//
-//   - on the calling thread, a SELL-4-σ layout (sliced ELL, C = 4 lanes,
-//     σ = 64 sorting window) in RCM row order when the AVX2 kernels are
-//     enabled. Rows are only *processed* in the renumbered order; each
-//     result is scattered back to its original index.
-//   - under a multi-thread wall pool, nnz-balanced row blocks, each running
-//     the same simd:: row kernel.
-//
-// Both layouts are lazily built caches keyed on the sparsity structure.
-// vals_mut() (value rewrites over a fixed pattern) only marks the SELL
-// value array stale; the next apply regathers values into the existing
-// layout without allocating, preserving the warmup-then-zero-alloc protocol
-// (tests/alloc_count_test.cpp). The partition survives value rewrites
-// untouched.
+// exact per row, so both execution paths produce the same bits: the calling
+// thread walks the rows in order, and a multi-thread wall pool splits them
+// into nnz-balanced row blocks, each running the same row kernel. The block
+// partition is a lazily built cache keyed on the sparsity structure, so
+// value rewrites through vals_mut() leave it valid.
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -41,8 +30,8 @@ class Csr {
   Csr(std::size_t n, std::vector<std::int64_t> offsets, std::vector<std::int32_t> cols,
       std::vector<double> vals);
 
-  // The caches make the implicit special members unusable (mutex member);
-  // copies reset the caches, moves carry them along.
+  // The partition cache makes the implicit special members unusable (mutex
+  // member); copies reset it, moves carry it along.
   Csr(const Csr& o)
       : n_(o.n_), off_(o.off_), col_(o.col_), val_(o.val_), row_depth_(o.row_depth_) {}
   Csr& operator=(const Csr& o);
@@ -56,10 +45,10 @@ class Csr {
   /// y = M x. Work O(nnz), depth O(log n).
   [[nodiscard]] Vec apply(const Vec& x) const;
 
-  /// y = M x into a caller-owned buffer (y.size() == dim()); no allocation
-  /// once the layout caches are warm. A multi-thread wall pool splits rows
-  /// into nnz-balanced blocks so skewed row lengths cannot serialize the
-  /// SpMV; otherwise the calling thread runs the SELL-4-σ kernel.
+  /// y = M x into a caller-owned buffer (y.size() == dim()); no allocation.
+  /// A multi-thread wall pool splits rows into nnz-balanced blocks so skewed
+  /// row lengths cannot serialize the SpMV; otherwise the calling thread
+  /// walks the rows.
   void apply_into(const Vec& x, Vec& y) const;
 
   /// Y = M X for a row-major n×k block (X[i*k + j] is column j of row i),
@@ -80,9 +69,8 @@ class Csr {
 
   /// Mutable value array, for owners that rewrite values over a fixed
   /// sparsity pattern (Laplacian::refresh_values). The structure arrays stay
-  /// immutable through this interface; the SELL value copy is regathered
-  /// (allocation-free) on the next calling-thread apply.
-  [[nodiscard]] std::vector<double>& vals_mut();
+  /// immutable through this interface.
+  [[nodiscard]] std::vector<double>& vals_mut() { return val_; }
 
   /// Build from coordinate triplets (duplicates are summed).
   static Csr from_triplets(std::size_t n,
@@ -90,33 +78,11 @@ class Csr {
                            const std::vector<std::int32_t>& cols,
                            const std::vector<double>& vals);
 
-  /// Force-build the lazy layout caches (SELL + partition) outside any
-  /// allocation-measured region. Called at instance admission / warmup.
-  void warm_caches() const;
-
  private:
-  /// SELL-4-σ: rows (in RCM order, length-sorted within σ-windows) are
-  /// packed 4 to a slice; slot [slice_off[s] + 4*t + lane] holds element t
-  /// of the slice's lane-th row. order[4s+lane] maps lane -> original row
-  /// (-1 = padding lane); lens4 holds per-lane row lengths for masking.
-  struct SellLayout {
-    std::vector<std::int32_t> order;
-    std::vector<std::int64_t> slice_off;
-    std::vector<std::int32_t> cols;
-    std::vector<double> vals;
-    std::vector<std::int64_t> lens4;
-    std::size_t slices = 0;
-  };
   struct RowPartition {
     std::size_t blocks = 0;
     std::array<std::size_t, par::detail::kMaxBlocks + 1> bounds{};
   };
-
-  /// Layout for the calling-thread SpMV; builds (allocates) on first use,
-  /// regathers values in place when only vals changed. Thread-safe.
-  const SellLayout* sell() const;
-  void build_sell() const;      // allocates; cache_mu_ held
-  void regather_sell() const;   // allocation-free; cache_mu_ held
 
   /// Copy the cached nnz-balanced partition for `blocks` into `bounds`
   /// (recomputing the cache if it was built for a different block count).
@@ -137,9 +103,7 @@ class Csr {
   std::vector<double> val_;
   std::uint64_t row_depth_ = 0;  // lg max(1, longest row): the SpMV's row depth
 
-  mutable std::mutex cache_mu_;
-  mutable std::unique_ptr<SellLayout> sell_;
-  mutable bool sell_fresh_ = false;
+  mutable std::mutex cache_mu_;  // guards part_
   mutable RowPartition part_;
 };
 

@@ -10,12 +10,13 @@
 // cost of the primitive sequence it stands for — a no-op unless the current
 // tracker records — and then runs the canonical simd:: kernel
 // (linalg/simd_kernels.hpp) on the calling thread: AVX2 when available, else
-// the portable scalar kernel, bit for bit the same. So each kernel does one
-// arithmetic in every execution mode: an instrumented run computes exactly
-// what a wall-clock run computes, and its PRAM counts describe the
-// computation actually served. Reductions use the stripe-4 order, which
-// keeps the single-RHS, strided and batched column kernels bitwise
-// interchangeable (tests/accel_test.cpp, tests/kernel_simd_test.cpp).
+// the portable scalar kernel, bit for bit the same (dot_strided has only the
+// scalar kernel). So each kernel does one arithmetic in every execution
+// mode: an instrumented run computes exactly what a wall-clock run
+// computes, and its PRAM counts describe the computation actually served.
+// Reductions use the stripe-4 order, which keeps the single-RHS, strided
+// and batched column kernels bitwise interchangeable (tests/accel_test.cpp,
+// tests/kernel_simd_test.cpp).
 //
 // Charges (lg n = par::ceil_log2(n); an empty range charges nothing),
 // pinned by KernelChargeTest in tests/kernel_simd_test.cpp:
@@ -69,14 +70,7 @@ Vec zip(const Vec& a, const Vec& b, F&& f) {
 inline Vec add(const Vec& a, const Vec& b) { return zip(a, b, [](double x, double y) { return x + y; }); }
 inline Vec sub(const Vec& a, const Vec& b) { return zip(a, b, [](double x, double y) { return x - y; }); }
 inline Vec mul(const Vec& a, const Vec& b) { return zip(a, b, [](double x, double y) { return x * y; }); }
-inline Vec div(const Vec& a, const Vec& b) { return zip(a, b, [](double x, double y) { return x / y; }); }
 inline Vec scale(const Vec& a, double s) { return map(a, [s](double x) { return x * s; }); }
-inline Vec sqrt(const Vec& a) { return map(a, [](double x) { return std::sqrt(x); }); }
-inline Vec inv(const Vec& a) { return map(a, [](double x) { return 1.0 / x; }); }
-
-inline void add_in_place(Vec& a, const Vec& b) {
-  par::parallel_for(0, a.size(), [&](std::size_t i) { a[i] += b[i]; });
-}
 
 // ---------------------------------------------------------------------------
 // Reductions.
@@ -133,9 +127,6 @@ void zip_into(const Vec& a, const Vec& b, Vec& out, F&& f) {
   par::parallel_for(0, a.size(), [&](std::size_t i) { out[i] = f(a[i], b[i]); });
 }
 
-inline void add_into(const Vec& a, const Vec& b, Vec& out) {
-  zip_into(a, b, out, [](double x, double y) { return x + y; });
-}
 inline void sub_into(const Vec& a, const Vec& b, Vec& out) {
   zip_into(a, b, out, [](double x, double y) { return x - y; });
 }
@@ -171,7 +162,7 @@ inline double precond_refresh(const Vec& dinv, const Vec& r, Vec& z) {
 inline double dot_strided(const Vec& a, const Vec& b, std::size_t k, std::size_t j,
                           std::size_t n) {
   charge_passes(n, 0, 1);
-  return simd::dot_strided(a.data(), b.data(), k, j, n);
+  return simd::scalar::dot_strided(a.data(), b.data(), k, j, n);
 }
 
 }  // namespace pmcf::linalg

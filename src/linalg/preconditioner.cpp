@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "linalg/simd.hpp"
 #include "linalg/simd_kernels.hpp"
 #include "parallel/scheduler.hpp"
 
@@ -13,10 +12,8 @@ namespace pmcf::linalg {
 void SddPreconditioner::build(const Csr& m, PrecondKind requested) {
   n_ = m.dim();
   fell_back_ = false;
-  lev_profitable_ = false;
   if (requested == PrecondKind::kIncompleteCholesky && build_ic0(m)) {
     kind_ = PrecondKind::kIncompleteCholesky;
-    build_levels();
     return;
   }
   fell_back_ = requested == PrecondKind::kIncompleteCholesky;
@@ -126,67 +123,12 @@ bool SddPreconditioner::build_ic0(const Csr& m) {
   return true;
 }
 
-void SddPreconditioner::build_levels() {
-  // Substitution depths. Forward: row i waits on every column in its L row.
-  // Backward: column ii (processed in descending order) waits on every row
-  // of its CSC column. Rows sharing a depth are mutually independent, so
-  // the level-scheduled sweeps may reorder them freely — bitwise-neutral.
-  std::vector<std::int32_t> flev(n_, 0);
-  std::int32_t fmax = -1;
-  for (std::size_t i = 0; i < n_; ++i) {
-    std::int32_t lv = 0;
-    for (std::int64_t t = loff_[i]; t < loff_[i + 1]; ++t)
-      lv = std::max(lv, 1 + flev[static_cast<std::size_t>(lcol_[static_cast<std::size_t>(t)])]);
-    flev[i] = lv;
-    fmax = std::max(fmax, lv);
-  }
-  std::vector<std::int32_t> blev(n_, 0);
-  std::int32_t bmax = -1;
-  for (std::size_t ii = n_; ii-- > 0;) {
-    std::int32_t lv = 0;
-    for (std::int64_t t = coff_[ii]; t < coff_[ii + 1]; ++t)
-      lv = std::max(lv, 1 + blev[static_cast<std::size_t>(crow_[static_cast<std::size_t>(t)])]);
-    blev[ii] = lv;
-    bmax = std::max(bmax, lv);
-  }
-  const auto fl = static_cast<std::size_t>(fmax + 1);
-  const auto bl = static_cast<std::size_t>(bmax + 1);
-
-  // Counting sort into level groups (within a level: ascending index —
-  // deterministic, and irrelevant to the result).
-  flev_off_.assign(fl + 1, 0);
-  for (std::size_t i = 0; i < n_; ++i) ++flev_off_[static_cast<std::size_t>(flev[i]) + 1];
-  for (std::size_t l = 0; l < fl; ++l) flev_off_[l + 1] += flev_off_[l];
-  flev_rows_.resize(n_);
-  {
-    std::vector<std::int64_t> cur(flev_off_.begin(), flev_off_.end() - 1);
-    for (std::size_t i = 0; i < n_; ++i)
-      flev_rows_[static_cast<std::size_t>(cur[static_cast<std::size_t>(flev[i])]++)] =
-          static_cast<std::int32_t>(i);
-  }
-  blev_off_.assign(bl + 1, 0);
-  for (std::size_t i = 0; i < n_; ++i) ++blev_off_[static_cast<std::size_t>(blev[i]) + 1];
-  for (std::size_t l = 0; l < bl; ++l) blev_off_[l + 1] += blev_off_[l];
-  blev_rows_.resize(n_);
-  {
-    std::vector<std::int64_t> cur(blev_off_.begin(), blev_off_.end() - 1);
-    for (std::size_t i = 0; i < n_; ++i)
-      blev_rows_[static_cast<std::size_t>(cur[static_cast<std::size_t>(blev[i])]++)] =
-          static_cast<std::int32_t>(i);
-  }
-
-  // Gather-heavy level sweeps only pay off on wide levels: require at least
-  // 8 rows per level on average and a factor big enough to leave L1 churn.
-  lev_profitable_ = n_ >= 64 && n_ >= 8 * fl && n_ >= 8 * bl;
-}
-
 namespace {
 
 // The triangular sweeps run sequentially on the calling thread; in the PRAM
 // model they stand in for level-scheduled substitution (work O(nnz(L)),
-// depth O(#levels) = O(log n) for the near-balanced elimination orders the
-// IPM produces), which is what the charge models, once per column swept.
-// See DESIGN.md §10.
+// depth O(#levels)), charged once per column swept at 2⌈lg max(n, 2)⌉ depth
+// whatever the factor's real level count. See DESIGN.md §10.
 inline void charge_sweeps(std::size_t lnnz, std::size_t n, std::uint64_t cols) {
   par::charge(cols * 2 * (lnnz + n), cols * 2 * par::ceil_log2(std::max<std::size_t>(n, 2)));
 }
@@ -197,22 +139,10 @@ double SddPreconditioner::apply(const Vec& r, Vec& z) const {
   assert(valid() && r.size() == n_ && z.size() == n_);
   if (kind_ == PrecondKind::kJacobi) return precond_refresh(dinv_, r, z);
   charge_sweeps(lval_.size(), n_, 1);
-  // Level-scheduled SIMD sweeps when the factor is wide enough, else the
-  // sequential sweeps. Both orders produce identical bits — a row only ever
-  // reads finalized dependencies.
-  if (lev_profitable_ && simd::enabled()) {
-    simd::ic_fwd_levels(loff_.data(), lcol_.data(), lval_.data(),
-                        ldiag_inv_.data(), flev_rows_.data(), flev_off_.data(),
-                        flev_off_.size() - 1, r.data(), fwd_.data());
-    simd::ic_bwd_levels(coff_.data(), crow_.data(), cidx_.data(), lval_.data(),
-                        ldiag_inv_.data(), blev_rows_.data(), blev_off_.data(),
-                        blev_off_.size() - 1, fwd_.data(), z.data());
-  } else {
-    simd::ic_fwd(loff_.data(), lcol_.data(), lval_.data(), ldiag_inv_.data(),
-                 r.data(), fwd_.data(), n_);
-    simd::ic_bwd(coff_.data(), crow_.data(), cidx_.data(), lval_.data(),
-                 ldiag_inv_.data(), fwd_.data(), z.data(), n_);
-  }
+  simd::scalar::ic_fwd(loff_.data(), lcol_.data(), lval_.data(), ldiag_inv_.data(), r.data(),
+                       fwd_.data(), n_);
+  simd::scalar::ic_bwd(coff_.data(), crow_.data(), cidx_.data(), lval_.data(),
+                       ldiag_inv_.data(), fwd_.data(), z.data(), n_);
   return dot(r, z);
 }
 

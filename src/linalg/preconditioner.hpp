@@ -27,12 +27,8 @@
 // single-RHS solves. Both charge the PRAM cost of the sequence they stand
 // for — precond_refresh for Jacobi, charge_sweeps plus a dot for IC(0) —
 // once per column, then run the same arithmetic in every execution mode.
-//
-// build() additionally derives a level schedule of the triangular sweeps
-// (rows grouped by substitution depth). When the factor is large and shallow
-// enough to profit (see lev_profitable_), the sweeps run the level-scheduled
-// SIMD kernels: rows within a level are independent, so reordering them is
-// bitwise-neutral.
+// apply() runs the sequential triangular sweeps on the calling thread;
+// apply_cols() vectorizes across columns, never across rows.
 
 #include <cstddef>
 #include <cstdint>
@@ -75,7 +71,6 @@ class SddPreconditioner {
  private:
   void build_jacobi(const Csr& m);
   bool build_ic0(const Csr& m);
-  void build_levels();
 
   std::size_t n_ = 0;
   PrecondKind kind_ = PrecondKind::kJacobi;
@@ -94,14 +89,6 @@ class SddPreconditioner {
   std::vector<std::int32_t> crow_;
   std::vector<std::int64_t> cidx_;
   mutable Vec fwd_;  // forward-solve scratch (owned so applies are alloc-free)
-
-  // Level schedule: rows (forward) / columns (backward) grouped by
-  // substitution depth; rows within a group are mutually independent.
-  std::vector<std::int32_t> flev_rows_;
-  std::vector<std::int64_t> flev_off_;
-  std::vector<std::int32_t> blev_rows_;
-  std::vector<std::int64_t> blev_off_;
-  bool lev_profitable_ = false;
 };
 
 }  // namespace pmcf::linalg

@@ -1,21 +1,27 @@
 #pragma once
 // Raw-pointer kernels behind the SIMD dispatch seam (DESIGN.md §13).
 //
-// Two implementations of one canonical semantics:
+// Two kinds of kernel:
 //
-//   simd::scalar::*  — portable C++, always compiled. This is the canonical
-//                      definition: the exact per-element expressions and the
-//                      exact reduction order every other path must reproduce.
-//   simd::avx2::*    — AVX2 intrinsics, compiled only under PMCF_SIMD=ON
-//                      (its TU gets -mavx2 -ffp-contract=off). Bit-for-bit
-//                      identical to scalar::* by construction: same
-//                      expressions, separate mul/add (never FMA), identical
-//                      reduction orders, masked blends (never arithmetic)
-//                      for inactive lanes so even NaN/±0 payloads survive.
+//   dispatched   — declared by PMCF_DECLARE_SIMD_KERNELS and implemented
+//                  twice. simd::scalar::* (portable C++, always compiled) is
+//                  the canonical definition: the exact per-element
+//                  expressions and the exact reduction order. simd::avx2::*
+//                  (AVX2 intrinsics, compiled only under PMCF_SIMD=ON; its TU
+//                  gets -mavx2 -ffp-contract=off) reproduces it bit for bit
+//                  by construction: same expressions, separate mul/add
+//                  (never FMA), identical reduction orders, masked blends
+//                  (never arithmetic) for inactive lanes so even NaN/±0
+//                  payloads survive. The dispatchers at the bottom pick
+//                  avx2:: when simd::enabled().
+//   scalar-only  — dot_strided, csr_spmv, ic_fwd and ic_bwd, declared once
+//                  in simd::scalar and called as simd::scalar::*. Stride-k
+//                  loads do not vectorize profitably, and a row sum or a
+//                  triangular sweep has no vector form that keeps the
+//                  canonical order without another layout or row order.
 //
-// The dispatchers at the bottom pick avx2:: when simd::enabled(). They are
-// plain kernels: no PRAM charges, no tracker access, no pool dispatch. The
-// callers (kernels.hpp, Csr, IncidenceOp, SddPreconditioner,
+// All are plain kernels: no PRAM charges, no tracker access, no pool
+// dispatch. The callers (kernels.hpp, Csr, IncidenceOp, SddPreconditioner,
 // solve_sdd_multi) charge the PRAM cost at kernel entry and then call here
 // in every execution mode, so these kernels are the only arithmetic served.
 //
@@ -34,14 +40,11 @@
 
 namespace pmcf::linalg::simd {
 
-// Everything below is implemented once in simd_kernels_scalar.cpp and once
-// (same signatures) in simd_kernels_avx2.cpp.
+// The dispatched kernels: implemented once in simd_kernels_scalar.cpp and
+// once (same signatures) in simd_kernels_avx2.cpp.
 #define PMCF_DECLARE_SIMD_KERNELS                                              \
   /* stripe-4 dot over contiguous storage */                                   \
   double dot(const double* a, const double* b, std::size_t n);                 \
-  /* stripe-4 dot over column j of a row-major n×k block (slot i*k+j) */      \
-  double dot_strided(const double* a, const double* b, std::size_t k,          \
-                     std::size_t j, std::size_t n);                            \
   /* y[i] = a*x[i] + b*y[i] */                                                 \
   void axpby(double* y, double a, const double* x, double b, std::size_t n);   \
   /* x += alpha*p, r -= alpha*mp; returns stripe-4 sum of r[i]^2 */            \
@@ -66,40 +69,16 @@ namespace pmcf::linalg::simd {
   /* per active column j: y_col = a*x_col + b[j]*y_col */                      \
   void axpby_cols(double* y, double a, const double* x, const double* b,       \
                   const unsigned char* active, std::size_t n, std::size_t k);  \
-  /* classic CSR SpMV rows [r0, r1): y[r] = sum_t val[t]*x[col[t]], CSR       \
-     order */                                                                  \
-  void csr_spmv(const std::int64_t* off, const std::int32_t* col,              \
-                const double* val, const double* x, double* y, std::size_t r0, \
-                std::size_t r1);                                               \
   /* block SpMV rows [r0, r1) of a row-major n×k block: per (row, j) the     \
      accumulation runs in CSR order from +0.0, bitwise equal to csr_spmv on   \
      column j alone */                                                         \
   void csr_block_spmv(const std::int64_t* off, const std::int32_t* col,        \
                       const double* val, const double* x, double* y,           \
                       std::size_t r0, std::size_t r1, std::size_t k);          \
-  /* SELL-4 SpMV (see Csr::SellLayout): slice s holds 4 lanes interleaved     \
-     at vals/cols[slice_off[s] + 4*t + lane]; lens4[4*s+lane] is the lane's   \
-     row length, order[4*s+lane] the destination row (-1 = unused lane).      \
-     Per lane the accumulation is the row's CSR order from +0.0; padding      \
-     contributes exact -0.0 adds, so results equal csr_spmv bit for bit */     \
-  void sell_spmv(const std::int64_t* slice_off, const std::int32_t* cols,      \
-                 const double* vals, const std::int64_t* lens4,                \
-                 const std::int32_t* order, std::size_t slices,                \
-                 const double* x, double* y);                                  \
   /* incidence gather: y[e] = hv - hu with h[dropped] read as +0.0 */          \
   void incidence_apply(const std::int32_t* from, const std::int32_t* to,       \
                        const double* h, double* y, std::size_t m,              \
                        std::int32_t dropped);                                  \
-  /* IC(0) forward sweep, single RHS: fwd[i] = (r[i] - L(i,:)·fwd) /          \
-     L(i,i), rows ascending, per-row pattern order */                          \
-  void ic_fwd(const std::int64_t* loff, const std::int32_t* lcol,              \
-              const double* lval, const double* ldiag_inv, const double* r,    \
-              double* fwd, std::size_t n);                                     \
-  /* IC(0) backward sweep, single RHS, via the CSC view of L */                \
-  void ic_bwd(const std::int64_t* coff, const std::int32_t* crow,              \
-              const std::int64_t* cidx, const double* lval,                    \
-              const double* ldiag_inv, const double* fwd, double* z,           \
-              std::size_t n);                                                  \
   /* batched IC sweeps over row-major n×k blocks, vectorized across          \
      columns; fwd is caller scratch (n×k), z writes are masked by `active` */ \
   void ic_fwd_cols(const std::int64_t* loff, const std::int32_t* lcol,         \
@@ -109,25 +88,27 @@ namespace pmcf::linalg::simd {
   void ic_bwd_cols(const std::int64_t* coff, const std::int32_t* crow,         \
                    const std::int64_t* cidx, const double* lval,               \
                    const double* ldiag_inv, const double* fwd, double* z,      \
-                   const unsigned char* active, std::size_t n, std::size_t k); \
-  /* level-scheduled IC sweeps, single RHS: rows_by_level lists rows grouped  \
-     into dependency levels (level_off has nlevels+1 entries); within a       \
-     level rows are independent, so any processing order — including 4-row   \
-     gather lanes — reproduces ic_fwd/ic_bwd bitwise */                       \
-  void ic_fwd_levels(const std::int64_t* loff, const std::int32_t* lcol,       \
-                     const double* lval, const double* ldiag_inv,              \
-                     const std::int32_t* rows_by_level,                        \
-                     const std::int64_t* level_off, std::size_t nlevels,       \
-                     const double* r, double* fwd);                            \
-  void ic_bwd_levels(const std::int64_t* coff, const std::int32_t* crow,       \
-                     const std::int64_t* cidx, const double* lval,             \
-                     const double* ldiag_inv,                                  \
-                     const std::int32_t* cols_by_level,                        \
-                     const std::int64_t* level_off, std::size_t nlevels,       \
-                     const double* fwd, double* z);
+                   const unsigned char* active, std::size_t n, std::size_t k);
 
 namespace scalar {
 PMCF_DECLARE_SIMD_KERNELS
+
+// The scalar-only kernels (simd_kernels_scalar.cpp).
+
+/// stripe-4 dot over column j of a row-major n×k block (slot i*k+j)
+double dot_strided(const double* a, const double* b, std::size_t k, std::size_t j,
+                   std::size_t n);
+/// CSR SpMV rows [r0, r1): y[r] = sum_t val[t]*x[col[t]] in CSR order from +0.0
+void csr_spmv(const std::int64_t* off, const std::int32_t* col, const double* val,
+              const double* x, double* y, std::size_t r0, std::size_t r1);
+/// IC(0) forward sweep, single RHS: fwd[i] = (r[i] - L(i,:)·fwd) / L(i,i),
+/// rows ascending, per-row pattern order
+void ic_fwd(const std::int64_t* loff, const std::int32_t* lcol, const double* lval,
+            const double* ldiag_inv, const double* r, double* fwd, std::size_t n);
+/// IC(0) backward sweep, single RHS, via the CSC view of L, rows descending
+void ic_bwd(const std::int64_t* coff, const std::int32_t* crow, const std::int64_t* cidx,
+            const double* lval, const double* ldiag_inv, const double* fwd, double* z,
+            std::size_t n);
 }  // namespace scalar
 
 #if defined(PMCF_SIMD_AVX2)
@@ -152,10 +133,6 @@ PMCF_DECLARE_SIMD_KERNELS
 
 inline double dot(const double* a, const double* b, std::size_t n) {
   PMCF_SIMD_DISPATCH(dot, a, b, n);
-}
-inline double dot_strided(const double* a, const double* b, std::size_t k,
-                          std::size_t j, std::size_t n) {
-  PMCF_SIMD_DISPATCH(dot_strided, a, b, k, j, n);
 }
 inline void axpby(double* y, double a, const double* x, double b, std::size_t n) {
   PMCF_SIMD_DISPATCH(axpby, y, a, x, b, n);
@@ -186,37 +163,15 @@ inline void axpby_cols(double* y, double a, const double* x, const double* b,
                        const unsigned char* active, std::size_t n, std::size_t k) {
   PMCF_SIMD_DISPATCH(axpby_cols, y, a, x, b, active, n, k);
 }
-inline void csr_spmv(const std::int64_t* off, const std::int32_t* col,
-                     const double* val, const double* x, double* y,
-                     std::size_t r0, std::size_t r1) {
-  PMCF_SIMD_DISPATCH(csr_spmv, off, col, val, x, y, r0, r1);
-}
 inline void csr_block_spmv(const std::int64_t* off, const std::int32_t* col,
                            const double* val, const double* x, double* y,
                            std::size_t r0, std::size_t r1, std::size_t k) {
   PMCF_SIMD_DISPATCH(csr_block_spmv, off, col, val, x, y, r0, r1, k);
 }
-inline void sell_spmv(const std::int64_t* slice_off, const std::int32_t* cols,
-                      const double* vals, const std::int64_t* lens4,
-                      const std::int32_t* order, std::size_t slices,
-                      const double* x, double* y) {
-  PMCF_SIMD_DISPATCH(sell_spmv, slice_off, cols, vals, lens4, order, slices, x, y);
-}
 inline void incidence_apply(const std::int32_t* from, const std::int32_t* to,
                             const double* h, double* y, std::size_t m,
                             std::int32_t dropped) {
   PMCF_SIMD_DISPATCH(incidence_apply, from, to, h, y, m, dropped);
-}
-inline void ic_fwd(const std::int64_t* loff, const std::int32_t* lcol,
-                   const double* lval, const double* ldiag_inv, const double* r,
-                   double* fwd, std::size_t n) {
-  PMCF_SIMD_DISPATCH(ic_fwd, loff, lcol, lval, ldiag_inv, r, fwd, n);
-}
-inline void ic_bwd(const std::int64_t* coff, const std::int32_t* crow,
-                   const std::int64_t* cidx, const double* lval,
-                   const double* ldiag_inv, const double* fwd, double* z,
-                   std::size_t n) {
-  PMCF_SIMD_DISPATCH(ic_bwd, coff, crow, cidx, lval, ldiag_inv, fwd, z, n);
 }
 inline void ic_fwd_cols(const std::int64_t* loff, const std::int32_t* lcol,
                         const double* lval, const double* ldiag_inv,
@@ -231,23 +186,6 @@ inline void ic_bwd_cols(const std::int64_t* coff, const std::int32_t* crow,
                         std::size_t k) {
   PMCF_SIMD_DISPATCH(ic_bwd_cols, coff, crow, cidx, lval, ldiag_inv, fwd, z,
                      active, n, k);
-}
-inline void ic_fwd_levels(const std::int64_t* loff, const std::int32_t* lcol,
-                          const double* lval, const double* ldiag_inv,
-                          const std::int32_t* rows_by_level,
-                          const std::int64_t* level_off, std::size_t nlevels,
-                          const double* r, double* fwd) {
-  PMCF_SIMD_DISPATCH(ic_fwd_levels, loff, lcol, lval, ldiag_inv, rows_by_level,
-                     level_off, nlevels, r, fwd);
-}
-inline void ic_bwd_levels(const std::int64_t* coff, const std::int32_t* crow,
-                          const std::int64_t* cidx, const double* lval,
-                          const double* ldiag_inv,
-                          const std::int32_t* cols_by_level,
-                          const std::int64_t* level_off, std::size_t nlevels,
-                          const double* fwd, double* z) {
-  PMCF_SIMD_DISPATCH(ic_bwd_levels, coff, crow, cidx, lval, ldiag_inv,
-                     cols_by_level, level_off, nlevels, fwd, z);
 }
 
 #undef PMCF_SIMD_DISPATCH

@@ -1,4 +1,6 @@
-// AVX2 implementations of the kernel contract in simd_kernels.hpp.
+// AVX2 implementations of the dispatched kernels in simd_kernels.hpp. The
+// scalar-only kernels (dot_strided, csr_spmv, ic_fwd, ic_bwd) have no body
+// here: every function below is a vector kernel.
 //
 // Compiled with -mavx2 -ffp-contract=off (see src/CMakeLists.txt): the rest
 // of the library keeps the baseline ISA, and no mul+add pair here may fuse
@@ -8,33 +10,17 @@
 // Identity techniques used throughout (DESIGN.md §13):
 //   - stripe-4 reductions: vector lane l accumulates indices i ≡ l (mod 4)
 //     in ascending order, exactly the scalar canonical association; the
-//     horizontal combine is hadd-based, (acc0+acc1) + (acc2+acc3).
+//     lanes combine as (acc0+acc1) + (acc2+acc3).
 //   - masked lanes use blends, never arithmetic: an inactive column's state
 //     is copied bit for bit (NaN payloads and -0.0 included).
-//   - padding contributes exact identity elements: x + (-0.0) == x and
-//     x - (+0.0) == x for every double x (round-to-nearest), including ±0
-//     and NaN, so SELL pad slots and level-sweep pad lanes are no-ops.
-//   - out-of-range pad-lane gather indices are blended to slot 0 before the
-//     gather, keeping every lane's load in bounds.
 
 #include <immintrin.h>
-
-#include <algorithm>
 
 #include "linalg/simd_kernels.hpp"
 
 namespace pmcf::linalg::simd::avx2 {
 
 namespace {
-
-/// ((a0 + a1) + (a2 + a3)) — the canonical stripe combine.
-inline double combine4(__m256d acc) {
-  const __m128d lo = _mm256_castpd256_pd128(acc);
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);
-  const __m128d s01 = _mm_hadd_pd(lo, lo);
-  const __m128d s23 = _mm_hadd_pd(hi, hi);
-  return _mm_cvtsd_f64(_mm_add_sd(s01, s23));
-}
 
 /// Per-column-group mask: all-ones lanes for active[j] != 0.
 inline __m256d col_mask(const unsigned char* active, std::size_t jc) {
@@ -60,13 +46,6 @@ double dot(const double* a, const double* b, std::size_t n) {
   _mm256_storeu_pd(lane, acc);
   for (; i < n; ++i) lane[i & 3] += a[i] * b[i];
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-double dot_strided(const double* a, const double* b, std::size_t k,
-                   std::size_t j, std::size_t n) {
-  // Stride-k lanes don't vectorize profitably; the scalar stripe code is
-  // already the canonical order.
-  return scalar::dot_strided(a, b, k, j, n);
 }
 
 void axpby(double* y, double a, const double* x, double b, std::size_t n) {
@@ -287,14 +266,6 @@ void axpby_cols(double* y, double a, const double* x, const double* b,
   }
 }
 
-void csr_spmv(const std::int64_t* off, const std::int32_t* col,
-              const double* val, const double* x, double* y, std::size_t r0,
-              std::size_t r1) {
-  // The vector path for single-vector SpMV is the SELL layout; a plain CSR
-  // walk gains nothing from AVX2 without reassociating the row sums.
-  scalar::csr_spmv(off, col, val, x, y, r0, r1);
-}
-
 void csr_block_spmv(const std::int64_t* off, const std::int32_t* col,
                     const double* val, const double* x, double* y,
                     std::size_t r0, std::size_t r1, std::size_t k) {
@@ -322,37 +293,6 @@ void csr_block_spmv(const std::int64_t* off, const std::int32_t* col,
                x[static_cast<std::size_t>(col[static_cast<std::size_t>(t)]) * k + jc];
       yr[jc] = acc;
     }
-  }
-}
-
-void sell_spmv(const std::int64_t* slice_off, const std::int32_t* cols,
-               const double* vals, const std::int64_t* lens4,
-               const std::int32_t* order, std::size_t slices, const double* x,
-               double* y) {
-  const __m256d neg0 = _mm256_set1_pd(-0.0);
-  for (std::size_t s = 0; s < slices; ++s) {
-    const std::size_t base = static_cast<std::size_t>(slice_off[s]);
-    const std::size_t width =
-        static_cast<std::size_t>(slice_off[s + 1] - slice_off[s]) / 4;
-    const __m256i lens = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(lens4 + 4 * s));
-    __m256d acc = _mm256_setzero_pd();
-    for (std::size_t t = 0; t < width; ++t) {
-      const std::size_t slot = base + 4 * t;
-      const __m128i c4 = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(cols + slot));
-      const __m256d xv = _mm256_i32gather_pd(x, c4, 8);
-      const __m256d prod = _mm256_mul_pd(_mm256_loadu_pd(vals + slot), xv);
-      const __m256d mask = _mm256_castsi256_pd(_mm256_cmpgt_epi64(
-          lens, _mm256_set1_epi64x(static_cast<long long>(t))));
-      // Padding lanes add an exact -0.0: a no-op for every accumulator value.
-      acc = _mm256_add_pd(acc, _mm256_blendv_pd(neg0, prod, mask));
-    }
-    double lane[4];
-    _mm256_storeu_pd(lane, acc);
-    const std::int32_t* rows = order + 4 * s;
-    for (std::size_t l = 0; l < 4; ++l)
-      if (rows[l] >= 0) y[static_cast<std::size_t>(rows[l])] = lane[l];
   }
 }
 
@@ -392,21 +332,6 @@ void incidence_apply(const std::int32_t* from, const std::int32_t* to,
     const double hv = to[e] == dropped ? 0.0 : h[static_cast<std::size_t>(to[e])];
     y[e] = hv - hu;
   }
-}
-
-void ic_fwd(const std::int64_t* loff, const std::int32_t* lcol,
-            const double* lval, const double* ldiag_inv, const double* r,
-            double* fwd, std::size_t n) {
-  // Row-to-row dependency chain: nothing to vectorize without the level
-  // schedule (ic_fwd_levels).
-  scalar::ic_fwd(loff, lcol, lval, ldiag_inv, r, fwd, n);
-}
-
-void ic_bwd(const std::int64_t* coff, const std::int32_t* crow,
-            const std::int64_t* cidx, const double* lval,
-            const double* ldiag_inv, const double* fwd, double* z,
-            std::size_t n) {
-  scalar::ic_bwd(coff, crow, cidx, lval, ldiag_inv, fwd, z, n);
 }
 
 void ic_fwd_cols(const std::int64_t* loff, const std::int32_t* lcol,
@@ -468,101 +393,6 @@ void ic_bwd_cols(const std::int64_t* coff, const std::int32_t* crow,
         s -= lval[static_cast<std::size_t>(cidx[static_cast<std::size_t>(t)])] *
              z[static_cast<std::size_t>(crow[static_cast<std::size_t>(t)]) * k + jc];
       z[ii * k + jc] = s * ldiag_inv[ii];
-    }
-  }
-}
-
-namespace {
-
-/// Shared core of the level-scheduled sweeps: process 4 independent rows of
-/// one level via gathers. `idx_ind` selects the one level of indirection the
-/// backward sweep needs (cidx), nullptr for the forward sweep.
-inline void level_group_sweep(const std::int64_t* off, const std::int32_t* adj,
-                              const std::int64_t* idx_ind, const double* lval,
-                              const double* ldiag_inv, const double* src,
-                              const double* dep, double* dst,
-                              const std::int32_t* rows) {
-  const __m128i r4 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows));
-  const __m128i r4p1 = _mm_add_epi32(r4, _mm_set1_epi32(1));
-  const auto* offll = reinterpret_cast<const long long*>(off);
-  const __m256i o4 = _mm256_i32gather_epi64(offll, r4, 8);
-  const __m256i e4 = _mm256_i32gather_epi64(offll, r4p1, 8);
-  const __m256i len4 = _mm256_sub_epi64(e4, o4);
-  long long lenl[4];
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(lenl), len4);
-  const long long maxlen =
-      std::max(std::max(lenl[0], lenl[1]), std::max(lenl[2], lenl[3]));
-  __m256d s = _mm256_i32gather_pd(src, r4, 8);
-  const __m256d pzero = _mm256_setzero_pd();
-  const __m256i zero64 = _mm256_setzero_si256();
-  for (long long t = 0; t < maxlen; ++t) {
-    const __m256i mask64 = _mm256_cmpgt_epi64(len4, _mm256_set1_epi64x(t));
-    const __m256d maskpd = _mm256_castsi256_pd(mask64);
-    // Pad lanes would index past their row's pattern — blend them to slot 0
-    // so every gather stays in bounds, then blend the product away.
-    const __m256i idx = _mm256_blendv_epi8(
-        zero64, _mm256_add_epi64(o4, _mm256_set1_epi64x(t)), mask64);
-    __m256i vidx = idx;
-    if (idx_ind != nullptr)
-      vidx = _mm256_i64gather_epi64(
-          reinterpret_cast<const long long*>(idx_ind), idx, 8);
-    const __m256d lv = _mm256_i64gather_pd(lval, vidx, 8);
-    const __m128i c4 = _mm256_i64gather_epi32(
-        reinterpret_cast<const int*>(adj), idx, 4);
-    const __m256d dv = _mm256_i32gather_pd(dep, c4, 8);
-    const __m256d prod = _mm256_mul_pd(lv, dv);
-    // Pad lanes subtract an exact +0.0: a no-op for every value of s.
-    s = _mm256_sub_pd(s, _mm256_blendv_pd(pzero, prod, maskpd));
-  }
-  const __m256d d4 = _mm256_i32gather_pd(ldiag_inv, r4, 8);
-  double lane[4];
-  _mm256_storeu_pd(lane, _mm256_mul_pd(s, d4));
-  for (std::size_t l = 0; l < 4; ++l)
-    dst[static_cast<std::size_t>(rows[l])] = lane[l];
-}
-
-}  // namespace
-
-void ic_fwd_levels(const std::int64_t* loff, const std::int32_t* lcol,
-                   const double* lval, const double* ldiag_inv,
-                   const std::int32_t* rows_by_level,
-                   const std::int64_t* level_off, std::size_t nlevels,
-                   const double* r, double* fwd) {
-  for (std::size_t lv = 0; lv < nlevels; ++lv) {
-    std::int64_t q = level_off[lv];
-    const std::int64_t q1 = level_off[lv + 1];
-    for (; q + 4 <= q1; q += 4)
-      level_group_sweep(loff, lcol, nullptr, lval, ldiag_inv, r, fwd, fwd,
-                        rows_by_level + q);
-    for (; q < q1; ++q) {
-      const auto i = static_cast<std::size_t>(rows_by_level[static_cast<std::size_t>(q)]);
-      double s = r[i];
-      for (std::int64_t t = loff[i]; t < loff[i + 1]; ++t)
-        s -= lval[static_cast<std::size_t>(t)] *
-             fwd[static_cast<std::size_t>(lcol[static_cast<std::size_t>(t)])];
-      fwd[i] = s * ldiag_inv[i];
-    }
-  }
-}
-
-void ic_bwd_levels(const std::int64_t* coff, const std::int32_t* crow,
-                   const std::int64_t* cidx, const double* lval,
-                   const double* ldiag_inv, const std::int32_t* cols_by_level,
-                   const std::int64_t* level_off, std::size_t nlevels,
-                   const double* fwd, double* z) {
-  for (std::size_t lv = 0; lv < nlevels; ++lv) {
-    std::int64_t q = level_off[lv];
-    const std::int64_t q1 = level_off[lv + 1];
-    for (; q + 4 <= q1; q += 4)
-      level_group_sweep(coff, crow, cidx, lval, ldiag_inv, fwd, z, z,
-                        cols_by_level + q);
-    for (; q < q1; ++q) {
-      const auto ii = static_cast<std::size_t>(cols_by_level[static_cast<std::size_t>(q)]);
-      double s = fwd[ii];
-      for (std::int64_t t = coff[ii]; t < coff[ii + 1]; ++t)
-        s -= lval[static_cast<std::size_t>(cidx[static_cast<std::size_t>(t)])] *
-             z[static_cast<std::size_t>(crow[static_cast<std::size_t>(t)])];
-      z[ii] = s * ldiag_inv[ii];
     }
   }
 }

@@ -1,8 +1,11 @@
 // Canonical portable implementations of the kernel-layer contract declared
-// in simd_kernels.hpp. This TU is compiled with the project's default flags
-// (no -march, and -ffp-contract=off via CMake so no toolchain can sneak an
-// FMA in): what these loops compute, bit for bit, is what the AVX2 TU must
-// reproduce and what tests/kernel_simd_test.cpp pins down.
+// in simd_kernels.hpp: every dispatched kernel, whose AVX2 twin must match
+// it bit for bit, and the scalar-only kernels (dot_strided, csr_spmv,
+// ic_fwd, ic_bwd), which have no vector twin. This TU is compiled with the
+// project's default flags (no -march, and -ffp-contract=off via CMake so no
+// toolchain can sneak an FMA in): what these loops compute, bit for bit, is
+// what the AVX2 TU must reproduce and what tests/kernel_simd_test.cpp pins
+// down.
 //
 // The stripe-4 accumulators are written as plain arrays indexed by i & 3 —
 // the same association order the AVX2 lanes produce — and combined as
@@ -133,34 +136,6 @@ void csr_block_spmv(const std::int64_t* off, const std::int32_t* col,
   }
 }
 
-void sell_spmv(const std::int64_t* slice_off, const std::int32_t* cols,
-               const double* vals, const std::int64_t* lens4,
-               const std::int32_t* order, std::size_t slices, const double* x,
-               double* y) {
-  for (std::size_t s = 0; s < slices; ++s) {
-    const std::size_t base = static_cast<std::size_t>(slice_off[s]);
-    const std::size_t width =
-        static_cast<std::size_t>(slice_off[s + 1] - slice_off[s]) / 4;
-    for (std::size_t lane = 0; lane < 4; ++lane) {
-      const std::int32_t row = order[4 * s + lane];
-      if (row < 0) continue;
-      const auto len = static_cast<std::size_t>(lens4[4 * s + lane]);
-      double acc = 0.0;
-      for (std::size_t t = 0; t < width; ++t) {
-        // Same masked-pad semantics as the vector lanes: a padding slot
-        // contributes an exact -0.0 add, which never changes `acc`.
-        if (t < len) {
-          const std::size_t slot = base + 4 * t + lane;
-          acc += vals[slot] * x[static_cast<std::size_t>(cols[slot])];
-        } else {
-          acc += -0.0;
-        }
-      }
-      y[static_cast<std::size_t>(row)] = acc;
-    }
-  }
-}
-
 void incidence_apply(const std::int32_t* from, const std::int32_t* to,
                      const double* h, double* y, std::size_t m,
                      std::int32_t dropped) {
@@ -232,43 +207,6 @@ void ic_bwd_cols(const std::int64_t* coff, const std::int32_t* crow,
         s -= lval[static_cast<std::size_t>(cidx[static_cast<std::size_t>(t)])] *
              z[static_cast<std::size_t>(crow[static_cast<std::size_t>(t)]) * k + j];
       zi[j] = s * di;
-    }
-  }
-}
-
-void ic_fwd_levels(const std::int64_t* loff, const std::int32_t* lcol,
-                   const double* lval, const double* ldiag_inv,
-                   const std::int32_t* rows_by_level,
-                   const std::int64_t* level_off, std::size_t nlevels,
-                   const double* r, double* fwd) {
-  // Rows inside one level have disjoint dependencies (all in earlier
-  // levels), so per-row results match ic_fwd exactly for any within-level
-  // order.
-  for (std::size_t lv = 0; lv < nlevels; ++lv) {
-    for (std::int64_t q = level_off[lv]; q < level_off[lv + 1]; ++q) {
-      const auto i = static_cast<std::size_t>(rows_by_level[static_cast<std::size_t>(q)]);
-      double s = r[i];
-      for (std::int64_t t = loff[i]; t < loff[i + 1]; ++t)
-        s -= lval[static_cast<std::size_t>(t)] *
-             fwd[static_cast<std::size_t>(lcol[static_cast<std::size_t>(t)])];
-      fwd[i] = s * ldiag_inv[i];
-    }
-  }
-}
-
-void ic_bwd_levels(const std::int64_t* coff, const std::int32_t* crow,
-                   const std::int64_t* cidx, const double* lval,
-                   const double* ldiag_inv, const std::int32_t* cols_by_level,
-                   const std::int64_t* level_off, std::size_t nlevels,
-                   const double* fwd, double* z) {
-  for (std::size_t lv = 0; lv < nlevels; ++lv) {
-    for (std::int64_t q = level_off[lv]; q < level_off[lv + 1]; ++q) {
-      const auto ii = static_cast<std::size_t>(cols_by_level[static_cast<std::size_t>(q)]);
-      double s = fwd[ii];
-      for (std::int64_t t = coff[ii]; t < coff[ii + 1]; ++t)
-        s -= lval[static_cast<std::size_t>(cidx[static_cast<std::size_t>(t)])] *
-             z[static_cast<std::size_t>(crow[static_cast<std::size_t>(t)])];
-      z[ii] = s * ldiag_inv[ii];
     }
   }
 }

@@ -2,11 +2,11 @@
 //  - every AVX2 kernel reproduces the canonical scalar kernel bit for bit,
 //    across aligned, unaligned, and remainder lengths, with masked column
 //    kernels preserving inactive columns exactly;
-//  - the SELL-4-σ SpMV (RCM renumbering included) matches the plain CSR row
-//    walk bitwise through the public Csr interface;
-//  - rcm_order returns a genuine permutation;
+//  - every batched column kernel computes on each active column what its
+//    single-column twin computes on that column alone (the rule that keeps
+//    column j of solve_sdd_multi equal to a lone solve_sdd);
 //  - solver outputs (single- and multi-RHS, both preconditioner kinds) are
-//    invariant under the SIMD dispatch, i.e. under the renumbered layout;
+//    invariant under the SIMD dispatch;
 //  - every hot kernel charges exactly the PRAM cost of the primitive
 //    sequence it stands for (KernelChargeTest).
 //
@@ -29,7 +29,6 @@
 #include "linalg/kernels.hpp"
 #include "linalg/laplacian.hpp"
 #include "linalg/preconditioner.hpp"
-#include "linalg/rcm.hpp"
 #include "linalg/sdd_solver.hpp"
 #include "linalg/simd.hpp"
 #include "linalg/simd_kernels.hpp"
@@ -79,6 +78,58 @@ class KernelSimdTest : public ::testing::Test {
   }
 };
 
+std::vector<unsigned char> random_mask(par::Rng& rng, std::size_t k, int kind) {
+  std::vector<unsigned char> m(k, 0);
+  for (std::size_t j = 0; j < k; ++j)
+    m[j] = kind == 0 ? 1 : kind == 1 ? static_cast<unsigned char>(j % 2) : (rng.next_double() < 0.5 ? 1 : 0);
+  return m;
+}
+
+/// Random strictly-lower factor + its CSC view, the inputs of the IC sweeps.
+struct LowerFactor {
+  std::vector<std::int64_t> loff;
+  std::vector<std::int32_t> lcol;
+  Vec lval;
+  Vec ldiag_inv;
+  std::vector<std::int64_t> coff;
+  std::vector<std::int32_t> crow;
+  std::vector<std::int64_t> cidx;
+};
+
+LowerFactor random_lower(par::Rng& rng, std::size_t n, std::size_t max_row) {
+  LowerFactor f;
+  f.loff.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t cnt = i == 0 ? 0 : rng.next_u64() % (std::min(i, max_row) + 1);
+    std::vector<std::int32_t> cols;
+    for (std::size_t t = 0; t < cnt; ++t) cols.push_back(static_cast<std::int32_t>(rng.next_u64() % i));
+    std::sort(cols.begin(), cols.end());
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+    for (const std::int32_t c : cols) {
+      f.lcol.push_back(c);
+      f.lval.push_back(rng.next_double() - 0.5);
+    }
+    f.loff[i + 1] = static_cast<std::int64_t>(f.lcol.size());
+  }
+  f.ldiag_inv.resize(n);
+  for (auto& x : f.ldiag_inv) x = 0.5 + rng.next_double();
+  // CSC view.
+  f.coff.assign(n + 1, 0);
+  for (const std::int32_t c : f.lcol) ++f.coff[static_cast<std::size_t>(c) + 1];
+  for (std::size_t i = 0; i < n; ++i) f.coff[i + 1] += f.coff[i];
+  f.crow.resize(f.lcol.size());
+  f.cidx.resize(f.lcol.size());
+  std::vector<std::int64_t> cur(f.coff.begin(), f.coff.end() - 1);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::int64_t t = f.loff[i]; t < f.loff[i + 1]; ++t) {
+      const auto c = static_cast<std::size_t>(f.lcol[static_cast<std::size_t>(t)]);
+      f.crow[static_cast<std::size_t>(cur[c])] = static_cast<std::int32_t>(i);
+      f.cidx[static_cast<std::size_t>(cur[c])] = t;
+      ++cur[c];
+    }
+  return f;
+}
+
 // ---------------------------------------------------------------------------
 // Direct scalar-vs-AVX2 kernel identities (compiled only when the AVX2 TU
 // exists; skipped at runtime on machines without AVX2).
@@ -103,19 +154,6 @@ TEST_F(SimdKernelIdentityTest, Dot) {
     EXPECT_BITS_EQ(simd::scalar::dot(a.data(), b.data(), n),
                    simd::avx2::dot(a.data(), b.data(), n))
         << "n=" << n;
-  }
-}
-
-TEST_F(SimdKernelIdentityTest, DotStrided) {
-  par::Rng rng(2);
-  for (const std::size_t k : {1u, 2u, 3u, 8u}) {
-    for (const std::size_t n : {0u, 1u, 5u, 64u, 67u}) {
-      const Vec a = random_vec(rng, n * k);
-      const Vec b = random_vec(rng, n * k);
-      for (std::size_t j = 0; j < k; ++j)
-        EXPECT_BITS_EQ(simd::scalar::dot_strided(a.data(), b.data(), k, j, n),
-                       simd::avx2::dot_strided(a.data(), b.data(), k, j, n));
-    }
   }
 }
 
@@ -175,13 +213,6 @@ TEST_F(SimdKernelIdentityTest, DotCols) {
         EXPECT_BITS_EQ(o0[j], simd::scalar::dot_strided(a.data(), b.data(), k, j, n));
     }
   }
-}
-
-std::vector<unsigned char> random_mask(par::Rng& rng, std::size_t k, int kind) {
-  std::vector<unsigned char> m(k, 0);
-  for (std::size_t j = 0; j < k; ++j)
-    m[j] = kind == 0 ? 1 : kind == 1 ? static_cast<unsigned char>(j % 2) : (rng.next_double() < 0.5 ? 1 : 0);
-  return m;
 }
 
 TEST_F(SimdKernelIdentityTest, CgStepColsMasked) {
@@ -291,86 +322,10 @@ TEST_F(SimdKernelIdentityTest, IncidenceApply) {
   }
 }
 
-/// Random strictly-lower factor + its CSC view + substitution levels, the
-/// inputs of the IC sweeps.
-struct LowerFactor {
-  std::vector<std::int64_t> loff;
-  std::vector<std::int32_t> lcol;
-  Vec lval;
-  Vec ldiag_inv;
-  std::vector<std::int64_t> coff;
-  std::vector<std::int32_t> crow;
-  std::vector<std::int64_t> cidx;
-  std::vector<std::int32_t> flev_rows, blev_rows;
-  std::vector<std::int64_t> flev_off, blev_off;
-  std::size_t n = 0;
-};
-
-LowerFactor random_lower(par::Rng& rng, std::size_t n, std::size_t max_row) {
-  LowerFactor f;
-  f.n = n;
-  f.loff.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t cnt = i == 0 ? 0 : rng.next_u64() % (std::min(i, max_row) + 1);
-    std::vector<std::int32_t> cols;
-    for (std::size_t t = 0; t < cnt; ++t) cols.push_back(static_cast<std::int32_t>(rng.next_u64() % i));
-    std::sort(cols.begin(), cols.end());
-    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-    for (const std::int32_t c : cols) {
-      f.lcol.push_back(c);
-      f.lval.push_back(rng.next_double() - 0.5);
-    }
-    f.loff[i + 1] = static_cast<std::int64_t>(f.lcol.size());
-  }
-  f.ldiag_inv.resize(n);
-  for (auto& x : f.ldiag_inv) x = 0.5 + rng.next_double();
-  // CSC view.
-  f.coff.assign(n + 1, 0);
-  for (const std::int32_t c : f.lcol) ++f.coff[static_cast<std::size_t>(c) + 1];
-  for (std::size_t i = 0; i < n; ++i) f.coff[i + 1] += f.coff[i];
-  f.crow.resize(f.lcol.size());
-  f.cidx.resize(f.lcol.size());
-  std::vector<std::int64_t> cur(f.coff.begin(), f.coff.end() - 1);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::int64_t t = f.loff[i]; t < f.loff[i + 1]; ++t) {
-      const auto c = static_cast<std::size_t>(f.lcol[static_cast<std::size_t>(t)]);
-      f.crow[static_cast<std::size_t>(cur[c])] = static_cast<std::int32_t>(i);
-      f.cidx[static_cast<std::size_t>(cur[c])] = t;
-      ++cur[c];
-    }
-  // Substitution levels (forward from rows, backward from columns).
-  std::vector<std::int32_t> flev(n, 0), blev(n, 0);
-  std::int32_t fmax = 0, bmax = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::int64_t t = f.loff[i]; t < f.loff[i + 1]; ++t)
-      flev[i] = std::max(flev[i], 1 + flev[static_cast<std::size_t>(f.lcol[static_cast<std::size_t>(t)])]);
-    fmax = std::max(fmax, flev[i]);
-  }
-  for (std::size_t ii = n; ii-- > 0;) {
-    for (std::int64_t t = f.coff[ii]; t < f.coff[ii + 1]; ++t)
-      blev[ii] = std::max(blev[ii], 1 + blev[static_cast<std::size_t>(f.crow[static_cast<std::size_t>(t)])]);
-    bmax = std::max(bmax, blev[ii]);
-  }
-  auto group = [n](const std::vector<std::int32_t>& lev, std::int32_t lmax,
-                   std::vector<std::int32_t>& rows, std::vector<std::int64_t>& off) {
-    off.assign(static_cast<std::size_t>(lmax) + 2, 0);
-    for (std::size_t i = 0; i < n; ++i) ++off[static_cast<std::size_t>(lev[i]) + 1];
-    for (std::size_t l = 0; l + 1 < off.size(); ++l) off[l + 1] += off[l];
-    rows.resize(n);
-    std::vector<std::int64_t> c(off.begin(), off.end() - 1);
-    for (std::size_t i = 0; i < n; ++i)
-      rows[static_cast<std::size_t>(c[static_cast<std::size_t>(lev[i])]++)] = static_cast<std::int32_t>(i);
-  };
-  group(flev, fmax, f.flev_rows, f.flev_off);
-  group(blev, bmax, f.blev_rows, f.blev_off);
-  return f;
-}
-
-TEST_F(SimdKernelIdentityTest, IcColsAndLevels) {
+TEST_F(SimdKernelIdentityTest, IcCols) {
   par::Rng rng(12);
   for (const std::size_t n : {5u, 64u, 97u}) {
     const LowerFactor f = random_lower(rng, n, 6);
-    // Batched column sweeps vs the canonical scalar ones.
     for (const std::size_t k : {1u, 4u, 7u}) {
       const Vec r = random_vec(rng, n * k);
       Vec fwd0(n * k, 0.0), fwd1(n * k, 0.0);
@@ -387,24 +342,6 @@ TEST_F(SimdKernelIdentityTest, IcColsAndLevels) {
                               f.ldiag_inv.data(), fwd1.data(), z1.data(), active.data(), n, k);
       expect_vec_bits_eq(z0, z1);
     }
-    // Level-scheduled sweeps vs the sequential scalar sweeps: rows within a
-    // level are independent, so the reordered gather version must land on
-    // identical bits.
-    const Vec r = random_vec(rng, n);
-    Vec fwd0(n, 0.0), fwd1(n, 0.0);
-    simd::scalar::ic_fwd(f.loff.data(), f.lcol.data(), f.lval.data(), f.ldiag_inv.data(), r.data(),
-                         fwd0.data(), n);
-    simd::avx2::ic_fwd_levels(f.loff.data(), f.lcol.data(), f.lval.data(), f.ldiag_inv.data(),
-                              f.flev_rows.data(), f.flev_off.data(), f.flev_off.size() - 1,
-                              r.data(), fwd1.data());
-    expect_vec_bits_eq(fwd0, fwd1);
-    Vec z0(n, 0.0), z1(n, 0.0);
-    simd::scalar::ic_bwd(f.coff.data(), f.crow.data(), f.cidx.data(), f.lval.data(),
-                         f.ldiag_inv.data(), fwd0.data(), z0.data(), n);
-    simd::avx2::ic_bwd_levels(f.coff.data(), f.crow.data(), f.cidx.data(), f.lval.data(),
-                              f.ldiag_inv.data(), f.blev_rows.data(), f.blev_off.data(),
-                              f.blev_off.size() - 1, fwd1.data(), z1.data());
-    expect_vec_bits_eq(z0, z1);
   }
 }
 
@@ -414,58 +351,96 @@ TEST_F(SimdKernelIdentityTest, IcColsAndLevels) {
 // Dispatch-level invariants (run in every build configuration).
 // ---------------------------------------------------------------------------
 
-TEST_F(KernelSimdTest, RcmOrderIsPermutation) {
-  par::Rng rng(20);
-  const graph::Digraph g = graph::random_flow_network(60, 400, 30, 30, rng);
-  Vec d(static_cast<std::size_t>(g.num_arcs()));
-  for (auto& x : d) x = 0.25 + rng.next_double();
-  const linalg::Csr m = linalg::reduced_laplacian(g, d, g.num_vertices() - 1);
-  const auto order = linalg::rcm_order(m.dim(), m.offsets(), m.cols());
-  ASSERT_EQ(order.size(), m.dim());
-  std::vector<unsigned char> seen(m.dim(), 0);
-  for (const std::int32_t r : order) {
-    ASSERT_GE(r, 0);
-    ASSERT_LT(static_cast<std::size_t>(r), m.dim());
-    EXPECT_EQ(seen[static_cast<std::size_t>(r)], 0) << "row " << r << " listed twice";
-    seen[static_cast<std::size_t>(r)] = 1;
+/// Column j of a row-major block with k columns.
+Vec column(const Vec& block, std::size_t k, std::size_t j) {
+  Vec c(block.size() / k);
+  for (std::size_t i = 0; i < c.size(); ++i) c[i] = block[i * k + j];
+  return c;
+}
+
+TEST_F(KernelSimdTest, ColumnKernelsMatchSingleColumnTwins) {
+  // The column-twin rule that keeps column j of solve_sdd_multi equal to a
+  // lone solve_sdd: on every active column, each batched kernel computes bit
+  // for bit what its single-column kernel computes on that column alone
+  // (rr and rz included), and it leaves inactive columns' bits unchanged.
+  // Checked through the dispatch and with the scalar kernels forced.
+  namespace simd = linalg::simd;
+  par::Rng rng(13);
+  const graph::Digraph g = graph::random_flow_network(40, 260, 30, 30, rng);
+  Vec w(static_cast<std::size_t>(g.num_arcs()));
+  for (auto& x : w) x = 0.25 + rng.next_double();
+  const linalg::Csr m = linalg::reduced_laplacian(g, w, g.num_vertices() - 1);
+  const std::size_t n = m.dim();
+  const LowerFactor f = random_lower(rng, n, 6);
+  const Vec dinv = random_vec(rng, n);
+  for (const bool force_scalar : {false, true}) {
+    simd::set_force_scalar(force_scalar);
+    for (const std::size_t k : {1u, 3u, 4u, 7u}) {
+      for (int kind = 0; kind < 3; ++kind) {
+        SCOPED_TRACE(testing::Message() << "scalar=" << force_scalar << " k=" << k
+                                        << " mask=" << kind);
+        const auto active = random_mask(rng, k, kind);
+        const Vec a = random_vec(rng, n * k), b = random_vec(rng, n * k);
+        const Vec c = random_vec(rng, n * k);
+        Vec coef(k);
+        for (auto& v : coef) v = rng.next_double() - 0.5;
+
+        // Unmasked kernels: every column is checked.
+        Vec y(n * k), fwd(n * k), dots(k);
+        simd::csr_block_spmv(m.offsets().data(), m.cols().data(), m.vals().data(), a.data(),
+                             y.data(), 0, n, k);
+        simd::ic_fwd_cols(f.loff.data(), f.lcol.data(), f.lval.data(), f.ldiag_inv.data(),
+                          a.data(), fwd.data(), n, k);
+        simd::dot_cols(a.data(), b.data(), n, k, dots.data());
+
+        // Masked kernels: every output block starts as c.
+        Vec x1 = c, r1 = c, rr(k);
+        simd::cg_step_cols(x1.data(), r1.data(), a.data(), b.data(), coef.data(), active.data(),
+                           n, k, rr.data());
+        Vec z1 = c, rz(k);
+        simd::jacobi_refresh_cols(dinv.data(), a.data(), z1.data(), active.data(), n, k,
+                                  rz.data());
+        Vec y1 = c;
+        simd::axpby_cols(y1.data(), 1.5, a.data(), coef.data(), active.data(), n, k);
+        Vec zb = c;
+        simd::ic_bwd_cols(f.coff.data(), f.crow.data(), f.cidx.data(), f.lval.data(),
+                          f.ldiag_inv.data(), fwd.data(), zb.data(), active.data(), n, k);
+
+        for (std::size_t j = 0; j < k; ++j) {
+          SCOPED_TRACE(j);
+          const Vec aj = column(a, k, j), bj = column(b, k, j), cj = column(c, k, j);
+          Vec yj(n), fj(n);
+          simd::scalar::csr_spmv(m.offsets().data(), m.cols().data(), m.vals().data(), aj.data(),
+                                 yj.data(), 0, n);
+          expect_vec_bits_eq(column(y, k, j), yj);
+          simd::scalar::ic_fwd(f.loff.data(), f.lcol.data(), f.lval.data(), f.ldiag_inv.data(),
+                               aj.data(), fj.data(), n);
+          expect_vec_bits_eq(column(fwd, k, j), fj);
+          EXPECT_BITS_EQ(dots[j], simd::dot(aj.data(), bj.data(), n));
+          if (!active[j]) {
+            for (const Vec* out : {&x1, &r1, &z1, &y1, &zb})
+              expect_vec_bits_eq(column(*out, k, j), cj);
+            continue;
+          }
+          Vec xj = cj, rj = cj;
+          EXPECT_BITS_EQ(rr[j],
+                         simd::cg_step(xj.data(), rj.data(), aj.data(), bj.data(), coef[j], n));
+          expect_vec_bits_eq(column(x1, k, j), xj);
+          expect_vec_bits_eq(column(r1, k, j), rj);
+          Vec zj = cj;
+          EXPECT_BITS_EQ(rz[j], simd::jacobi_refresh(dinv.data(), aj.data(), zj.data(), n));
+          expect_vec_bits_eq(column(z1, k, j), zj);
+          Vec y1j = cj;
+          simd::axpby(y1j.data(), 1.5, aj.data(), coef[j], n);
+          expect_vec_bits_eq(column(y1, k, j), y1j);
+          Vec zbj(n);
+          simd::scalar::ic_bwd(f.coff.data(), f.crow.data(), f.cidx.data(), f.lval.data(),
+                               f.ldiag_inv.data(), fj.data(), zbj.data(), n);
+          expect_vec_bits_eq(column(zb, k, j), zbj);
+        }
+      }
+    }
   }
-}
-
-TEST_F(KernelSimdTest, SpmvInvariantUnderDispatch) {
-  // The SELL-4-σ + RCM path and the scalar row walk must agree bitwise: the
-  // renumbering only changes the processing order of independent rows.
-  par::Rng rng(21);
-  const graph::Digraph g = graph::random_flow_network(90, 700, 30, 30, rng);
-  Vec d(static_cast<std::size_t>(g.num_arcs()));
-  for (auto& x : d) x = 0.25 + rng.next_double();
-  const linalg::Csr m = linalg::reduced_laplacian(g, d, g.num_vertices() - 1);
-  const Vec x = random_vec(rng, m.dim());
-  Vec y_simd(m.dim(), 0.0), y_scalar(m.dim(), 0.0);
-  m.apply_into(x, y_simd);
-  linalg::simd::set_force_scalar(true);
-  m.apply_into(x, y_scalar);
-  linalg::simd::set_force_scalar(false);
-  expect_vec_bits_eq(y_simd, y_scalar);
-}
-
-TEST_F(KernelSimdTest, SpmvInvariantAfterValueRefresh) {
-  // vals_mut() marks the SELL value copy stale; the regathered layout must
-  // track the new values exactly.
-  par::Rng rng(22);
-  const graph::Digraph g = graph::random_flow_network(48, 320, 30, 30, rng);
-  Vec d(static_cast<std::size_t>(g.num_arcs()));
-  for (auto& x : d) x = 0.25 + rng.next_double();
-  linalg::Csr m = linalg::reduced_laplacian(g, d, g.num_vertices() - 1);
-  const Vec x = random_vec(rng, m.dim());
-  Vec y(m.dim(), 0.0);
-  m.apply_into(x, y);  // builds the layout
-  for (auto& v : m.vals_mut()) v *= 1.5;
-  Vec y_simd(m.dim(), 0.0), y_scalar(m.dim(), 0.0);
-  m.apply_into(x, y_simd);
-  linalg::simd::set_force_scalar(true);
-  m.apply_into(x, y_scalar);
-  linalg::simd::set_force_scalar(false);
-  expect_vec_bits_eq(y_simd, y_scalar);
 }
 
 struct SolveProblem {
@@ -507,9 +482,6 @@ void run_solver_dispatch_invariance(linalg::PrecondKind kind) {
   const auto multi_simd = linalg::solve_sdd_multi(ctx_simd, p.lap, p.rhs, precond, opts);
 
   linalg::simd::set_force_scalar(true);
-  // Fresh matrix so the (already built) SELL layout is rebuilt scalar-side
-  // too; dispatch must not change which layout gets built, only which kernel
-  // runs over it.
   for (std::size_t j = 0; j < k; ++j)
     with_scalar.push_back(linalg::solve_sdd(ctx_scalar, p.lap, p.rhs[j], precond, opts));
   const auto multi_scalar = linalg::solve_sdd_multi(ctx_scalar, p.lap, p.rhs, precond, opts);
