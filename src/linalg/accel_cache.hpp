@@ -77,14 +77,16 @@ class AccelCache {
   void bind_instance(std::uint64_t fingerprint);
   [[nodiscard]] std::uint64_t instance_key() const { return instance_key_; }
 
-  /// CG working set, owned here so repeated solve_sdd / solve_sdd_multi
+  /// CG working set, owned here so repeated solve_sdd / solve_sdd_block
   /// calls on one context never touch the heap (alloc_count_test).
   struct SolverScratch {
     // Single-RHS CG state.
     Vec r, z, p, mp;
     SddPreconditioner adhoc;  ///< Jacobi built per-call when none is passed
     Vec resilient_best;       ///< best iterate carried across escalation rungs
-    // Multi-RHS block state (row-major n×k) + per-column bookkeeping.
+    // Multi-RHS block state (row-major n×k): bb/bx are the right-hand
+    // sides and iterates solve_sdd_multi and the JL sketch pass hand to
+    // solve_sdd_block, the rest its working set + per-column bookkeeping.
     Vec bb, bx, br, bz, bp, bmp;
     std::vector<double> bnorm, rz;
     std::vector<std::int32_t> done_iter;

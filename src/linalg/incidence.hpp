@@ -41,6 +41,14 @@ class IncidenceOp {
   /// Zero out the dropped coordinate (projection onto the column space basis).
   void mask_dropped(Vec& h) const { h[static_cast<std::size_t>(dropped_)] = 0.0; }
 
+  /// Arc endpoints as dense streams (from()[e], to()[e]), for callers that
+  /// fuse A or Aᵀ into their own loops; such a caller takes the PRAM charge
+  /// of each apply it stands for through charge_apply / charge_apply_transpose.
+  [[nodiscard]] const std::vector<std::int32_t>& from() const { return from_; }
+  [[nodiscard]] const std::vector<std::int32_t>& to() const { return to_; }
+  void charge_apply() const;
+  void charge_apply_transpose() const;
+
  private:
   const graph::Digraph* g_;
   graph::Vertex dropped_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 
 #include "core/solve_status.hpp"
 #include "linalg/accel_cache.hpp"
@@ -54,36 +56,60 @@ Vec sketched_leverage(core::SolverContext& ctx, const IncidenceOp& a, const Vec&
                       const Csr& lap, const SddPreconditioner& precond, std::size_t k,
                       par::Rng& rng, const SolveOptions& solve) {
   const std::size_t m = a.rows();
-  Vec sigma(m, 0.0);
+  const std::size_t n = a.cols();
+  const std::int32_t* from = a.from().data();
+  const std::int32_t* to = a.to().data();
+  const auto drop = static_cast<std::size_t>(a.dropped());
   const double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k));
   // The k sketch rows are independent; in the PRAM model they run in parallel
-  // (depth is one solve batch + O(log)). All k Rademacher rows are drawn up
-  // front — the solves consume no randomness, so the draw stream is the same
-  // as the historical solve-per-row interleaving — and the k SDD systems
-  // against the shared Laplacian go through one blocked multi-RHS CG.
-  Vec jr(m);
-  Vec vj(m);
-  Vec z(m);
-  std::vector<Vec> rhs(k, Vec(a.cols()));
+  // (depth is one solve batch + O(log)). The whole pass lives in the blocked
+  // CG's row-major n×k blocks: column r of `b` is the right-hand side
+  // B^T J_r = A^T (v .* J_r) and column r of `y` its solution. Each column
+  // is charged what one sketch row costs as separate passes: its m draws, the
+  // v .* J_r product, A^T, a pack into and an unpack out of the CG block, A
+  // and the sigma accumulation; the clamp is one more pass.
   for (std::size_t r = 0; r < k; ++r) {
-    // J_r: Rademacher row scaled by 1/sqrt(k).
-    for (std::size_t e = 0; e < m; ++e) jr[e] = rng.rademacher() * inv_sqrt_k;
     par::charge(m, 1);
-    // rhs = B^T J_r = A^T (v .* J_r)
-    mul_into(v, jr, vj);
-    a.apply_transpose_into(vj, rhs[r]);
-    rhs[r][static_cast<std::size_t>(a.dropped())] = 0.0;
+    charge_passes(m, 1, 0);
+    a.charge_apply_transpose();
+    charge_passes(n, 2, 0);
+    a.charge_apply();
+    charge_passes(m, 1, 0);
   }
-  const std::vector<SolveResult> sols = solve_sdd_multi(ctx, lap, rhs, precond, solve);
+  charge_passes(m, 1, 0);
+
+  auto& scr = accel_cache(ctx).scratch();
+  Vec& b = scr.bb;
+  Vec& y = scr.bx;
+  b.assign(n * k, 0.0);
+  y.assign(n * k, 0.0);
+  // Row r of J (scaled by 1/sqrt(k)) is drawn after row r-1, arcs in order,
+  // and scattered into column r as it is drawn: every column accumulates in
+  // arc order, as IncidenceOp's transpose scatter does.
   for (std::size_t r = 0; r < k; ++r) {
-    // contribution: (B y)_e^2 = (v_e (A y)_e)^2
-    a.apply_into(sols[r].x, z);
-    par::parallel_for(0, m, [&](std::size_t e) {
-      const double t = v[e] * z[e];
-      sigma[e] += t * t;
-    });
+    for (std::size_t e = 0; e < m; ++e) {
+      const double t = v[e] * (rng.rademacher() * inv_sqrt_k);
+      b[static_cast<std::size_t>(from[e]) * k + r] -= t;
+      b[static_cast<std::size_t>(to[e]) * k + r] += t;
+    }
+    b[drop * k + r] = 0.0;
   }
-  par::parallel_for(0, m, [&](std::size_t e) { sigma[e] = std::clamp(sigma[e], 0.0, 1.0); });
+  (void)solve_sdd_block(ctx, lap, b, y, k, precond, solve);
+
+  // sigma_e = sum_r (B y_r)_e^2 = sum_r (v_e (A y_r)_e)^2, r ascending, with
+  // y[dropped] reading as +0.0 as in IncidenceOp's gather.
+  std::fill_n(y.begin() + static_cast<std::ptrdiff_t>(drop * k), k, 0.0);
+  Vec sigma(m);
+  par::wall_for(0, m, [&](std::size_t e) {
+    const double* yu = y.data() + static_cast<std::size_t>(from[e]) * k;
+    const double* yv = y.data() + static_cast<std::size_t>(to[e]) * k;
+    double s = 0.0;
+    for (std::size_t r = 0; r < k; ++r) {
+      const double t = v[e] * (yv[r] - yu[r]);
+      s += t * t;
+    }
+    sigma[e] = std::clamp(s, 0.0, 1.0);
+  });
   return sigma;
 }
 

@@ -30,11 +30,15 @@ struct LeverageOptions {
 };
 
 /// One JL estimate of σ(VA) from `k` Rademacher rows drawn from `rng`,
-/// clamped to [0, 1]: the k SDD systems against `lap` (the Laplacian
-/// AᵀV²A with the dropped row pinned) share one blocked CG. Monte-Carlo and
-/// unvalidated, so it may be silently wrong; leverage_scores wraps it with
-/// validation and retries, ds::LeverageMaintenance re-seeds `rng` to redraw
-/// the same JL matrix at every rebuild.
+/// clamped to [0, 1]: one pass over the context's n×k CG blocks draws the
+/// right-hand sides Aᵀ(v ⊙ J_r) into them, solves the k systems against
+/// `lap` (the Laplacian AᵀV²A with the dropped row pinned) in one
+/// solve_sdd_block, and accumulates σ_e = Σ_r (v_e (A y_r)_e)² per arc.
+/// Its heap allocations are σ and the solve's per-column results.
+/// Monte-Carlo and unvalidated, so it may be silently wrong;
+/// leverage_scores wraps it with validation and retries,
+/// ds::LeverageMaintenance re-seeds `rng` to redraw the same JL matrix at
+/// every rebuild.
 Vec sketched_leverage(core::SolverContext& ctx, const IncidenceOp& a, const Vec& v,
                       const Csr& lap, const SddPreconditioner& precond, std::size_t k,
                       par::Rng& rng, const SolveOptions& solve);

@@ -23,7 +23,7 @@
 // apply() returns dot(r, z) so the CG loop keeps the fused
 // residual-refresh shape; apply_cols() is the batched form over row-major
 // n×k block storage used by the multi-RHS CG. Both produce bit-identical z
-// columns, which is what keeps solve_sdd_multi bit-identical to k
+// columns, which is what keeps solve_sdd_block bit-identical to k
 // single-RHS solves. Both charge the PRAM cost of the sequence they stand
 // for — precond_refresh for Jacobi, charge_sweeps plus a dot for IC(0) —
 // once per column, then run the same arithmetic in every execution mode.

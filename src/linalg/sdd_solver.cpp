@@ -42,6 +42,20 @@ bool has_nonzero(const Vec& v) {
   return false;
 }
 
+/// has_nonzero over column j of a row-major n×k block.
+bool column_has_nonzero(const Vec& x, std::size_t k, std::size_t j, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    if (x[i * k + j] != 0.0) return true;
+  return false;
+}
+
+void copy_info(const SolveInfo& info, SolveResult& res) {
+  res.relative_residual = info.relative_residual;
+  res.iterations = info.iterations;
+  res.converged = info.converged;
+  res.status = info.status;
+}
+
 }  // namespace
 
 SolveInfo solve_sdd_into(core::SolverContext& ctx, const Csr& m, const Vec& b,
@@ -139,11 +153,7 @@ SolveResult solve_sdd(core::SolverContext& ctx, const Csr& m, const Vec& b,
   } else {
     res.x.assign(m.dim(), 0.0);
   }
-  const SolveInfo info = solve_sdd_into(ctx, m, b, precond, opts, res.x);
-  res.relative_residual = info.relative_residual;
-  res.iterations = info.iterations;
-  res.converged = info.converged;
-  res.status = info.status;
+  copy_info(solve_sdd_into(ctx, m, b, precond, opts, res.x), res);
   return res;
 }
 
@@ -152,21 +162,16 @@ SolveResult solve_sdd(core::SolverContext& ctx, const Csr& m, const Vec& b,
   return solve_sdd(ctx, m, b, adhoc_jacobi(ctx, m), opts, nullptr);
 }
 
-std::vector<SolveResult> solve_sdd_multi(core::SolverContext& ctx, const Csr& m,
-                                         const std::vector<Vec>& rhs,
-                                         const SddPreconditioner& precond,
-                                         const SolveOptions& opts,
-                                         const std::vector<const Vec*>& x0) {
+std::vector<SolveInfo> solve_sdd_block(core::SolverContext& ctx, const Csr& m, const Vec& b,
+                                       Vec& x, std::size_t k, const SddPreconditioner& precond,
+                                       const SolveOptions& opts) {
   const std::size_t n = m.dim();
-  const std::size_t k = rhs.size();
-  std::vector<SolveResult> out(k);
+  std::vector<SolveInfo> out(k);
   if (k == 0) return out;
   ++ctx.accel().multi_rhs_solves;
   ctx.accel().multi_rhs_columns += k;
 
   auto& scr = accel_cache(ctx).scratch();
-  scr.bb.resize(n * k);
-  scr.bx.resize(n * k);
   scr.br.resize(n * k);
   scr.bz.resize(n * k);
   scr.bp.resize(n * k);
@@ -175,40 +180,35 @@ std::vector<SolveResult> solve_sdd_multi(core::SolverContext& ctx, const Csr& m,
   scr.rz.assign(k, 0.0);
   scr.done_iter.assign(k, 0);
   scr.active.assign(k, 0);
-  Vec& bb = scr.bb;
-  Vec& bx = scr.bx;
   Vec& br = scr.br;
   Vec& bz = scr.bz;
   Vec& bp = scr.bp;
   Vec& bmp = scr.bmp;
-
-  // Pack the right-hand sides and warm seeds into row-major n×k blocks.
-  for (std::size_t j = 0; j < k; ++j) {
-    const Vec& bj = rhs[j];
-    const Vec* seed = j < x0.size() ? x0[j] : nullptr;
-    const bool warm = seed != nullptr && seed->size() == n && has_nonzero(*seed);
-    par::parallel_for(0, n, [&](std::size_t i) {
-      bb[i * k + j] = bj[i];
-      bx[i * k + j] = warm ? (*seed)[i] : 0.0;
-    });
-  }
+  // Zeroes column j of x; charged as one parallel_for over the column.
+  const auto zero_column = [&](std::size_t j) {
+    charge_passes(n, 1, 0);
+    for (std::size_t i = 0; i < n; ++i) x[i * k + j] = 0.0;
+  };
 
   // Column entry, in ascending j: the ||b|| early-out, then the injection
   // draw — the same order k successive solve_sdd calls would consume draws
-  // in, which is what keeps fault-injected runs bit-identical too.
+  // in, which is what keeps fault-injected runs bit-identical too. One
+  // dot_cols pass takes every ||b_j||² (each column charged its reduction).
+  charge_passes(n, 0, k);
+  simd::dot_cols(b.data(), b.data(), n, k, scr.bnorm.data());
   std::size_t live = 0;
   for (std::size_t j = 0; j < k; ++j) {
-    scr.bnorm[j] = std::sqrt(dot_strided(bb, bb, k, j, n));
+    scr.bnorm[j] = std::sqrt(scr.bnorm[j]);
     if (scr.bnorm[j] == 0.0) {
       out[j].converged = true;
       out[j].status = SolveStatus::kOk;
-      par::parallel_for(0, n, [&](std::size_t i) { bx[i * k + j] = 0.0; });
+      zero_column(j);
       continue;
     }
     if (ctx.fault().should_fire(par::FaultKind::kCgStagnation)) {
       out[j].relative_residual = 1.0;
       out[j].status = SolveStatus::kNumericalFailure;
-      par::parallel_for(0, n, [&](std::size_t i) { bx[i * k + j] = 0.0; });
+      zero_column(j);
       continue;
     }
     scr.active[j] = 1;
@@ -228,30 +228,36 @@ std::vector<SolveResult> solve_sdd_multi(core::SolverContext& ctx, const Csr& m,
   if (precond.effective_kind() == PrecondKind::kIncompleteCholesky) scr.bfwd.resize(n * k);
 
   // Initial residuals for all live columns from one block SpMV (columns with
-  // a zero seed get r = b - M·0 = b, bit-equal to the cold start), then one
-  // preconditioner apply over the live columns.
+  // a zero seed get r = b - M·0 = b, bit-equal to the cold start) and one
+  // masked pass, their norms from one dot_cols pass (rr holds ||r_j||² until
+  // the first step overwrites it), then one preconditioner apply and one
+  // masked p = z pass over the live columns.
   if (live > 0) {
-    m.apply_block_into(bx, bmp, k);
+    m.apply_block_into(x, bmp, k);
+    charge_passes(n, live, 0);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < k; ++j)
+        if (scr.active[j]) br[i * k + j] = b[i * k + j] - bmp[i * k + j];
+    charge_passes(n, 0, live);
+    simd::dot_cols(br.data(), br.data(), n, k, scr.rr.data());
     for (std::size_t j = 0; j < k; ++j) {
       if (!scr.active[j]) continue;
-      const Vec* seed = j < x0.size() ? x0[j] : nullptr;
-      const bool warm = seed != nullptr && seed->size() == n && has_nonzero(*seed);
-      par::parallel_for(0, n, [&](std::size_t i) { br[i * k + j] = bb[i * k + j] - bmp[i * k + j]; });
-      const double rnorm = std::sqrt(dot_strided(br, br, k, j, n));
-      if (!(rnorm <= scr.bnorm[j])) {
-        par::parallel_for(0, n, [&](std::size_t i) {
-          bx[i * k + j] = 0.0;
-          br[i * k + j] = bb[i * k + j];
-        });
-      } else if (warm) {
+      if (!(std::sqrt(scr.rr[j]) <= scr.bnorm[j])) {
+        // Warm-start rule: a seed worse than the zero start falls back cold.
+        charge_passes(n, 1, 0);
+        for (std::size_t i = 0; i < n; ++i) {
+          x[i * k + j] = 0.0;
+          br[i * k + j] = b[i * k + j];
+        }
+      } else if (column_has_nonzero(x, k, j, n)) {
         ++ctx.accel().warm_start_hits;
       }
     }
     precond.apply_cols(br, bz, k, scr.active.data(), scr.bfwd, scr.rz.data());
-    for (std::size_t j = 0; j < k; ++j) {
-      if (!scr.active[j]) continue;
-      par::parallel_for(0, n, [&](std::size_t i) { bp[i * k + j] = bz[i * k + j]; });
-    }
+    charge_passes(n, live, 0);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < k; ++j)
+        if (scr.active[j]) bp[i * k + j] = bz[i * k + j];
   }
 
   // Blocked CG: one shared SpMV over the n×k block per iteration, then the
@@ -291,7 +297,7 @@ std::vector<SolveResult> solve_sdd_multi(core::SolverContext& ctx, const Csr& m,
       scr.step_mask[j] = 1;
     }
     charge_passes(n, 2 * live, live);
-    simd::cg_step_cols(bx.data(), br.data(), bp.data(), bmp.data(), scr.alpha.data(),
+    simd::cg_step_cols(x.data(), br.data(), bp.data(), bmp.data(), scr.alpha.data(),
                        scr.step_mask.data(), n, k, scr.rr.data());
     for (std::size_t j = 0; j < k; ++j) {
       scr.refresh_mask[j] = 0;
@@ -328,9 +334,39 @@ std::vector<SolveResult> solve_sdd_multi(core::SolverContext& ctx, const Csr& m,
       if (!std::isfinite(out[j].relative_residual))
         out[j].status = SolveStatus::kNumericalFailure;
     }
+  }
+  return out;
+}
+
+std::vector<SolveResult> solve_sdd_multi(core::SolverContext& ctx, const Csr& m,
+                                         const std::vector<Vec>& rhs,
+                                         const SddPreconditioner& precond,
+                                         const SolveOptions& opts,
+                                         const std::vector<const Vec*>& x0) {
+  const std::size_t n = m.dim();
+  const std::size_t k = rhs.size();
+  std::vector<SolveResult> out(k);
+  if (k == 0) return out;
+
+  // Pack the right-hand sides and warm seeds into row-major n×k blocks.
+  auto& scr = accel_cache(ctx).scratch();
+  scr.bb.resize(n * k);
+  scr.bx.resize(n * k);
+  charge_passes(n, k, 0);
+  for (std::size_t j = 0; j < k; ++j) {
+    const Vec* seed = j < x0.size() ? x0[j] : nullptr;
+    const bool warm = seed != nullptr && seed->size() == n && has_nonzero(*seed);
+    for (std::size_t i = 0; i < n; ++i) {
+      scr.bb[i * k + j] = rhs[j][i];
+      scr.bx[i * k + j] = warm ? (*seed)[i] : 0.0;
+    }
+  }
+  const std::vector<SolveInfo> info = solve_sdd_block(ctx, m, scr.bb, scr.bx, k, precond, opts);
+  charge_passes(n, k, 0);
+  for (std::size_t j = 0; j < k; ++j) {
+    copy_info(info[j], out[j]);
     out[j].x.resize(n);
-    Vec& xj = out[j].x;
-    par::parallel_for(0, n, [&](std::size_t i) { xj[i] = bx[i * k + j]; });
+    for (std::size_t i = 0; i < n; ++i) out[j].x[i] = scr.bx[i * k + j];
   }
   return out;
 }

@@ -18,11 +18,12 @@
 // fallback for systems of dimension <= 2048 (ResilientSolveOptions sets the
 // rung count and factor; the rest are constants in sdd_solver.cpp).
 //
-// `solve_sdd_multi` batches k right-hand sides against one matrix into a
-// blocked CG sharing a single nnz-balanced SpMV pass per iteration; each
-// column's result is bit-identical to the corresponding single-RHS solve
-// (tests/accel_test.cpp), including the order fault-injection draws are
-// consumed in.
+// `solve_sdd_block` batches k right-hand sides against one matrix into a
+// blocked CG over row-major n×k blocks, sharing a single nnz-balanced SpMV
+// pass per iteration; each column's result is bit-identical to the
+// corresponding single-RHS solve (tests/accel_test.cpp), including the order
+// fault-injection draws are consumed in. `solve_sdd_multi` is its
+// vector-of-columns form; the JL leverage sketch builds its block directly.
 
 #include <cstdint>
 #include <string>
@@ -79,14 +80,25 @@ SolveResult solve_sdd(core::SolverContext& ctx, const Csr& m, const Vec& b,
 SolveInfo solve_sdd_into(core::SolverContext& ctx, const Csr& m, const Vec& b,
                          const SddPreconditioner& precond, const SolveOptions& opts, Vec& x);
 
-/// Blocked multi-RHS CG: solve M x_j = rhs[j] for all j against one shared
-/// preconditioner, with one nnz-balanced SpMV over the row-major n×k block
-/// per iteration instead of k separate passes. Per-column stopping,
-/// breakdown, and fault-injection semantics exactly mirror k successive
-/// solve_sdd calls (columns draw injection points in ascending j at entry),
-/// and every column's result is bit-identical to its single-RHS twin.
-/// `x0[j]` (when provided and non-null) seeds column j under the warm-start
-/// rules above.
+/// Blocked multi-RHS CG on caller-owned row-major n×k blocks (slot i*k+j):
+/// solve M x_j = b_j for all j against one shared preconditioner, with one
+/// nnz-balanced SpMV over the block per iteration instead of k separate
+/// passes. `x` carries the start iterates in (a column with a nonzero entry
+/// is a warm seed under the x0 rules above; zero it for a cold start) and
+/// the solutions out. Per-column stopping, breakdown, and fault-injection
+/// semantics exactly mirror k successive solve_sdd_into calls (columns draw
+/// injection points in ascending j at entry), every column's iterate and
+/// SolveInfo are bit-identical to its single-RHS twin, and each column is
+/// charged what its twin is charged. The working set lives in the context's
+/// acceleration cache; the only allocation is the returned vector.
+std::vector<SolveInfo> solve_sdd_block(core::SolverContext& ctx, const Csr& m, const Vec& b,
+                                       Vec& x, std::size_t k, const SddPreconditioner& precond,
+                                       const SolveOptions& opts = {});
+
+/// solve_sdd_block over separate vectors: packs `rhs` and the seeds into the
+/// context's n×k blocks, solves, and unpacks, charging each column one
+/// elementwise pass in and one out. `x0[j]` (when provided and non-null)
+/// seeds column j under the warm-start rules above.
 std::vector<SolveResult> solve_sdd_multi(core::SolverContext& ctx, const Csr& m,
                                          const std::vector<Vec>& rhs,
                                          const SddPreconditioner& precond,

@@ -22,7 +22,7 @@
 //
 // All are plain kernels: no PRAM charges, no tracker access, no pool
 // dispatch. The callers (kernels.hpp, Csr, IncidenceOp, SddPreconditioner,
-// solve_sdd_multi) charge the PRAM cost at kernel entry and then call here
+// solve_sdd_block) charge the PRAM cost at kernel entry and then call here
 // in every execution mode, so these kernels are the only arithmetic served.
 //
 // Reduction order contract: every dot-like reduction is "stripe-4": four
@@ -31,7 +31,7 @@
 // dependency chain, map 1:1 onto a 4-lane vector register, and — because the
 // order depends only on n — keep the single-RHS, strided, and batched
 // column kernels bitwise interchangeable (tests/accel_test.cpp leans on
-// this: column j of solve_sdd_multi must equal a lone solve_sdd).
+// this: column j of solve_sdd_block must equal a lone solve_sdd).
 
 #include <cstddef>
 #include <cstdint>

@@ -51,8 +51,10 @@ class Rng {
     return lo + static_cast<std::int64_t>(next_below(static_cast<std::uint64_t>(hi - lo + 1)));
   }
 
-  /// +1 or -1 with equal probability (Rademacher; used by JL sketches).
-  double rademacher() { return (next_u64() & 1) ? 1.0 : -1.0; }
+  /// +1 or -1 with equal probability (Rademacher; used by JL sketches): the
+  /// low bit's sign, (next_u64() & 1) ? 1.0 : -1.0, without a data-dependent
+  /// branch.
+  double rademacher() { return static_cast<double>(static_cast<int>(next_u64() & 1) * 2 - 1); }
 
   /// Standard normal via Box–Muller (cached spare dropped for determinism).
   double normal();

@@ -8,12 +8,6 @@ namespace pmcf::par {
 
 Tracker& Tracker::instance() { return core::default_context().tracker(); }
 
-std::uint64_t ceil_log2(std::uint64_t n) {
-  std::uint64_t b = 0;
-  while ((std::uint64_t{1} << b) < n) ++b;
-  return b;
-}
-
 std::string to_string(const Cost& c) {
   std::ostringstream os;
   os << "work=" << c.work << " depth=" << c.depth;

@@ -11,6 +11,7 @@
 // contributes the maximum span of its iterations plus O(log n) for binary
 // forking. See DESIGN.md §5.1 and §9.
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -92,8 +93,10 @@ class CostScope {
 };
 
 /// ceil(log2(n)) with log2(0) = log2(1) = 0; the forking overhead of a
-/// parallel loop over n iterations.
-std::uint64_t ceil_log2(std::uint64_t n);
+/// parallel loop over n iterations. Inline: every PRAM charge evaluates it.
+constexpr std::uint64_t ceil_log2(std::uint64_t n) {
+  return n <= 1 ? 0 : static_cast<std::uint64_t>(std::bit_width(n - 1));
+}
 
 /// Human-readable "work=... depth=..." string, used by benches.
 std::string to_string(const Cost& c);

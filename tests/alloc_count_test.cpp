@@ -31,8 +31,10 @@
 
 #include "graph/generators.hpp"
 #include "core/solver_context.hpp"
+#include "linalg/accel_cache.hpp"
 #include "linalg/incidence.hpp"
 #include "linalg/laplacian.hpp"
+#include "linalg/leverage.hpp"
 #include "linalg/sdd_solver.hpp"
 #include "mcf/engine.hpp"
 #include "parallel/rng.hpp"
@@ -213,6 +215,41 @@ TEST_F(AllocCountTest, RepeatedSolvesIntoCallerBufferAreZeroAlloc) {
       << "solve_sdd_into allocated " << (after - before)
       << " times across 8 repeated solves; the IPM hot path must be "
          "allocation-free";
+}
+
+TEST_F(AllocCountTest, SketchPassAllocationsDoNotGrowWithK) {
+  // The JL pass keeps its right-hand sides and iterates in the context's
+  // n×k CG blocks: once a warm-up call has sized them, its only heap
+  // allocations are sigma and the solve's per-column results, however many
+  // sketch rows it draws.
+  par::Rng rng(2718);
+  const graph::Digraph g = graph::random_flow_network(24, 160, 100, 100, rng);
+  const linalg::IncidenceOp a(g);
+  linalg::Vec v(a.rows());
+  for (auto& x : v) x = 0.2 + rng.next_double();
+  const linalg::Vec w = linalg::mul(v, v);
+
+  core::SolverContext ctx({.instrument = false});
+  const core::ContextScope scope(ctx);
+  linalg::AccelCache& cache = linalg::accel_cache(ctx);
+  const linalg::Csr& lap = cache.laplacian(ctx, g, w, a.dropped());
+  const linalg::SddPreconditioner& precond =
+      cache.preconditioner(ctx, linalg::AccelSite::kLeverage, lap, w);
+  const linalg::SolveOptions solve = linalg::LeverageOptions{}.solve;
+  const auto allocs_at = [&](std::size_t k) {
+    par::Rng sketch_rng(99);
+    (void)linalg::sketched_leverage(ctx, a, v, lap, precond, k, sketch_rng, solve);  // warm-up
+    const std::uint64_t before = g_alloc_count.load();
+    const linalg::Vec sigma = linalg::sketched_leverage(ctx, a, v, lap, precond, k, sketch_rng, solve);
+    const std::uint64_t after = g_alloc_count.load();
+    EXPECT_EQ(sigma.size(), a.rows());
+    return after - before;
+  };
+  const std::uint64_t narrow = allocs_at(8);
+  const std::uint64_t wide = allocs_at(48);
+  EXPECT_EQ(narrow, wide) << "the k = 48 pass allocated " << wide << " times, the k = 8 pass "
+                          << narrow << "; per-row buffers are back";
+  EXPECT_GT(narrow, 0u);  // sanity: the counting allocator is active
 }
 
 TEST_F(AllocCountTest, AdmissionShedFastPathIsAllocationFree) {

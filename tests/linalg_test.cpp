@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "core/solver_context.hpp"
+#include "linalg/accel_cache.hpp"
 #include "linalg/csr.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/incidence.hpp"
@@ -16,6 +21,7 @@
 #include "linalg/sdd_solver.hpp"
 #include "linalg/kernels.hpp"
 #include "parallel/rng.hpp"
+#include "parallel/scheduler.hpp"
 
 namespace pmcf::linalg {
 namespace {
@@ -221,6 +227,153 @@ TEST(LeverageTest, SolveToleranceStaysBelowSketchError) {
     EXPECT_LE(loose_err, 1.1 * tight_err) << "seed " << seed << ": default " << loose_err
                                           << " vs 1e-10 " << tight_err;
   }
+}
+
+/// The per-row JL pass sketched_leverage replaced, kept as its twin: row r
+/// is drawn, multiplied by v and sent through A^T on its own, the k columns
+/// go through solve_sdd_multi, and each solution comes back through A
+/// before its squares are added to sigma; then the clamp. `zero_rhs`
+/// counts the right-hand sides that came out exactly zero.
+Vec per_row_sketch(core::SolverContext& ctx, const IncidenceOp& a, const Vec& v, const Csr& lap,
+                   const SddPreconditioner& precond, std::size_t k, par::Rng& rng,
+                   const SolveOptions& solve, std::size_t& zero_rhs) {
+  const std::size_t m = a.rows();
+  Vec sigma(m, 0.0);
+  const double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k));
+  Vec jr(m);
+  Vec vj(m);
+  Vec z(m);
+  std::vector<Vec> rhs(k, Vec(a.cols()));
+  zero_rhs = 0;
+  for (std::size_t r = 0; r < k; ++r) {
+    for (std::size_t e = 0; e < m; ++e) jr[e] = rng.rademacher() * inv_sqrt_k;
+    par::charge(m, 1);
+    mul_into(v, jr, vj);
+    a.apply_transpose_into(vj, rhs[r]);
+    rhs[r][static_cast<std::size_t>(a.dropped())] = 0.0;
+    if (std::all_of(rhs[r].begin(), rhs[r].end(), [](double x) { return x == 0.0; })) ++zero_rhs;
+  }
+  const std::vector<SolveResult> sols = solve_sdd_multi(ctx, lap, rhs, precond, solve);
+  for (std::size_t r = 0; r < k; ++r) {
+    a.apply_into(sols[r].x, z);
+    par::parallel_for(0, m, [&](std::size_t e) {
+      const double t = v[e] * z[e];
+      sigma[e] += t * t;
+    });
+  }
+  par::parallel_for(0, m, [&](std::size_t e) { sigma[e] = std::clamp(sigma[e], 0.0, 1.0); });
+  return sigma;
+}
+
+struct SketchCase {
+  const char* name;
+  graph::Digraph g;
+  Vec v;
+};
+
+/// Every shape the blocked pass must reproduce: a random network, the same
+/// network with parallel copies of some arcs, and a star around `hub` whose
+/// spokes come in equal-weight pairs (so a right-hand side vanishes whenever
+/// every pair's signs cancel) beside zero-weight arcs.
+std::vector<SketchCase> sketch_cases(graph::Vertex hub) {
+  std::vector<SketchCase> out;
+  par::Rng rng(41);
+  graph::Digraph g = graph::random_flow_network(12, 60, 5, 5, rng);
+  Vec v(static_cast<std::size_t>(g.num_arcs()));
+  for (auto& x : v) x = 0.2 + rng.next_double();
+  out.push_back({"random", g, v});
+  for (graph::EdgeId e = 0; e < 60; e += 7) {
+    const auto arc = g.arc(e);
+    g.add_arc(arc.from, arc.to, arc.cap, arc.cost);
+    v.push_back(v[static_cast<std::size_t>(e)]);
+  }
+  out.push_back({"parallel_arcs", g, v});
+  graph::Digraph star(3);
+  Vec sv;
+  for (graph::Vertex u = 0; u < 3; ++u) {
+    if (u == hub) continue;
+    const double w = 0.5 + 0.25 * u;
+    star.add_arc(u, hub, 1, 1);
+    star.add_arc(hub, u, 1, 1);
+    sv.insert(sv.end(), {w, w});
+  }
+  star.add_arc(hub == 0 ? 1 : 0, hub == 2 ? 1 : 2, 1, 1);
+  sv.push_back(0.0);
+  out.push_back({"zero_weights", star, sv});
+  return out;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(LeverageTest, BlockedSketchMatchesPerRowPass) {
+  // The blocked pass must be the per-row pass bit for bit: the same draws
+  // in the same order, the same sigma, and the same PRAM charges, at every
+  // sketch width, dropped vertex and context mode, with and without
+  // injected CG stagnation.
+  const SolveOptions solve = LeverageOptions{}.solve;
+  std::size_t zero_rhs_seen = 0;
+  std::uint64_t stagnations = 0;
+  for (const bool stagnate : {false, true}) {
+    for (const bool instrument : {true, false}) {
+      for (const graph::Vertex drop_at : {0, 1, 2}) {
+        for (const SketchCase& c : sketch_cases(drop_at)) {
+          const graph::Vertex n = c.g.num_vertices();
+          const graph::Vertex dropped = drop_at == 0 ? 0 : drop_at == 1 ? n / 2 : n - 1;
+          const IncidenceOp a(c.g, dropped);
+          const Vec w = mul(c.v, c.v);
+          for (const std::size_t k : {1, 3, 8, 12, 48, 96}) {
+            SCOPED_TRACE(testing::Message() << c.name << " dropped=" << dropped << " k=" << k
+                                            << " instrument=" << instrument
+                                            << " stagnate=" << stagnate);
+            core::SolverContext ctx_twin({.instrument = instrument});
+            core::SolverContext ctx_new({.instrument = instrument});
+            if (stagnate) {
+              ctx_twin.fault().arm(par::FaultKind::kCgStagnation, 0.3, 17 + k);
+              ctx_new.fault().arm(par::FaultKind::kCgStagnation, 0.3, 17 + k);
+            }
+            AccelCache& cache = accel_cache(ctx_twin);
+            const Csr& lap = cache.laplacian(ctx_twin, c.g, w, a.dropped());
+            const SddPreconditioner& precond =
+                cache.preconditioner(ctx_twin, AccelSite::kLeverage, lap, w);
+
+            par::Rng rng_twin(1000 + k);
+            par::Rng rng_new(1000 + k);
+            std::size_t zero_rhs = 0;
+            Vec twin;
+            Vec blocked;
+            par::Cost cost_twin;
+            par::Cost cost_new;
+            {
+              const core::ContextScope scope(ctx_twin);
+              const par::CostScope cs;
+              twin = per_row_sketch(ctx_twin, a, c.v, lap, precond, k, rng_twin, solve, zero_rhs);
+              cost_twin = cs.elapsed();
+            }
+            {
+              const core::ContextScope scope(ctx_new);
+              const par::CostScope cs;
+              blocked = sketched_leverage(ctx_new, a, c.v, lap, precond, k, rng_new, solve);
+              cost_new = cs.elapsed();
+            }
+            zero_rhs_seen += zero_rhs;
+            stagnations += ctx_new.fault().fired_total();
+
+            ASSERT_EQ(blocked.size(), twin.size());
+            for (std::size_t e = 0; e < twin.size(); ++e)
+              ASSERT_EQ(bits(blocked[e]), bits(twin[e])) << "arc " << e;
+            EXPECT_EQ(cost_new, cost_twin);
+            if (instrument) {
+              EXPECT_GT(cost_new.work, 0u);
+            }
+            EXPECT_EQ(ctx_new.fault().fired_total(), ctx_twin.fault().fired_total());
+            for (int t = 0; t < 4; ++t) ASSERT_EQ(rng_new.next_u64(), rng_twin.next_u64());
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(zero_rhs_seen, 0u) << "no case exercised a zero right-hand side";
+  EXPECT_GT(stagnations, 0u) << "the armed runs never injected a stagnation";
 }
 
 TEST(LewisTest, ExponentFormula) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 #include "parallel/rng.hpp"
@@ -191,6 +193,26 @@ TEST(CeilLog2Test, Values) {
   EXPECT_EQ(ceil_log2(1025), 11u);
 }
 
+TEST(WorkDepthTest, CeilLog2MatchesShiftLoop) {
+  // The inline bit_width form against the shift loop it replaced, wherever
+  // that loop is defined (its shift overflows past 2^63).
+  const auto shift_loop = [](std::uint64_t n) {
+    std::uint64_t b = 0;
+    while ((std::uint64_t{1} << b) < n) ++b;
+    return b;
+  };
+  for (std::uint64_t n = 0; n < (std::uint64_t{1} << 22); ++n)
+    ASSERT_EQ(ceil_log2(n), shift_loop(n)) << "n=" << n;
+  for (int j = 0; j < 64; ++j) {
+    const std::uint64_t p = std::uint64_t{1} << j;
+    for (const std::uint64_t n : {p - 1, p, p + 1}) {
+      if (n > (std::uint64_t{1} << 63)) continue;
+      ASSERT_EQ(ceil_log2(n), shift_loop(n)) << "n=" << n;
+    }
+  }
+  static_assert(ceil_log2(1025) == 11);
+}
+
 TEST(RngTest, DeterministicAcrossInstances) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
@@ -227,6 +249,18 @@ TEST(RngTest, BernoulliFrequency) {
   const int trials = 20000;
   for (int i = 0; i < trials; ++i) cnt += a.bernoulli(0.3);
   EXPECT_NEAR(static_cast<double>(cnt) / trials, 0.3, 0.02);
+}
+
+TEST(RngTest, RademacherIsLowBitSign) {
+  // The branch-free draw keeps the branchy definition's values and consumes
+  // one next_u64 per draw, so every JL matrix stays the same.
+  Rng a(2024), twin(2024);
+  for (int i = 0; i < 100000; ++i) {
+    const double want = (twin.next_u64() & 1) ? 1.0 : -1.0;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.rademacher()), std::bit_cast<std::uint64_t>(want))
+        << "draw " << i;
+  }
+  EXPECT_EQ(a.next_u64(), twin.next_u64());
 }
 
 TEST(RngTest, NormalMomentsRoughlyStandard) {
