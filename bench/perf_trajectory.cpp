@@ -269,11 +269,13 @@ Workload make_kernel_spmv(bool tiny) {
 }
 
 Workload make_kernel_fused_cg(bool tiny) {
-  // The fused CG iteration kernels in isolation: one SpMV + dot + fused
-  // step/residual + fused Jacobi refresh + axpby per "iteration", the exact
-  // per-iteration kernel sequence of solve_sdd minus convergence control.
-  // Isolating them makes kernel-layer regressions visible without the solver
-  // iteration count in the way.
+  // One CG iteration's kernels in isolation, in the k = 1 sequence and with
+  // the charges of the CG loop (sdd_solver.cpp): SpMV, p.Mp, the fused x/r
+  // step with r.r, the Jacobi refresh with r.z, and the direction update,
+  // minus convergence control. The update is p += beta z, so the 200
+  // iterations never converge into 0/0. Isolating the kernels makes
+  // kernel-layer regressions visible without the solver iteration count in
+  // the way.
   const auto n = static_cast<graph::Vertex>(tiny ? 128 : 1024);
   const std::int64_t m = static_cast<std::int64_t>(n) * 16;
   par::Rng rng(31);
@@ -282,24 +284,30 @@ Workload make_kernel_fused_cg(bool tiny) {
   linalg::Vec d(a.rows());
   for (auto& x : d) x = 0.5 + rng.next_double();
   auto lap = std::make_shared<linalg::Csr>(linalg::reduced_laplacian(*g, d, a.dropped()));
-  auto dinv = std::make_shared<linalg::Vec>(lap->dim());
-  lap->diagonal_into(*dinv);
-  for (auto& v : *dinv) v = 1.0 / v;
+  auto precond = std::make_shared<linalg::SddPreconditioner>();
+  precond->build(*lap, linalg::PrecondKind::kJacobi);
   auto b = std::make_shared<linalg::Vec>(lap->dim());
   for (auto& x : *b) x = rng.next_double() - 0.5;
-  return {"kernel_fused_cg", "component", [lap, dinv, b] {
+  return {"kernel_fused_cg", "component", [lap, precond, b] {
+            namespace simd = linalg::simd;
             const std::size_t n2 = lap->dim();
-            linalg::Vec x(n2, 0.0), r = *b, z(n2), p(n2), mp(n2);
-            double rz = linalg::precond_refresh(*dinv, r, z);
+            const unsigned char on = 1;
+            const double one = 1.0;
+            linalg::Vec x(n2, 0.0), r = *b, z(n2), p(n2), mp(n2), fwd;
+            double rz = 0.0;
+            precond->apply_cols(r, z, 1, &on, fwd, &rz);
             p = z;
             for (int it = 0; it < 200; ++it) {
               lap->apply_into(p, mp);
-              const double pmp = linalg::dot(p, mp);
-              const double alpha = rz / pmp;
-              const double rr = linalg::cg_step_residual(x, r, p, mp, alpha);
+              const double alpha = rz / linalg::dot(p, mp);
+              double rr = 0.0;
+              linalg::charge_passes(n2, 2, 1);
+              simd::cg_step_cols(x.data(), r.data(), p.data(), mp.data(), &alpha, &on, n2, 1, &rr);
               if (rr < 0.0) std::abort();
-              const double rz_new = linalg::precond_refresh(*dinv, r, z);
-              linalg::axpby(p, rz_new / rz, z, 1.0);
+              double rz_new = 0.0;
+              precond->apply_cols(r, z, 1, &on, fwd, &rz_new);
+              linalg::charge_passes(n2, 1, 0);
+              simd::axpby_cols(p.data(), rz_new / rz, z.data(), &one, &on, n2, 1);
               rz = rz_new;
             }
             if (!(linalg::dot(x, x) >= 0.0)) std::abort();

@@ -8,7 +8,7 @@
 //   - one SddPreconditioner slot per call site, rebuilt only when the site's
 //     weight vector has drifted past a threshold since the factorization,
 //   - warm-start iterates per (site, RHS slot),
-//   - the CG solver's single- and multi-RHS scratch buffers, so repeated
+//   - the CG loop's block scratch (k = 1 for single solves), so repeated
 //     solves are allocation-free.
 //
 // Exactly one cache hangs off each core::SolverContext (created on first
@@ -80,24 +80,17 @@ class AccelCache {
   /// CG working set, owned here so repeated solve_sdd / solve_sdd_block
   /// calls on one context never touch the heap (alloc_count_test).
   struct SolverScratch {
-    // Single-RHS CG state.
-    Vec r, z, p, mp;
     SddPreconditioner adhoc;  ///< Jacobi built per-call when none is passed
     Vec resilient_best;       ///< best iterate carried across escalation rungs
-    // Multi-RHS block state (row-major n×k): bb/bx are the right-hand
-    // sides and iterates solve_sdd_multi and the JL sketch pass hand to
-    // solve_sdd_block, the rest its working set + per-column bookkeeping.
-    Vec bb, bx, br, bz, bp, bmp;
-    std::vector<double> bnorm, rz;
-    std::vector<std::int32_t> done_iter;
-    std::vector<std::uint8_t> active;
-    // Batched CG lane state (DESIGN.md §13): per-column scalars for one
-    // blocked iteration plus the masks feeding the masked column kernels,
-    // and the n×k forward-sweep scratch of the batched IC preconditioner
-    // apply.
-    std::vector<double> alpha, beta, pmp, rr, rz_new;
-    std::vector<std::uint8_t> step_mask, refresh_mask;
-    Vec bfwd;
+    // The CG loop's row-major n×k blocks (k = 1 for solve_sdd_into): bb/bx
+    // are the right-hand sides and iterates solve_sdd_multi and the JL
+    // sketch pass hand to solve_sdd_block; br/bz/bp/bmp hold r, z, p and
+    // M·p, and bfwd the IC(0) forward sweep.
+    Vec bb, bx, br, bz, bp, bmp, bfwd;
+    // A runtime-k block's per-column scalars and the lane masks feeding the
+    // masked column kernels (DESIGN.md §13).
+    std::vector<double> bnorm, rz, rz_new, alpha, beta, pmp, rr;
+    std::vector<std::uint8_t> active, step, refresh;
   };
   [[nodiscard]] SolverScratch& scratch() { return scratch_; }
 

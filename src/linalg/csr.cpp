@@ -102,15 +102,7 @@ Vec Csr::apply(const Vec& x) const {
   return y;
 }
 
-void Csr::apply_into(const Vec& x, Vec& y) const {
-  assert(x.size() == n_);
-  assert(y.size() == n_);
-  charge_spmv(1);
-  const auto rows = [&](std::size_t r0, std::size_t r1) {
-    simd::scalar::csr_spmv(off_.data(), col_.data(), val_.data(), x.data(), y.data(), r0, r1);
-  };
-  if (!run_row_blocks(rows)) rows(0, n_);
-}
+void Csr::apply_into(const Vec& x, Vec& y) const { apply_block_into(x, y, 1); }
 
 void Csr::apply_block_into(const Vec& x, Vec& y, std::size_t k) const {
   assert(x.size() == n_ * k);
@@ -118,8 +110,9 @@ void Csr::apply_block_into(const Vec& x, Vec& y, std::size_t k) const {
   // Per output row: clear the k slots, then stream the row's nonzeros once,
   // scattering each into all k columns. For a fixed (row, column) pair the
   // additions happen in CSR order starting from zero — exactly the
-  // accumulation order of the single-vector apply_into, so results match it
-  // bit for bit while the matrix is only traversed once for all k columns.
+  // accumulation order of the single-vector row walk csr_spmv, which serves
+  // k = 1 — so every column matches it bit for bit while the matrix is
+  // only traversed once for all k columns.
   charge_spmv(k);
   const auto rows = [&](std::size_t r0, std::size_t r1) {
     simd::csr_block_spmv(off_.data(), col_.data(), val_.data(), x.data(), y.data(), r0, r1, k);

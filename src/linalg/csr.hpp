@@ -46,15 +46,15 @@ class Csr {
   [[nodiscard]] Vec apply(const Vec& x) const;
 
   /// y = M x into a caller-owned buffer (y.size() == dim()); no allocation.
-  /// A multi-thread wall pool splits rows into nnz-balanced blocks so skewed
-  /// row lengths cannot serialize the SpMV; otherwise the calling thread
-  /// walks the rows.
+  /// The k = 1 case of apply_block_into.
   void apply_into(const Vec& x, Vec& y) const;
 
   /// Y = M X for a row-major n×k block (X[i*k + j] is column j of row i),
-  /// one nnz-balanced pass over the matrix shared by all k columns. Each
-  /// output entry accumulates in the same CSR order as apply_into, so column
-  /// j of the result is bit-identical to apply_into on column j alone.
+  /// one pass over the matrix shared by all k columns. A multi-thread wall
+  /// pool splits rows into nnz-balanced blocks so skewed row lengths cannot
+  /// serialize the SpMV; otherwise the calling thread walks the rows. Each
+  /// output entry accumulates in CSR order, so column j of the result is
+  /// bit-identical to apply_into on column j alone.
   void apply_block_into(const Vec& x, Vec& y, std::size_t k) const;
 
   /// Diagonal of M (for the Jacobi preconditioner).

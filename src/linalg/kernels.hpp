@@ -1,10 +1,10 @@
 #pragma once
-// Vector algebra and fused kernels for the CG and IPM hot loops.
+// Vector algebra for the CG and IPM loops.
 //
 // This header is the single kernel layer of the library (it absorbed the old
-// vec_ops.hpp): by-value helpers for cold paths, allocation-free _into /
-// fused kernels for hot loops, and the strided column dot used by the
-// blocked multi-RHS CG.
+// vec_ops.hpp): by-value helpers for cold paths, allocation-free _into
+// kernels for hot loops, the PRAM charge helper, and the strided column dot
+// the CG epilogue uses.
 //
 // Every hot kernel has one body (DESIGN.md §8). It first charges the PRAM
 // cost of the primitive sequence it stands for — a no-op unless the current
@@ -14,7 +14,7 @@
 // scalar kernel). So each kernel does one arithmetic in every execution
 // mode: an instrumented run computes exactly what a wall-clock run
 // computes, and its PRAM counts describe the computation actually served.
-// Reductions use the stripe-4 order, which keeps the single-RHS, strided
+// Reductions use the stripe-4 order, which keeps the contiguous, strided
 // and batched column kernels bitwise interchangeable (tests/accel_test.cpp,
 // tests/kernel_simd_test.cpp).
 //
@@ -23,11 +23,12 @@
 //
 //   elementwise pass over n   (n, lg n)       one parallel_for
 //   reduction over n          (n, 2 lg n)     one parallel_reduce
-//   cg_step_residual          (3n, 4 lg n)    axpy, axpy, dot
-//   precond_refresh           (2n, 3 lg n)    mul_into, dot
 //
-// The SpMV, incidence and IC(0) charges live with those kernels (csr.hpp,
-// incidence.cpp, preconditioner.cpp).
+// The CG loop (sdd_solver.cpp) charges each column its own sequence of
+// these passes and reductions (DESIGN.md §10; written out for k = 1 by
+// KernelChargeTest.SingleSolveChargesTheCgRule). The SpMV, incidence and
+// IC(0) charges live with those kernels (csr.hpp, incidence.cpp,
+// preconditioner.cpp).
 
 #include <cmath>
 #include <cstddef>
@@ -135,26 +136,6 @@ inline void mul_into(const Vec& a, const Vec& b, Vec& out) {
 }
 inline void scale_into(const Vec& a, double s, Vec& out) {
   map_into(a, out, [s](double x) { return x * s; });
-}
-
-/// y = a*x + b*y (one pass; covers the CG direction update p = z + beta*p).
-inline void axpby(Vec& y, double a, const Vec& x, double b) {
-  charge_passes(y.size(), 1, 0);
-  simd::axpby(y.data(), a, x.data(), b, y.size());
-}
-
-/// Fused CG iterate update: x += alpha*p, r -= alpha*mp, returns r.r.
-/// Replaces axpy + axpy + norm2^2 — three passes over four vectors become one.
-inline double cg_step_residual(Vec& x, Vec& r, const Vec& p, const Vec& mp, double alpha) {
-  charge_passes(r.size(), 2, 1);
-  return simd::cg_step(x.data(), r.data(), p.data(), mp.data(), alpha, r.size());
-}
-
-/// Fused Jacobi-preconditioner refresh: z = dinv .* r, returns r.z.
-/// Replaces mul + dot — two passes become one.
-inline double precond_refresh(const Vec& dinv, const Vec& r, Vec& z) {
-  charge_passes(r.size(), 1, 1);
-  return simd::jacobi_refresh(dinv.data(), r.data(), z.data(), r.size());
 }
 
 /// dot over column j of a row-major n×k block: sum_i a[i*k+j] * b[i*k+j],

@@ -44,7 +44,6 @@ bool SddPreconditioner::build_ic0(const Csr& m) {
   lcol_.resize(lower_nnz);
   lval_.resize(lower_nnz);
   ldiag_inv_.resize(n_);
-  fwd_.resize(n_);
   Vec diag(n_, 0.0);
   {
     std::size_t w = 0;
@@ -135,22 +134,11 @@ inline void charge_sweeps(std::size_t lnnz, std::size_t n, std::uint64_t cols) {
 
 }  // namespace
 
-double SddPreconditioner::apply(const Vec& r, Vec& z) const {
-  assert(valid() && r.size() == n_ && z.size() == n_);
-  if (kind_ == PrecondKind::kJacobi) return precond_refresh(dinv_, r, z);
-  charge_sweeps(lval_.size(), n_, 1);
-  simd::scalar::ic_fwd(loff_.data(), lcol_.data(), lval_.data(), ldiag_inv_.data(), r.data(),
-                       fwd_.data(), n_);
-  simd::scalar::ic_bwd(coff_.data(), crow_.data(), cidx_.data(), lval_.data(),
-                       ldiag_inv_.data(), fwd_.data(), z.data(), n_);
-  return dot(r, z);
-}
-
 void SddPreconditioner::apply_cols(const Vec& r, Vec& z, std::size_t k,
                                    const unsigned char* active,
                                    Vec& fwd_scratch, double* rz) const {
   assert(valid() && r.size() == n_ * k && z.size() == n_ * k);
-  // Each active column is charged what apply() charges for it alone.
+  // Each active column is charged what its apply alone stands for.
   std::uint64_t cols = 0;
   for (std::size_t j = 0; j < k; ++j) cols += active[j] != 0 ? 1 : 0;
   if (kind_ == PrecondKind::kJacobi) {
@@ -164,8 +152,7 @@ void SddPreconditioner::apply_cols(const Vec& r, Vec& z, std::size_t k,
   charge_passes(n_, 0, cols);
   // The forward sweep computes every column (inactive ones land in the
   // caller's scratch, never in z); the backward sweep masks z writes per
-  // column. Per active column the arithmetic is element-identical to
-  // apply().
+  // column. At k = 1 the column kernels are the single-vector sweeps.
   simd::ic_fwd_cols(loff_.data(), lcol_.data(), lval_.data(),
                     ldiag_inv_.data(), r.data(), fwd_scratch.data(), n_, k);
   simd::ic_bwd_cols(coff_.data(), crow_.data(), cidx_.data(), lval_.data(),

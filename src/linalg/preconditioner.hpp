@@ -16,19 +16,18 @@
 //                         preconditioner's account.
 //
 // The object is built once per weight vector and reused across IPM
-// iterations while weight drift stays under the AccelCache's threshold; it
-// must therefore own all its apply-time scratch (allocation-free applies,
+// iterations while weight drift stays under the AccelCache's threshold; its
+// apply writes only into caller-owned buffers (allocation-free applies,
 // asserted by tests/alloc_count_test.cpp).
 //
-// apply() returns dot(r, z) so the CG loop keeps the fused
-// residual-refresh shape; apply_cols() is the batched form over row-major
-// n×k block storage used by the multi-RHS CG. Both produce bit-identical z
-// columns, which is what keeps solve_sdd_block bit-identical to k
-// single-RHS solves. Both charge the PRAM cost of the sequence they stand
-// for — precond_refresh for Jacobi, charge_sweeps plus a dot for IC(0) —
-// once per column, then run the same arithmetic in every execution mode.
-// apply() runs the sequential triangular sweeps on the calling thread;
-// apply_cols() vectorizes across columns, never across rows.
+// apply_cols() is the one apply, over row-major n×k block storage: for every
+// active column it sets z = P^{-1} r and returns dot(r, z) beside it, so the
+// CG loop keeps the fused residual-refresh shape; k = 1 is a plain vector.
+// Each active column is charged the PRAM cost of the sequence it stands for
+// — an elementwise pass plus a dot for Jacobi, charge_sweeps plus a dot for
+// IC(0) — then the same arithmetic runs in every execution mode. The IC(0)
+// triangular sweeps run sequentially on the calling thread, vectorized
+// across columns, never across rows.
 
 #include <cstddef>
 #include <cstdint>
@@ -55,15 +54,11 @@ class SddPreconditioner {
   [[nodiscard]] PrecondKind effective_kind() const { return kind_; }
   [[nodiscard]] bool fell_back() const { return fell_back_; }
 
-  /// z = P^{-1} r; returns dot(r, z). No allocation.
-  double apply(const Vec& r, Vec& z) const;
-
-  /// Batched twin of apply(): for every column j with active[j] != 0,
-  /// z_col = P^{-1} r_col and rz[j] = dot(r_col, z_col), bit for bit what
-  /// apply() returns on the column alone. Inactive columns of z are
-  /// preserved bit for bit; their rz slots are unspecified. For IC(0),
-  /// `fwd_scratch` must hold n*k doubles (caller-owned so repeated applies
-  /// stay allocation-free); Jacobi ignores it.
+  /// For every column j with active[j] != 0: z_col = P^{-1} r_col and
+  /// rz[j] = dot(r_col, z_col). Inactive columns of z are preserved bit for
+  /// bit; their rz slots are unspecified. For IC(0), `fwd_scratch` must hold
+  /// n*k doubles (caller-owned so repeated applies stay allocation-free);
+  /// Jacobi ignores it.
   void apply_cols(const Vec& r, Vec& z, std::size_t k,
                   const unsigned char* active, Vec& fwd_scratch,
                   double* rz) const;
@@ -88,7 +83,6 @@ class SddPreconditioner {
   std::vector<std::int64_t> coff_;
   std::vector<std::int32_t> crow_;
   std::vector<std::int64_t> cidx_;
-  mutable Vec fwd_;  // forward-solve scratch (owned so applies are alloc-free)
 };
 
 }  // namespace pmcf::linalg

@@ -1,6 +1,5 @@
 #include "linalg/sdd_solver.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -33,9 +32,8 @@ const SddPreconditioner& adhoc_jacobi(core::SolverContext& ctx, const Csr& m) {
   return p;
 }
 
-/// Warm-start rule shared by the single- and multi-RHS paths: a seed is only
-/// *attempted* when it has a nonzero entry (a zeroed slot is just a cold
-/// start and must not count as a hit).
+/// True when v has a nonzero entry. A seed is only *attempted* then: a
+/// zeroed slot is just a cold start and must not count as a hit.
 bool has_nonzero(const Vec& v) {
   for (const double x : v)
     if (x != 0.0) return true;
@@ -56,92 +54,203 @@ void copy_info(const SolveInfo& info, SolveResult& res) {
   res.status = info.status;
 }
 
+/// One per-column array of a CG block (a scalar per column, or a mask
+/// feeding the masked column kernels). A column count K fixed at compile
+/// time keeps it on the stack, which a small k = 1 solve measurably prefers
+/// to scratch vectors; K = 0 makes it a zeroed view of `store` in the
+/// context's scratch.
+template <class T, std::size_t K>
+struct Lane {
+  Lane(std::vector<T>& /*store*/, std::size_t /*k*/) {}
+  T& operator[](std::size_t j) { return v[j]; }
+  T* data() { return v; }
+  T v[K]{};
+};
+
+template <class T>
+struct Lane<T, 0> {
+  Lane(std::vector<T>& store, std::size_t k) : p((store.assign(k, T{}), store.data())) {}
+  T& operator[](std::size_t j) { return p[j]; }
+  T* data() { return p; }
+  T* p;
+};
+
+/// The one CG loop: solves M x_j = b_j for the k columns of the row-major
+/// n×k blocks `b` and `x` (slot i*k+j) and writes column j's SolveInfo to
+/// out[j], which the caller value-initializes. K > 0 fixes k at compile
+/// time: the k = 1 instance behind solve_sdd_into folds every per-column
+/// loop, and its simd::*_cols calls reach the contiguous kernels. K = 0
+/// reads the runtime `k_arg` (solve_sdd_block).
+///
+/// One SpMV over the block per iteration, then the per-column recurrences
+/// as masked column kernels, all live columns at once; each column is
+/// charged its own passes (DESIGN.md §10), and a column that breaks down is
+/// charged only its p.Mp dot.
+template <std::size_t K>
+void cg_block(core::SolverContext& ctx, const Csr& m, const Vec& b, Vec& x, std::size_t k_arg,
+              const SddPreconditioner& precond, const SolveOptions& opts, SolveInfo* out) {
+  const std::size_t k = K > 0 ? K : k_arg;
+  const std::size_t n = m.dim();
+  // All CG state lives in the context's cache (or on the stack), so
+  // repeated solves perform no heap allocation (tests/alloc_count_test.cpp).
+  auto& scr = accel_cache(ctx).scratch();
+  scr.br.resize(n * k);
+  scr.bz.resize(n * k);
+  scr.bp.resize(n * k);
+  scr.bmp.resize(n * k);
+  if (precond.effective_kind() == PrecondKind::kIncompleteCholesky) scr.bfwd.resize(n * k);
+  Vec& br = scr.br;
+  Vec& bz = scr.bz;
+  Vec& bp = scr.bp;
+  Vec& bmp = scr.bmp;
+  Lane<double, K> bnorm(scr.bnorm, k), rz(scr.rz, k), rz_new(scr.rz_new, k),
+      alpha(scr.alpha, k), beta(scr.beta, k), pmp(scr.pmp, k), rr(scr.rr, k);
+  Lane<std::uint8_t, K> active(scr.active, k), step(scr.step, k), refresh(scr.refresh, k);
+  // Zeroes column j of x; charged as one parallel_for over the column.
+  const auto zero_column = [&](std::size_t j) {
+    charge_passes(n, 1, 0);
+    for (std::size_t i = 0; i < n; ++i) x[i * k + j] = 0.0;
+  };
+  // Runs f(i*k+j) over the live columns' slots; charged as one pass each.
+  const auto live_pass = [&](std::size_t live, auto&& f) {
+    charge_passes(n, live, 0);
+    if (live == k) {
+      for (std::size_t s = 0; s < n * k; ++s) f(s);
+      return;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < k; ++j)
+        if (active[j]) f(i * k + j);
+  };
+
+  // Column entry, in ascending j: the ||b|| early-out, then the injection
+  // draw — the order k successive k = 1 solves consume draws in, which is
+  // what keeps fault-injected blocks bit-identical to them.
+  charge_passes(n, 0, k);
+  simd::dot_cols(b.data(), b.data(), n, k, bnorm.data());
+  std::size_t live = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    bnorm[j] = std::sqrt(bnorm[j]);
+    if (bnorm[j] == 0.0) {
+      out[j].converged = true;
+      out[j].status = SolveStatus::kOk;
+      zero_column(j);
+      continue;
+    }
+    if (ctx.fault().should_fire(par::FaultKind::kCgStagnation)) {
+      // Injected stagnation: report the zero iterate as a hard breakdown.
+      out[j].relative_residual = 1.0;
+      out[j].status = SolveStatus::kNumericalFailure;
+      zero_column(j);
+      continue;
+    }
+    active[j] = 1;
+    ++live;
+  }
+  if (live == 0) return;
+
+  // Initial residuals. The columns that left above are zero, so a block
+  // without a nonzero entry has no seeded live column and starts at r = b
+  // without an SpMV. Otherwise one block SpMV gives r = b - M x for every
+  // live column (a zero column gets b - M·0 = b, bit for bit the cold
+  // start) and one dot_cols pass the norms; a seed is kept only when its
+  // residual does not exceed ||b_j|| (a warm-start hit), and NaN-poisoned
+  // or stale seeds fail the test and restart cold.
+  if (has_nonzero(x)) {
+    m.apply_block_into(x, bmp, k);
+    live_pass(live, [&](std::size_t s) { br[s] = b[s] - bmp[s]; });
+    charge_passes(n, 0, live);
+    simd::dot_cols(br.data(), br.data(), n, k, rr.data());
+    for (std::size_t j = 0; j < k; ++j) {
+      if (!active[j]) continue;
+      if (!(std::sqrt(rr[j]) <= bnorm[j])) {
+        zero_column(j);
+        for (std::size_t i = 0; i < n; ++i) br[i * k + j] = b[i * k + j];
+      } else if (column_has_nonzero(x, k, j, n)) {
+        ++ctx.accel().warm_start_hits;
+      }
+    }
+  } else {
+    live_pass(live, [&](std::size_t s) { br[s] = b[s]; });
+  }
+  precond.apply_cols(br, bz, k, active.data(), scr.bfwd, rz.data());
+  live_pass(live, [&](std::size_t s) { bp[s] = bz[s]; });
+
+  for (std::int32_t it = 0; live > 0 && it < opts.max_iters; ++it) {
+    // Lifecycle poll at CG-iteration granularity (DESIGN.md §11): every
+    // live column reports the typed status. Two relaxed branches when no
+    // deadline, cancel or fault is armed, and no allocation.
+    if (const SolveStatus ls = ctx.check_lifecycle(); ls != SolveStatus::kOk) {
+      for (std::size_t j = 0; j < k; ++j)
+        if (active[j]) out[j].status = ls;
+      break;
+    }
+    m.apply_block_into(bp, bmp, k);
+    // p.Mp for every column in one pass (dead lanes produce garbage that is
+    // never read), then the per-column breakdown check and step size.
+    charge_passes(n, 0, live);
+    simd::dot_cols(bp.data(), bmp.data(), n, k, pmp.data());
+    for (std::size_t j = 0; j < k; ++j) {
+      step[j] = 0;
+      if (!active[j]) continue;
+      if (pmp[j] <= 0.0 || !std::isfinite(pmp[j])) {
+        // Numerical breakdown: the column keeps its best iterate.
+        out[j].status = SolveStatus::kNumericalFailure;
+        active[j] = 0;
+        --live;
+        continue;
+      }
+      alpha[j] = rz[j] / pmp[j];
+      step[j] = 1;
+    }
+    charge_passes(n, 2 * live, live);
+    simd::cg_step_cols(x.data(), br.data(), bp.data(), bmp.data(), alpha.data(), step.data(), n,
+                       k, rr.data());
+    for (std::size_t j = 0; j < k; ++j) {
+      refresh[j] = 0;
+      if (!step[j]) continue;
+      out[j].iterations = it + 1;
+      const double rn = std::sqrt(rr[j]);
+      if (rn <= opts.tolerance * bnorm[j]) {
+        out[j].converged = true;
+        out[j].status = SolveStatus::kOk;
+        out[j].relative_residual = rn / bnorm[j];
+        active[j] = 0;
+        --live;
+        continue;
+      }
+      refresh[j] = 1;
+    }
+    if (live == 0) break;
+    precond.apply_cols(br, bz, k, refresh.data(), scr.bfwd, rz_new.data());
+    for (std::size_t j = 0; j < k; ++j) {
+      if (!refresh[j]) continue;
+      beta[j] = rz_new[j] / rz[j];
+      rz[j] = rz_new[j];
+    }
+    // p = z + beta * p
+    charge_passes(n, live, 0);
+    simd::axpby_cols(bp.data(), 1.0, bz.data(), beta.data(), refresh.data(), n, k);
+  }
+
+  // Epilogue: an unconverged column reports the residual of its last
+  // iterate; a non-finite one is a breakdown unless the lifecycle stopped it.
+  for (std::size_t j = 0; j < k; ++j) {
+    if (!out[j].converged && out[j].relative_residual == 0.0) {
+      out[j].relative_residual = std::sqrt(dot_strided(br, br, k, j, n)) / bnorm[j];
+      if (!std::isfinite(out[j].relative_residual) && !is_lifecycle_error(out[j].status))
+        out[j].status = SolveStatus::kNumericalFailure;
+    }
+  }
+}
+
 }  // namespace
 
 SolveInfo solve_sdd_into(core::SolverContext& ctx, const Csr& m, const Vec& b,
                          const SddPreconditioner& precond, const SolveOptions& opts, Vec& x) {
-  const std::size_t n = m.dim();
-  SolveInfo res;
-  const double bnorm = norm2(b);
-  if (bnorm == 0.0) {
-    std::fill(x.begin(), x.end(), 0.0);
-    res.converged = true;
-    res.status = SolveStatus::kOk;
-    return res;
-  }
-  if (ctx.fault().should_fire(par::FaultKind::kCgStagnation)) {
-    // Injected stagnation: report the zero iterate as a hard breakdown.
-    std::fill(x.begin(), x.end(), 0.0);
-    res.relative_residual = 1.0;
-    res.status = SolveStatus::kNumericalFailure;
-    return res;
-  }
-
-  // All CG state lives in the context's cache; the loop below performs no
-  // heap allocation (asserted by tests/alloc_count_test.cpp).
-  auto& scr = accel_cache(ctx).scratch();
-  scr.r.resize(n);
-  scr.z.resize(n);
-  scr.p.resize(n);
-  scr.mp.resize(n);
-  Vec& r = scr.r;
-  Vec& z = scr.z;
-  Vec& p = scr.p;
-  Vec& mp = scr.mp;
-
-  if (has_nonzero(x)) {
-    // Warm start: keep the seed only if it is no worse than the zero start
-    // (its residual norm does not exceed ||b||); NaN-poisoned or stale seeds
-    // fail the predicate and fall back to cold.
-    m.apply_into(x, mp);
-    sub_into(b, mp, r);
-    const double rnorm = norm2(r);
-    if (!(rnorm <= bnorm)) {
-      std::fill(x.begin(), x.end(), 0.0);
-      std::copy(b.begin(), b.end(), r.begin());
-    } else {
-      ++ctx.accel().warm_start_hits;
-    }
-  } else {
-    std::copy(b.begin(), b.end(), r.begin());
-  }
-  double rz = precond.apply(r, z);
-  std::copy(z.begin(), z.end(), p.begin());
-
-  for (std::int32_t it = 0; it < opts.max_iters; ++it) {
-    // Lifecycle poll at CG-iteration granularity (DESIGN.md §11); the check
-    // is two relaxed branches when no deadline/cancel/fault is armed and
-    // performs no allocation (alloc_count_test still covers this loop).
-    if (const SolveStatus ls = ctx.check_lifecycle(); ls != SolveStatus::kOk) {
-      res.status = ls;
-      res.relative_residual = norm2(r) / bnorm;
-      return res;
-    }
-    m.apply_into(p, mp);
-    const double pmp = dot(p, mp);
-    if (pmp <= 0.0 || !std::isfinite(pmp)) {
-      // Numerical breakdown; return best iterate with a typed status.
-      res.status = SolveStatus::kNumericalFailure;
-      break;
-    }
-    const double alpha = rz / pmp;
-    const double rr = cg_step_residual(x, r, p, mp, alpha);
-    res.iterations = it + 1;
-    const double rn = std::sqrt(rr);
-    if (rn <= opts.tolerance * bnorm) {
-      res.converged = true;
-      res.relative_residual = rn / bnorm;
-      res.status = SolveStatus::kOk;
-      return res;
-    }
-    const double rz_new = precond.apply(r, z);
-    const double beta = rz_new / rz;
-    rz = rz_new;
-    axpby(p, 1.0, z, beta);  // p = z + beta * p
-  }
-  res.relative_residual = norm2(r) / bnorm;
-  if (!std::isfinite(res.relative_residual)) res.status = SolveStatus::kNumericalFailure;
-  return res;
+  SolveInfo info;
+  cg_block<1>(ctx, m, b, x, 1, precond, opts, &info);
+  return info;
 }
 
 SolveResult solve_sdd(core::SolverContext& ctx, const Csr& m, const Vec& b,
@@ -165,176 +274,13 @@ SolveResult solve_sdd(core::SolverContext& ctx, const Csr& m, const Vec& b,
 std::vector<SolveInfo> solve_sdd_block(core::SolverContext& ctx, const Csr& m, const Vec& b,
                                        Vec& x, std::size_t k, const SddPreconditioner& precond,
                                        const SolveOptions& opts) {
-  const std::size_t n = m.dim();
   std::vector<SolveInfo> out(k);
   if (k == 0) return out;
-  ++ctx.accel().multi_rhs_solves;
-  ctx.accel().multi_rhs_columns += k;
-
-  auto& scr = accel_cache(ctx).scratch();
-  scr.br.resize(n * k);
-  scr.bz.resize(n * k);
-  scr.bp.resize(n * k);
-  scr.bmp.resize(n * k);
-  scr.bnorm.assign(k, 0.0);
-  scr.rz.assign(k, 0.0);
-  scr.done_iter.assign(k, 0);
-  scr.active.assign(k, 0);
-  Vec& br = scr.br;
-  Vec& bz = scr.bz;
-  Vec& bp = scr.bp;
-  Vec& bmp = scr.bmp;
-  // Zeroes column j of x; charged as one parallel_for over the column.
-  const auto zero_column = [&](std::size_t j) {
-    charge_passes(n, 1, 0);
-    for (std::size_t i = 0; i < n; ++i) x[i * k + j] = 0.0;
-  };
-
-  // Column entry, in ascending j: the ||b|| early-out, then the injection
-  // draw — the same order k successive solve_sdd calls would consume draws
-  // in, which is what keeps fault-injected runs bit-identical too. One
-  // dot_cols pass takes every ||b_j||² (each column charged its reduction).
-  charge_passes(n, 0, k);
-  simd::dot_cols(b.data(), b.data(), n, k, scr.bnorm.data());
-  std::size_t live = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    scr.bnorm[j] = std::sqrt(scr.bnorm[j]);
-    if (scr.bnorm[j] == 0.0) {
-      out[j].converged = true;
-      out[j].status = SolveStatus::kOk;
-      zero_column(j);
-      continue;
-    }
-    if (ctx.fault().should_fire(par::FaultKind::kCgStagnation)) {
-      out[j].relative_residual = 1.0;
-      out[j].status = SolveStatus::kNumericalFailure;
-      zero_column(j);
-      continue;
-    }
-    scr.active[j] = 1;
-    ++live;
+  if (k >= 2) {
+    ++ctx.accel().multi_rhs_solves;
+    ctx.accel().multi_rhs_columns += k;
   }
-
-  // Per-column scalars for one blocked iteration, the masks feeding the
-  // masked column kernels, and the n×k forward-sweep scratch of the IC(0)
-  // apply_cols.
-  scr.alpha.assign(k, 0.0);
-  scr.beta.assign(k, 0.0);
-  scr.pmp.assign(k, 0.0);
-  scr.rr.assign(k, 0.0);
-  scr.rz_new.assign(k, 0.0);
-  scr.step_mask.assign(k, 0);
-  scr.refresh_mask.assign(k, 0);
-  if (precond.effective_kind() == PrecondKind::kIncompleteCholesky) scr.bfwd.resize(n * k);
-
-  // Initial residuals for all live columns from one block SpMV (columns with
-  // a zero seed get r = b - M·0 = b, bit-equal to the cold start) and one
-  // masked pass, their norms from one dot_cols pass (rr holds ||r_j||² until
-  // the first step overwrites it), then one preconditioner apply and one
-  // masked p = z pass over the live columns.
-  if (live > 0) {
-    m.apply_block_into(x, bmp, k);
-    charge_passes(n, live, 0);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < k; ++j)
-        if (scr.active[j]) br[i * k + j] = b[i * k + j] - bmp[i * k + j];
-    charge_passes(n, 0, live);
-    simd::dot_cols(br.data(), br.data(), n, k, scr.rr.data());
-    for (std::size_t j = 0; j < k; ++j) {
-      if (!scr.active[j]) continue;
-      if (!(std::sqrt(scr.rr[j]) <= scr.bnorm[j])) {
-        // Warm-start rule: a seed worse than the zero start falls back cold.
-        charge_passes(n, 1, 0);
-        for (std::size_t i = 0; i < n; ++i) {
-          x[i * k + j] = 0.0;
-          br[i * k + j] = b[i * k + j];
-        }
-      } else if (column_has_nonzero(x, k, j, n)) {
-        ++ctx.accel().warm_start_hits;
-      }
-    }
-    precond.apply_cols(br, bz, k, scr.active.data(), scr.bfwd, scr.rz.data());
-    charge_passes(n, live, 0);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < k; ++j)
-        if (scr.active[j]) bp[i * k + j] = bz[i * k + j];
-  }
-
-  // Blocked CG: one shared SpMV over the n×k block per iteration, then the
-  // per-column recurrences as masked SIMD column kernels (one pass over the
-  // block per kernel, all live columns at once). Every column kernel uses the
-  // stripe-4 order of the single-RHS kernels, so each column is bitwise a
-  // lone solve_sdd. Each live column is charged what the single-RHS
-  // iteration charges it; one that breaks down is charged only its p.Mp dot.
-  for (std::int32_t it = 0; live > 0 && it < opts.max_iters; ++it) {
-    // One lifecycle poll per blocked iteration: every still-live column
-    // reports the typed status, matching what k sequential canceled solves
-    // would have returned.
-    if (const SolveStatus ls = ctx.check_lifecycle(); ls != SolveStatus::kOk) {
-      for (std::size_t j = 0; j < k; ++j) {
-        if (!scr.active[j]) continue;
-        out[j].status = ls;
-        scr.active[j] = 0;
-      }
-      live = 0;
-      break;
-    }
-    m.apply_block_into(bp, bmp, k);
-    // p.Mp for every column in one pass (dead lanes produce garbage that is
-    // never read), then the per-column breakdown check and step size.
-    charge_passes(n, 0, live);
-    simd::dot_cols(bp.data(), bmp.data(), n, k, scr.pmp.data());
-    for (std::size_t j = 0; j < k; ++j) {
-      scr.step_mask[j] = 0;
-      if (!scr.active[j]) continue;
-      if (scr.pmp[j] <= 0.0 || !std::isfinite(scr.pmp[j])) {
-        out[j].status = SolveStatus::kNumericalFailure;
-        scr.active[j] = 0;
-        --live;
-        continue;
-      }
-      scr.alpha[j] = scr.rz[j] / scr.pmp[j];
-      scr.step_mask[j] = 1;
-    }
-    charge_passes(n, 2 * live, live);
-    simd::cg_step_cols(x.data(), br.data(), bp.data(), bmp.data(), scr.alpha.data(),
-                       scr.step_mask.data(), n, k, scr.rr.data());
-    for (std::size_t j = 0; j < k; ++j) {
-      scr.refresh_mask[j] = 0;
-      if (!scr.step_mask[j]) continue;
-      scr.done_iter[j] = it + 1;
-      const double rn = std::sqrt(scr.rr[j]);
-      if (rn <= opts.tolerance * scr.bnorm[j]) {
-        out[j].converged = true;
-        out[j].status = SolveStatus::kOk;
-        out[j].relative_residual = rn / scr.bnorm[j];
-        scr.active[j] = 0;
-        --live;
-        continue;
-      }
-      scr.refresh_mask[j] = 1;
-    }
-    if (live == 0) break;
-    precond.apply_cols(br, bz, k, scr.refresh_mask.data(), scr.bfwd, scr.rz_new.data());
-    for (std::size_t j = 0; j < k; ++j) {
-      if (!scr.refresh_mask[j]) continue;
-      scr.beta[j] = scr.rz_new[j] / scr.rz[j];
-      scr.rz[j] = scr.rz_new[j];
-    }
-    charge_passes(n, live, 0);
-    simd::axpby_cols(bp.data(), 1.0, bz.data(), scr.beta.data(), scr.refresh_mask.data(), n, k);
-  }
-
-  // Finalize: unconverged columns report the residual of their last iterate
-  // exactly as the single-RHS epilogue does.
-  for (std::size_t j = 0; j < k; ++j) {
-    out[j].iterations = scr.done_iter[j];
-    if (!out[j].converged && out[j].relative_residual == 0.0 && scr.bnorm[j] > 0.0) {
-      out[j].relative_residual = std::sqrt(dot_strided(br, br, k, j, n)) / scr.bnorm[j];
-      if (!std::isfinite(out[j].relative_residual))
-        out[j].status = SolveStatus::kNumericalFailure;
-    }
-  }
+  cg_block<0>(ctx, m, b, x, k, precond, opts, out.data());
   return out;
 }
 

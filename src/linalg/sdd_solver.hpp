@@ -18,12 +18,14 @@
 // fallback for systems of dimension <= 2048 (ResilientSolveOptions sets the
 // rung count and factor; the rest are constants in sdd_solver.cpp).
 //
-// `solve_sdd_block` batches k right-hand sides against one matrix into a
-// blocked CG over row-major n×k blocks, sharing a single nnz-balanced SpMV
-// pass per iteration; each column's result is bit-identical to the
-// corresponding single-RHS solve (tests/accel_test.cpp), including the order
-// fault-injection draws are consumed in. `solve_sdd_multi` is its
-// vector-of-columns form; the JL leverage sketch builds its block directly.
+// One CG loop serves every entry point (sdd_solver.cpp): a template over
+// the column count of row-major n×k blocks, compiled with k fixed at 1
+// behind solve_sdd_into (so solve_sdd, solve_sdd_resilient and every Newton
+// solve) and with a runtime k behind solve_sdd_block, solve_sdd_multi and
+// the JL leverage sketch. The k columns share one nnz-balanced SpMV per
+// iteration; each column's iterate, SolveInfo and fault-injection draws are
+// bit for bit those of its own k = 1 solve (tests/accel_test.cpp), and each
+// column is charged its own passes (DESIGN.md §10).
 
 #include <cstdint>
 #include <string>
@@ -73,9 +75,9 @@ SolveResult solve_sdd(core::SolverContext& ctx, const Csr& m, const Vec& b,
                       const SddPreconditioner& precond, const SolveOptions& opts,
                       const Vec* x0 = nullptr);
 
-/// Allocation-free core: `x` carries the start iterate in (see the x0 rules
-/// above; pass a zeroed vector for a cold start) and the solution out. All
-/// other working state lives in the context's acceleration cache, so
+/// Allocation-free k = 1 form: `x` carries the start iterate in (see the x0
+/// rules above; pass a zeroed vector for a cold start) and the solution out.
+/// All other working state lives in the context's acceleration cache, so
 /// repeated calls perform no heap allocation (alloc_count_test).
 SolveInfo solve_sdd_into(core::SolverContext& ctx, const Csr& m, const Vec& b,
                          const SddPreconditioner& precond, const SolveOptions& opts, Vec& x);
@@ -85,12 +87,12 @@ SolveInfo solve_sdd_into(core::SolverContext& ctx, const Csr& m, const Vec& b,
 /// nnz-balanced SpMV over the block per iteration instead of k separate
 /// passes. `x` carries the start iterates in (a column with a nonzero entry
 /// is a warm seed under the x0 rules above; zero it for a cold start) and
-/// the solutions out. Per-column stopping, breakdown, and fault-injection
-/// semantics exactly mirror k successive solve_sdd_into calls (columns draw
-/// injection points in ascending j at entry), every column's iterate and
-/// SolveInfo are bit-identical to its single-RHS twin, and each column is
-/// charged what its twin is charged. The working set lives in the context's
-/// acceleration cache; the only allocation is the returned vector.
+/// the solutions out; a block with no seeded column starts at r = b without
+/// an SpMV. Every column's iterate and SolveInfo are those of its own
+/// solve_sdd_into (columns draw injection points in ascending j at entry).
+/// The working set lives in the context's acceleration cache; the
+/// only allocation is the returned vector. Calls with k >= 2 count in
+/// ctx.accel()'s multi_rhs_* telemetry.
 std::vector<SolveInfo> solve_sdd_block(core::SolverContext& ctx, const Csr& m, const Vec& b,
                                        Vec& x, std::size_t k, const SddPreconditioner& precond,
                                        const SolveOptions& opts = {});

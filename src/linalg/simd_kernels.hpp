@@ -15,23 +15,25 @@
 //                  payloads survive. The dispatchers at the bottom pick
 //                  avx2:: when simd::enabled().
 //   scalar-only  — dot_strided, csr_spmv, ic_fwd and ic_bwd, declared once
-//                  in simd::scalar and called as simd::scalar::*. Stride-k
-//                  loads do not vectorize profitably, and a row sum or a
-//                  triangular sweep has no vector form that keeps the
-//                  canonical order without another layout or row order.
+//                  in simd::scalar. Stride-k loads do not vectorize
+//                  profitably, and a row sum or a triangular sweep has no
+//                  vector form that keeps the canonical order without
+//                  another layout or row order. The last three serve the
+//                  k = 1 case of their column dispatchers.
 //
 // All are plain kernels: no PRAM charges, no tracker access, no pool
 // dispatch. The callers (kernels.hpp, Csr, IncidenceOp, SddPreconditioner,
-// solve_sdd_block) charge the PRAM cost at kernel entry and then call here
-// in every execution mode, so these kernels are the only arithmetic served.
+// the CG loop in sdd_solver.cpp) charge the PRAM cost at kernel entry and
+// then call here in every execution mode, so these kernels are the only
+// arithmetic served.
 //
 // Reduction order contract: every dot-like reduction is "stripe-4": four
 // accumulators acc[i mod 4] folded left to right over ascending i, combined
 // as (acc0 + acc1) + (acc2 + acc3). The stripes break the scalar add
 // dependency chain, map 1:1 onto a 4-lane vector register, and — because the
-// order depends only on n — keep the single-RHS, strided, and batched
+// order depends only on n — keep the contiguous, strided, and batched
 // column kernels bitwise interchangeable (tests/accel_test.cpp leans on
-// this: column j of solve_sdd_block must equal a lone solve_sdd).
+// this: column j of a k-column solve_sdd_block must equal its k = 1 solve).
 
 #include <cstddef>
 #include <cstdint>
@@ -145,27 +147,49 @@ inline double jacobi_refresh(const double* dinv, const double* r, double* z,
                              std::size_t n) {
   PMCF_SIMD_DISPATCH(jacobi_refresh, dinv, r, z, n);
 }
+
+// At k = 1 a row-major n×k block is a plain vector, so each column
+// dispatcher serves it with the contiguous kernel (the column kernels are
+// its bitwise twins): the k = 1 CG loop runs the single-vector bodies, with
+// no stride or mask bookkeeping, and a k fixed at compile time folds the test.
 inline void dot_cols(const double* a, const double* b, std::size_t n,
                      std::size_t k, double* out) {
+  if (k == 1) {
+    out[0] = dot(a, b, n);
+    return;
+  }
   PMCF_SIMD_DISPATCH(dot_cols, a, b, n, k, out);
 }
 inline void cg_step_cols(double* x, double* r, const double* p, const double* mp,
                          const double* alpha, const unsigned char* active,
                          std::size_t n, std::size_t k, double* rr) {
+  if (k == 1) {
+    if (active[0]) rr[0] = cg_step(x, r, p, mp, alpha[0], n);
+    return;
+  }
   PMCF_SIMD_DISPATCH(cg_step_cols, x, r, p, mp, alpha, active, n, k, rr);
 }
 inline void jacobi_refresh_cols(const double* dinv, const double* r, double* z,
                                 const unsigned char* active, std::size_t n,
                                 std::size_t k, double* rz) {
+  if (k == 1) {
+    if (active[0]) rz[0] = jacobi_refresh(dinv, r, z, n);
+    return;
+  }
   PMCF_SIMD_DISPATCH(jacobi_refresh_cols, dinv, r, z, active, n, k, rz);
 }
 inline void axpby_cols(double* y, double a, const double* x, const double* b,
                        const unsigned char* active, std::size_t n, std::size_t k) {
+  if (k == 1) {
+    if (active[0]) axpby(y, a, x, b[0], n);
+    return;
+  }
   PMCF_SIMD_DISPATCH(axpby_cols, y, a, x, b, active, n, k);
 }
 inline void csr_block_spmv(const std::int64_t* off, const std::int32_t* col,
                            const double* val, const double* x, double* y,
                            std::size_t r0, std::size_t r1, std::size_t k) {
+  if (k == 1) return scalar::csr_spmv(off, col, val, x, y, r0, r1);
   PMCF_SIMD_DISPATCH(csr_block_spmv, off, col, val, x, y, r0, r1, k);
 }
 inline void incidence_apply(const std::int32_t* from, const std::int32_t* to,
@@ -177,6 +201,7 @@ inline void ic_fwd_cols(const std::int64_t* loff, const std::int32_t* lcol,
                         const double* lval, const double* ldiag_inv,
                         const double* r, double* fwd, std::size_t n,
                         std::size_t k) {
+  if (k == 1) return scalar::ic_fwd(loff, lcol, lval, ldiag_inv, r, fwd, n);
   PMCF_SIMD_DISPATCH(ic_fwd_cols, loff, lcol, lval, ldiag_inv, r, fwd, n, k);
 }
 inline void ic_bwd_cols(const std::int64_t* coff, const std::int32_t* crow,
@@ -184,6 +209,10 @@ inline void ic_bwd_cols(const std::int64_t* coff, const std::int32_t* crow,
                         const double* ldiag_inv, const double* fwd, double* z,
                         const unsigned char* active, std::size_t n,
                         std::size_t k) {
+  if (k == 1) {
+    if (active[0]) scalar::ic_bwd(coff, crow, cidx, lval, ldiag_inv, fwd, z, n);
+    return;
+  }
   PMCF_SIMD_DISPATCH(ic_bwd_cols, coff, crow, cidx, lval, ldiag_inv, fwd, z,
                      active, n, k);
 }

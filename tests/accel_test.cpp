@@ -1,8 +1,10 @@
 // Tests for the solver acceleration layer (DESIGN.md §10):
 //  - solve_sdd and solve_sdd_multi compute the same bits in every execution
 //    mode (serial wall, pooled wall, instrumented): each multi-RHS column
-//    equals a lone single-RHS solve, under both preconditioner kinds, and
-//    with fault injection armed (the draw streams line up column by column);
+//    equals its own k = 1 solve, under both preconditioner kinds, with fault
+//    injection armed (the draw streams line up column by column), and under
+//    the one warm-start rule (kept, zero and rejected seeds, a zero
+//    right-hand side, a block with no seed);
 //  - the SddPreconditioner cache reuses a factor while weight drift stays
 //    under the threshold and rebuilds past it;
 //  - Laplacian::refresh_values produces bitwise the same matrix as a fresh
@@ -13,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -179,6 +182,99 @@ TEST_F(AccelTest, MultiRhsMatchesSinglesUnderFaultInjection) {
   EXPECT_GE(failed, 1u) << "rate-0.5 injection should hit at least one of 8 columns";
   EXPECT_LT(failed, k) << "and at least one column should survive";
   EXPECT_EQ(ctx_single.fault().fired_total(), ctx_multi.fault().fired_total());
+}
+
+/// The CG loop's one warm-start rule, block against singles: a k = 6 block
+/// mixing kept seeds (columns 0 and 4), zero seeds (1 and 5), a zero
+/// right-hand side under a nonzero seed (2) and a rejected seed (3), then the
+/// same block with no seeded column, which starts without an SpMV. Under
+/// `mode` every column must equal its own k = 1 solve in serial wall mode bit
+/// for bit, and the block must count the singles' warm-start hits.
+void run_warm_start_rule(graph::Vertex nv, std::int64_t m, linalg::PrecondKind kind, Mode mode) {
+  const std::size_t k = 6;
+  Problem p = make_problem(4321, k, nv, m);
+  const std::size_t n = p.lap.dim();
+  std::fill(p.rhs[2].begin(), p.rhs[2].end(), 0.0);
+  linalg::SddPreconditioner precond;
+  precond.build(p.lap, kind);
+  ASSERT_EQ(precond.effective_kind(), kind);
+  linalg::SolveOptions opts;
+  opts.tolerance = 1e-10;
+  opts.max_iters = 400;
+
+  par::ThreadPool::configure(1);
+  par::Tracker::instance().set_enabled(false);
+  std::vector<Vec> seeds(k, Vec(n, 0.0));
+  for (const std::size_t j : {0u, 4u}) {
+    core::SolverContext ctx;
+    seeds[j] = linalg::solve_sdd(ctx, p.lap, p.rhs[j], precond, {.tolerance = 1e-3}).x;
+  }
+  seeds[2].assign(n, 0.5);
+  seeds[3].assign(n, 1e6);
+
+  for (const bool seeded : {true, false}) {
+    SCOPED_TRACE(seeded ? "mixed block" : "unseeded block");
+    if (!seeded) seeds.assign(k, Vec(n, 0.0));
+    par::ThreadPool::configure(1);
+    par::Tracker::instance().set_enabled(false);
+    std::vector<linalg::SolveResult> singles;
+    std::uint64_t hits = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      core::SolverContext ctx;
+      singles.push_back(linalg::solve_sdd(ctx, p.lap, p.rhs[j], precond, opts, &seeds[j]));
+      const std::uint64_t want = seeded && (j == 0 || j == 4) ? 1 : 0;
+      EXPECT_EQ(ctx.accel().warm_start_hits, want) << "column " << j;
+      hits += ctx.accel().warm_start_hits;
+    }
+
+    par::ThreadPool::configure(mode == Mode::kWallPool ? 4 : 1);
+    par::Tracker::instance().set_enabled(mode == Mode::kInstrumented);
+    Vec bb(n * k), bx(n * k);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < k; ++j) {
+        bb[i * k + j] = p.rhs[j][i];
+        bx[i * k + j] = seeds[j][i];
+      }
+    }
+    core::SolverContext ctx_block;
+    const auto info = linalg::solve_sdd_block(ctx_block, p.lap, bb, bx, k, precond, opts);
+    EXPECT_EQ(ctx_block.accel().warm_start_hits, hits);
+    EXPECT_EQ(ctx_block.accel().multi_rhs_solves, 1u);
+    const auto column = [&](const Vec& x, std::size_t stride, std::size_t j,
+                            const linalg::SolveInfo& in) {
+      linalg::SolveResult col;
+      col.x.resize(n);
+      for (std::size_t i = 0; i < n; ++i) col.x[i] = x[i * stride + j];
+      col.relative_residual = in.relative_residual;
+      col.iterations = in.iterations;
+      col.converged = in.converged;
+      col.status = in.status;
+      return col;
+    };
+    for (std::size_t j = 0; j < k; ++j) {
+      expect_bit_identical(singles[j], column(bx, k, j, info[j]), j);
+      core::SolverContext ctx;
+      expect_bit_identical(singles[j],
+                           linalg::solve_sdd(ctx, p.lap, p.rhs[j], precond, opts, &seeds[j]), j);
+      // The runtime-k instance at k = 1 is the same solve, and not multi-RHS.
+      Vec x1 = seeds[j];
+      const auto one = linalg::solve_sdd_block(ctx, p.lap, p.rhs[j], x1, 1, precond, opts);
+      expect_bit_identical(singles[j], column(x1, 1, 0, one[0]), j);
+      EXPECT_EQ(ctx.accel().multi_rhs_solves, 0u);
+    }
+  }
+}
+
+TEST_F(AccelTest, BlockWarmStartRuleMatchesSingleSolves) {
+  for (const Mode mode : {Mode::kWallSerial, Mode::kWallPool, Mode::kInstrumented}) {
+    for (const auto kind : {linalg::PrecondKind::kJacobi, linalg::PrecondKind::kIncompleteCholesky}) {
+      for (const auto& [n, m] : {std::pair<graph::Vertex, std::int64_t>{48, 320}, {2000, 13000}}) {
+        SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode) << " kind "
+                                        << static_cast<int>(kind) << " n " << n);
+        run_warm_start_rule(n, m, kind, mode);
+      }
+    }
+  }
 }
 
 TEST_F(AccelTest, PreconditionerCacheTracksWeightDrift) {

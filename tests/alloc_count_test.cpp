@@ -1,7 +1,7 @@
 // Asserts the CG inner loop of linalg::solve_sdd is allocation-free: the
-// solver allocates its state (x, r, z, p, the M·p scratch, dinv) once before
-// iterating, and the fused kernels (cg_step_residual, precond_refresh, axpby,
-// apply_into) write into those buffers without touching the heap.
+// solver sizes its state (x, the r, z, p and M·p blocks, dinv) once before
+// iterating, and the kernels (the SpMV, the column kernels and the
+// preconditioner apply) write into those buffers without touching the heap.
 //
 // Strategy: replace the global allocator with a counting one, run the solver
 // with tolerance = 0 (never converges) at two different iteration caps, and

@@ -3,8 +3,9 @@
 //    across aligned, unaligned, and remainder lengths, with masked column
 //    kernels preserving inactive columns exactly;
 //  - every batched column kernel computes on each active column what its
-//    single-column twin computes on that column alone (the rule that keeps
-//    column j of solve_sdd_multi equal to a lone solve_sdd);
+//    contiguous kernel computes on that column alone (the rule that keeps
+//    column j of a k-column CG block equal to its k = 1 solve, which runs
+//    the contiguous kernels);
 //  - solver outputs (single- and multi-RHS, both preconditioner kinds) are
 //    invariant under the SIMD dispatch;
 //  - every hot kernel charges exactly the PRAM cost of the primitive
@@ -359,11 +360,12 @@ Vec column(const Vec& block, std::size_t k, std::size_t j) {
 }
 
 TEST_F(KernelSimdTest, ColumnKernelsMatchSingleColumnTwins) {
-  // The column-twin rule that keeps column j of solve_sdd_multi equal to a
-  // lone solve_sdd: on every active column, each batched kernel computes bit
-  // for bit what its single-column kernel computes on that column alone
-  // (rr and rz included), and it leaves inactive columns' bits unchanged.
-  // Checked through the dispatch and with the scalar kernels forced.
+  // The rule that keeps column j of a k-column CG block equal to its k = 1
+  // solve, whose column dispatchers run the contiguous kernels: on every
+  // active column, each batched kernel computes bit for bit what the
+  // contiguous kernel computes on that column alone (rr and rz included),
+  // and it leaves inactive columns' bits unchanged. Checked through the
+  // dispatch and with the scalar kernels forced.
   namespace simd = linalg::simd;
   par::Rng rng(13);
   const graph::Digraph g = graph::random_flow_network(40, 260, 30, 30, rng);
@@ -583,16 +585,13 @@ TEST_F(KernelChargeTest, VectorKernelsChargeTheirPrimitiveSequences) {
   ASSERT_EQ(charged([] { seq_reduce(1000); }), "work=1000 depth=20");
   for (const std::size_t n : kChargeSizes) {
     SCOPED_TRACE(n);
-    Vec a(n, 0.5), b(n, 0.25), c(n, 1.0);
-    const Vec d(n, 2.0);
+    const Vec a(n, 0.5), b(n, 0.25);
     EXPECT_EQ(charged([&] { (void)linalg::dot(a, b); }), charged([&] { seq_reduce(n); }));
-    EXPECT_EQ(charged([&] { linalg::axpby(a, 1.0, b, 0.5); }), charged([&] { seq_pass(n); }));
-    EXPECT_EQ(charged([&] { (void)linalg::cg_step_residual(a, b, c, d, 0.1); }), charged([&] {
+    EXPECT_EQ(charged([&] { (void)linalg::dot_strided(a, b, 1, 0, n); }),
+              charged([&] { seq_reduce(n); }));
+    // The CG step's x, r update and r.r (sdd_solver.cpp).
+    EXPECT_EQ(charged([&] { linalg::charge_passes(n, 2, 1); }), charged([&] {
                 seq_pass(n);
-                seq_pass(n);
-                seq_reduce(n);
-              }));
-    EXPECT_EQ(charged([&] { (void)linalg::precond_refresh(d, a, c); }), charged([&] {
                 seq_pass(n);
                 seq_reduce(n);
               }));
@@ -656,9 +655,6 @@ TEST_F(KernelChargeTest, PreconditionerAppliesChargeEachColumn) {
         }
         seq_reduce(n);
       };
-      const Vec r(n, 1.0);
-      Vec z(n, 0.0);
-      EXPECT_EQ(charged([&] { (void)p.apply(r, z); }), charged(one_column));
       for (const std::size_t k : {1u, 3u, 4u}) {
         SCOPED_TRACE(k);
         std::vector<unsigned char> active(k);
@@ -672,6 +668,72 @@ TEST_F(KernelChargeTest, PreconditionerAppliesChargeEachColumn) {
         EXPECT_EQ(charged([&] { p.apply_cols(rb, zb, k, active.data(), fwd, rz.data()); }),
                   charged([&] {
                     for (std::size_t c = 0; c < live; ++c) one_column();
+                  }));
+      }
+    }
+  }
+}
+
+TEST_F(KernelChargeTest, SingleSolveChargesTheCgRule) {
+  // One iteration of a k = 1 solve (max_iters = 1), written out as the
+  // primitives the CG loop charges a column (sdd_solver.cpp): ||b||; the
+  // start, r = b unseeded or the seed's SpMV, r = b - Mx and ||r|| seeded,
+  // plus a pass when the seed is rejected; the preconditioner apply and
+  // p = z; one iteration; the unconverged epilogue's ||r||. Tolerance 0
+  // keeps the solve unconverged: sdd_mixed is a forest, so its IC(0) factor
+  // is exact and one step already reaches rounding noise.
+  for (const std::size_t n : {128u, 129u, 1000u}) {
+    SCOPED_TRACE(n);
+    const linalg::Csr m = sdd_mixed(n);
+    par::Rng rng(n);
+    Vec b(n);
+    for (auto& v : b) v = rng.next_double() - 0.5;
+    // 1e-3·b keeps its residual below ||b|| (M = I + L(G), 1e-3·λmax < 2);
+    // the all-1e6 seed's residual is ~1e6·√n, so it is rejected.
+    const Vec kept = linalg::scale(b, 1e-3);
+    const Vec rejected(n, 1e6);
+    for (const auto kind : {linalg::PrecondKind::kJacobi, linalg::PrecondKind::kIncompleteCholesky}) {
+      SCOPED_TRACE(static_cast<int>(kind));
+      linalg::SddPreconditioner p;
+      p.build(m, kind);
+      ASSERT_EQ(p.effective_kind(), kind);
+      const auto apply = [&] {
+        const unsigned char on = 1;
+        Vec r(n, 1.0), z(n), fwd(n);
+        double rz = 0.0;
+        p.apply_cols(r, z, 1, &on, fwd, &rz);
+      };
+      for (const Vec* seed : {static_cast<const Vec*>(nullptr), &kept, &rejected}) {
+        SCOPED_TRACE(seed == nullptr ? "unseeded" : seed == &kept ? "kept" : "rejected");
+        core::SolverContext ctx;
+        {
+          const core::ContextScope scope(ctx);
+          const linalg::SolveResult res =
+              linalg::solve_sdd(ctx, m, b, p, {.tolerance = 0.0, .max_iters = 1}, seed);
+          ASSERT_EQ(res.iterations, 1);
+          ASSERT_FALSE(res.converged);
+        }
+        EXPECT_EQ(ctx.accel().warm_start_hits, seed == &kept ? 1u : 0u);
+        EXPECT_EQ(par::to_string(ctx.tracker().snapshot()), charged([&] {
+                    seq_reduce(n);
+                    if (seed == nullptr) {
+                      seq_pass(n);
+                    } else {
+                      seq_spmv(m, 1);
+                      seq_pass(n);
+                      seq_reduce(n);
+                      if (seed == &rejected) seq_pass(n);
+                    }
+                    apply();
+                    seq_pass(n);
+                    seq_spmv(m, 1);
+                    seq_reduce(n);
+                    seq_pass(n);
+                    seq_pass(n);
+                    seq_reduce(n);
+                    apply();
+                    seq_pass(n);
+                    seq_reduce(n);
                   }));
       }
     }
