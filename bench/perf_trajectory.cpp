@@ -563,9 +563,10 @@ Workload make_certify_overhead(bool tiny) {
 Workload make_incremental_resolve(bool tiny) {
   // The cross-solve instance cache (DESIGN.md §15) doing its headline job:
   // after one priming solve, every round perturbs ~1% of the arc costs by ±1
-  // and re-solves warm through Engine::resolve — AccelCache adoption,
-  // drift-gated preconditioner reuse, and a central-path restart at the mu
-  // where the previous solve stopped. Each round also solves the identical post-delta instance cold on a
+  // and re-solves warm through Engine::resolve, which restarts the central
+  // path from the retained point at the mu where the previous solve stopped
+  // (the solver state, preconditioners included, is built afresh per solve).
+  // Each round also solves the identical post-delta instance cold on a
   // separate engine; the report's extras carry the measured cold/warm wall
   // times, the warm speedup (acceptance gate: >= 3x at full scale, >= 1x in
   // the CI tiny smoke), and the engine's cache hit rate. Costs must agree

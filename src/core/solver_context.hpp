@@ -19,7 +19,6 @@
 // and benches; library code must not call them.
 
 #include <cstdint>
-#include <utility>
 
 #include "core/deadline.hpp"
 #include "core/exec_bindings.hpp"
@@ -99,7 +98,8 @@ class SolverContext {
   /// iterates, CG block scratch) lives here so core carries no linalg
   /// dependency; the first caller's factory wins and the destructor it
   /// supplied runs when the context dies. Contexts are single-solve, so no
-  /// synchronization is needed.
+  /// synchronization is needed, and nothing in the slot outlives its
+  /// context.
   [[nodiscard]] void* ensure_scratch(void* (*make)(), void (*destroy)(void*)) {
     if (scratch_ == nullptr) {
       scratch_ = make();
@@ -111,42 +111,13 @@ class SolverContext {
   /// Drop the per-solve scratch (acceleration cache, warm starts, CG block
   /// buffers). The public mcf entry points call this at solve start so a
   /// reused context — including one whose previous solve was canceled
-  /// mid-flight — behaves bit-identically to a fresh context. A scratch
-  /// installed via adopt_scratch survives exactly one reset (the entry-point
-  /// one), which is how cross-solve caches ride into a solve.
+  /// mid-flight — behaves bit-identically to a fresh context.
   void reset_scratch() {
-    if (scratch_preserved_once_) {
-      scratch_preserved_once_ = false;
-      return;
-    }
     if (scratch_ != nullptr) {
       scratch_destroy_(scratch_);
       scratch_ = nullptr;
       scratch_destroy_ = nullptr;
     }
-  }
-
-  /// Install an externally-owned scratch object (cross-solve acceleration
-  /// cache) ahead of a solve. Ownership transfers to the context; the object
-  /// is exempt from the *next* reset_scratch() (the mcf entry point's), so it
-  /// is the cache ensure_scratch hands to the solver layers. Pair with
-  /// release_scratch() after the solve to take it back.
-  void adopt_scratch(void* p, void (*destroy)(void*)) {
-    reset_scratch();
-    if (scratch_ != nullptr) scratch_destroy_(scratch_);  // a preserved leftover
-    scratch_ = p;
-    scratch_destroy_ = destroy;
-    scratch_preserved_once_ = true;
-  }
-
-  /// Detach the scratch without destroying it (ownership returns to the
-  /// caller, together with its deleter). {nullptr, nullptr} when none is set.
-  [[nodiscard]] std::pair<void*, void (*)(void*)> release_scratch() {
-    const std::pair<void*, void (*)(void*)> out{scratch_, scratch_destroy_};
-    scratch_ = nullptr;
-    scratch_destroy_ = nullptr;
-    scratch_preserved_once_ = false;
-    return out;
   }
 
   /// The solve's master randomness stream.
@@ -183,7 +154,6 @@ class SolverContext {
   AccelTelemetry accel_;
   void* scratch_ = nullptr;
   void (*scratch_destroy_)(void*) = nullptr;
-  bool scratch_preserved_once_ = false;  ///< adopted scratch survives one reset
 };
 
 /// Installs `ctx` as the calling thread's current context for the scope

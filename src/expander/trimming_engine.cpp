@@ -14,6 +14,9 @@ namespace {
 using graph::EdgeId;
 using graph::UndirectedGraph;
 using graph::Vertex;
+
+/// Total sink budget per vertex across batches, as a fraction of its degree.
+constexpr double kSinkBudgetFraction = 0.75;
 }  // namespace
 
 TrimmingEngine::TrimmingEngine(UndirectedGraph g, EngineOptions opts)
@@ -22,11 +25,8 @@ TrimmingEngine::TrimmingEngine(UndirectedGraph g, EngineOptions opts)
   const std::size_t slots = g_.edge_slots();
   cap_unit_ = static_cast<std::int64_t>(std::ceil(2.0 / opts_.phi));
   const std::uint64_t lg = std::max<std::uint64_t>(par::ceil_log2(n), 1);
-  height_ = opts_.height > 0
-                ? opts_.height
-                : static_cast<std::int32_t>(std::ceil(opts_.height_multiplier *
-                                                      static_cast<double>(lg) / opts_.phi));
-  max_outer_ = opts_.max_outer > 0 ? opts_.max_outer : static_cast<std::int32_t>(2 * lg + 4);
+  height_ = static_cast<std::int32_t>(std::ceil(2.0 * static_cast<double>(lg) / opts_.phi));
+  max_outer_ = static_cast<std::int32_t>(2 * lg + 4);
 
   in_a_.assign(n, 1);
   flow_.assign(slots, 0);
@@ -58,7 +58,7 @@ std::vector<Vertex> TrimmingEngine::delete_batch(const std::vector<EdgeId>& batc
   if (batches_ == 1) {
     for (std::size_t v = 0; v < sink_budget_.size(); ++v)
       sink_budget_[v] = static_cast<std::int64_t>(
-          std::floor(opts_.sink_budget_fraction * static_cast<double>(deg0_[v])));
+          std::floor(kSinkBudgetFraction * static_cast<double>(deg0_[v])));
     par::charge(sink_budget_.size(), 1);
   }
 
@@ -133,7 +133,6 @@ void TrimmingEngine::run_outer_loop(std::vector<Vertex>* newly_removed,
     p.source.assign(n, 0);
     p.sink.assign(n, 0);
     p.height = height_;
-    p.rounds = opts_.unit_flow_rounds;
     std::int64_t new_source_total = 0;
     for (std::size_t v = 0; v < n; ++v) {
       if (!in_a_[v]) continue;

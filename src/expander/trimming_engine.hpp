@@ -28,14 +28,13 @@
 
 namespace pmcf::expander {
 
+/// The engine's fixed shape, with lg = max(⌈log2 n⌉, 1): unit-flow height
+/// ⌈2·lg/φ⌉, at most 2·lg + 4 outer trimming iterations per batch, sink
+/// budgets of 0.75·deg across batches, and ParallelUnitFlow's default round
+/// count.
 struct EngineOptions {
   double phi = 0.1;
-  std::int32_t height = 0;          ///< 0 => ceil(height_multiplier*log2(n)/phi)
-  double height_multiplier = 2.0;
-  std::int32_t max_outer = 0;       ///< outer trimming iterations per batch
-  double sink_budget_fraction = 0.75;  ///< total sink budget / deg across batches
-  std::int32_t batch_limit = 8;     ///< batches before guarantees decay
-  std::int32_t unit_flow_rounds = 0;
+  std::int32_t batch_limit = 8;  ///< batches before guarantees decay
 };
 
 class TrimmingEngine {

@@ -69,18 +69,6 @@ Vec& AccelCache::warm_start(AccelSite site, std::size_t slot, std::size_t n) {
   return v;
 }
 
-void AccelCache::bind_instance(std::uint64_t fingerprint) {
-  if (instance_key_ == fingerprint) return;
-  // A never-bound cache (key 0) was populated by exactly one solve; claiming
-  // it for that solve's instance keeps the iterates it just produced. Only a
-  // genuine re-keying (instance A's cache offered for instance B) flushes.
-  const bool claim = instance_key_ == 0;
-  instance_key_ = fingerprint;
-  if (claim) return;
-  for (auto& slots : warm_)
-    for (Vec& v : slots) std::fill(v.begin(), v.end(), 0.0);
-}
-
 namespace {
 void destroy_accel_cache(void* p) { delete static_cast<AccelCache*>(p); }
 }  // namespace
@@ -88,23 +76,6 @@ void destroy_accel_cache(void* p) { delete static_cast<AccelCache*>(p); }
 AccelCache& accel_cache(core::SolverContext& ctx) {
   return *static_cast<AccelCache*>(
       ctx.ensure_scratch([]() -> void* { return new AccelCache(); }, &destroy_accel_cache));
-}
-
-void adopt_accel_cache(core::SolverContext& ctx, std::unique_ptr<AccelCache> cache) {
-  if (cache == nullptr) return;
-  ctx.adopt_scratch(cache.release(), &destroy_accel_cache);
-}
-
-std::unique_ptr<AccelCache> release_accel_cache(core::SolverContext& ctx) {
-  auto [p, destroy] = ctx.release_scratch();
-  // The scratch slot only ever holds an AccelCache (this TU owns both the
-  // factory and the deleter); a mismatched deleter would mean someone else
-  // claimed the slot, in which case destroying through it is the safe move.
-  if (p != nullptr && destroy != &destroy_accel_cache) {
-    destroy(p);
-    return nullptr;
-  }
-  return std::unique_ptr<AccelCache>(static_cast<AccelCache*>(p));
 }
 
 }  // namespace pmcf::linalg

@@ -14,12 +14,13 @@
 // Exactly one cache hangs off each core::SolverContext (created on first
 // use through the context's type-erased scratch slot, destroyed with it).
 // Contexts are per-solve, so Engine::solve_batch's concurrent solves never
-// share preconditioners or warm iterates and stay bit-exact; all telemetry
-// goes to ctx.accel() where TelemetryScope picks it up per solve.
+// share preconditioners or warm iterates and stay bit-exact, and no cache
+// survives into another solve: an Engine::resolve restarts from the retained
+// central-path point alone (DESIGN.md §15) and builds its own cache. All
+// telemetry goes to ctx.accel() where TelemetryScope picks it up per solve.
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/solver_context.hpp"
@@ -60,22 +61,8 @@ class AccelCache {
                                           const Vec& w);
 
   /// Persistent warm-start iterate for (site, slot); zeroed when (re)sized.
-  /// Callers pass it as x0 and write the converged iterate back. Slots are
-  /// additionally keyed by the bound instance fingerprint (bind_instance), so
-  /// a cache carried across solves can never serve another instance's stale
-  /// iterate as a warm start.
+  /// Callers pass it as x0 and write the converged iterate back.
   Vec& warm_start(AccelSite site, std::size_t slot, std::size_t n);
-
-  /// Key the cache to an instance fingerprint (Engine's cross-solve store).
-  /// A key change clears every warm-start slot — the preconditioner and
-  /// Laplacian-pattern slots guard themselves by shape + drift and need no
-  /// flush, but warm iterates are only meaningful against the same RHS
-  /// lineage. Exception: a never-bound cache (key 0) is *claimed* by its
-  /// first binding without a flush — its iterates came from the one solve
-  /// that populated it, which is the instance being bound. Per-solve caches
-  /// never call this (key stays 0).
-  void bind_instance(std::uint64_t fingerprint);
-  [[nodiscard]] std::uint64_t instance_key() const { return instance_key_; }
 
   /// CG working set, owned here so repeated solve_sdd / solve_sdd_block
   /// calls on one context never touch the heap (alloc_count_test).
@@ -107,18 +94,10 @@ class AccelCache {
   std::array<PrecondSlot, kNumAccelSites> precond_;
   std::array<std::vector<Vec>, kNumAccelSites> warm_;
   SolverScratch scratch_;
-  std::uint64_t instance_key_ = 0;
 };
 
 /// The context's acceleration cache, created on first use. Each context owns
 /// exactly one, so nothing here is ever shared between concurrent solves.
 AccelCache& accel_cache(core::SolverContext& ctx);
-
-/// Cross-solve adoption (DESIGN.md §15): install an engine-retained cache as
-/// the context's scratch ahead of a solve (it survives the entry point's
-/// reset_scratch exactly once), and take it back afterwards. release returns
-/// nullptr when the solve never touched the cache slot.
-void adopt_accel_cache(core::SolverContext& ctx, std::unique_ptr<AccelCache> cache);
-[[nodiscard]] std::unique_ptr<AccelCache> release_accel_cache(core::SolverContext& ctx);
 
 }  // namespace pmcf::linalg

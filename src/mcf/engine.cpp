@@ -6,7 +6,6 @@
 #include <numeric>
 #include <utility>
 
-#include "linalg/accel_cache.hpp"
 #include "mcf/certify.hpp"
 #include "parallel/scheduler.hpp"
 
@@ -57,14 +56,6 @@ constexpr std::chrono::milliseconds kQueuePollTick{2};
 /// Salt of the chaos injector's stream: past the batch-index, solve() and
 /// resolve() context salts, so it never shares a stream with a solve.
 constexpr std::uint64_t kChaosSalt = 1ULL << 34;
-
-/// The fingerprint a retained AccelCache is keyed by: handle + structure +
-/// structural epoch. Value-only deltas keep the key (warm CG iterates stay
-/// live across perturbations); any structural change moves it.
-std::uint64_t accel_cache_key(InstanceHandle h, std::uint64_t structure_hash,
-                              std::uint64_t epoch) {
-  return mix_seed(h ^ structure_hash, epoch);
-}
 
 /// Re-run the exact __int128 certificate for a record's cached optimum.
 mcf::CertifyReport recertify(const InstanceRecord& rec, const mcf::MinCostFlowResult& r) {
@@ -367,8 +358,7 @@ MetricsSnapshot Engine::metrics_snapshot() const {
 EngineSolveResult Engine::solve_with_salt(const Instance& inst, const mcf::SolveOptions& opts,
                                           std::uint64_t salt, const core::Deadline& deadline,
                                           const core::CancelToken* caller_token,
-                                          const core::CancelToken* engine_token,
-                                          const WarmPlumbing* warm) const {
+                                          const core::CancelToken* engine_token) const {
   core::ContextOptions copts;
   copts.seed = mix_seed(config_.seed, salt);
   copts.instrument = config_.instrument;
@@ -379,38 +369,13 @@ EngineSolveResult Engine::solve_with_salt(const Instance& inst, const mcf::Solve
   if (caller_token != nullptr) ctx.lifecycle().bind_token(caller_token);
   if (engine_token != nullptr) ctx.lifecycle().bind_token(engine_token);
 
-  // Cross-solve acceleration state (resolve path): the retained cache rides
-  // into this context's scratch slot ahead of the solve and is harvested
-  // back after, keyed to the instance so stale warm iterates can never leak
-  // across instances.
-  if (warm != nullptr && warm->accel_slot != nullptr && *warm->accel_slot != nullptr) {
-    (*warm->accel_slot)->bind_instance(warm->cache_key);
-    linalg::adopt_accel_cache(ctx, std::move(*warm->accel_slot));
-  }
-
-  // The warm-start plumbing rides on a copy of the options, taken only when
-  // there is something to plumb.
-  const mcf::SolveOptions* eff = &opts;
-  mcf::SolveOptions patched;
-  if (warm != nullptr && (warm->hint != nullptr || warm->capture != nullptr)) {
-    patched = opts;
-    patched.warm = warm->hint;
-    patched.warm_out = warm->capture;
-    eff = &patched;
-  }
-
   EngineSolveResult out;
   if (inst.kind == Instance::Kind::kMaxFlow) {
-    out.result = mcf::min_cost_max_flow(ctx, *inst.graph, inst.source, inst.sink, *eff);
+    out.result = mcf::min_cost_max_flow(ctx, *inst.graph, inst.source, inst.sink, opts);
   } else {
-    out.result = mcf::min_cost_b_flow(ctx, *inst.graph, inst.demands, *eff);
+    out.result = mcf::min_cost_b_flow(ctx, *inst.graph, inst.demands, opts);
   }
   out.pram = ctx.tracker().snapshot();
-
-  if (warm != nullptr && warm->accel_slot != nullptr) {
-    *warm->accel_slot = linalg::release_accel_cache(ctx);
-    if (*warm->accel_slot != nullptr) (*warm->accel_slot)->bind_instance(warm->cache_key);
-  }
   return out;
 }
 
@@ -452,13 +417,13 @@ bool Engine::cancel(SolveHandle handle) const {
 EngineSolveResult Engine::admit_and_solve(const Instance& inst, const mcf::SolveOptions& opts,
                                           const SolveControl& control, std::uint64_t salt,
                                           const core::CancelToken* engine_token,
-                                          AdmitMode mode, const WarmPlumbing* warm) const {
+                                          AdmitMode mode) const {
   const auto arrival = Clock::now();
   const std::size_t priority = clamp_priority(control.priority);
-  // A resolve arriving with a central-path restart is priced on the warm
-  // service-time track; everything else (solve(), cold resolves, the
-  // warm-failure cold retry) on the cold track.
-  const bool warm_request = warm != nullptr && warm->hint != nullptr;
+  // A request arriving with a central-path restart (a warm resolve) is
+  // priced on the warm service-time track; everything else (solve(), cold
+  // resolves, the warm-failure cold retry) on the cold track.
+  const bool warm_request = opts.warm != nullptr;
 
   if (admission_ != nullptr && mode != AdmitMode::kPreAcquired) {
     const core::Deadline merged = merge_deadlines(control.deadline, inst.deadline);
@@ -498,7 +463,7 @@ EngineSolveResult Engine::admit_and_solve(const Instance& inst, const mcf::Solve
   const auto acquired_at = Clock::now();
   metrics_.queue_wait.record(acquired_at - arrival);
   EngineSolveResult out =
-      solve_with_salt(inst, opts, salt, control.deadline, control.cancel, engine_token, warm);
+      solve_with_salt(inst, opts, salt, control.deadline, control.cancel, engine_token);
   const auto done = Clock::now();
   metrics_.solve_time.record(done - acquired_at);
   metrics_.latency.record(done - arrival);
@@ -660,8 +625,7 @@ EngineSolveResult Engine::resolve(InstanceHandle handle, const InstanceDelta& de
   std::unique_ptr<InstanceRecord::Artifacts> arts = store_->take_artifacts(*rec);
   if (arts != nullptr && arts->epoch != rec->epoch) {
     // Structural epoch moved since the artifacts were solved: everything in
-    // the slot (flow, central-path point, cache pattern) is for a dead
-    // structure.
+    // the slot (flow, central-path point) is for a dead structure.
     metrics_.count(EngineCounter::kInstanceCacheInvalidations);
     arts.reset();
   }
@@ -697,7 +661,13 @@ EngineSolveResult Engine::resolve(InstanceHandle handle, const InstanceDelta& de
     arts.reset();
   }
 
-  const bool warm_hit = arts != nullptr;
+  // Warm re-solve: the retained central-path point is the only state that
+  // crosses solves. Artifacts without one (an optimum the combinatorial tier
+  // answered) leave nothing to restart from, so the resolve runs cold.
+  mcf::WarmStart hint;
+  if (arts != nullptr) hint = std::move(arts->warm);
+  arts.reset();
+  const bool warm_hit = !hint.empty();
   metrics_.count(warm_hit ? EngineCounter::kInstanceCacheHits
                           : EngineCounter::kInstanceCacheMisses);
   metrics_.count(warm_hit ? EngineCounter::kResolveWarm : EngineCounter::kResolveCold);
@@ -714,57 +684,38 @@ EngineSolveResult Engine::resolve(InstanceHandle handle, const InstanceDelta& de
   // The whole cache rests on served results being independently verified:
   // a resolve never runs uncertified, whatever the caller passed.
   eff.certify = true;
-
-  // Next solve's artifact slot: the retained AccelCache rides along (and is
-  // harvested back into it), the warm hint is consumed from the old slot.
-  auto fresh = std::make_unique<InstanceRecord::Artifacts>();
-  mcf::WarmStart hint;
-  if (warm_hit) {
-    fresh->accel = std::move(arts->accel);
-    hint = std::move(arts->warm);
-    arts.reset();
-  }
   mcf::WarmStart captured;
-  WarmPlumbing plumbing;
-  plumbing.accel_slot = &fresh->accel;
-  plumbing.cache_key = accel_cache_key(handle, rec->structure_hash, rec->epoch);
-  plumbing.hint = warm_hit && !hint.empty() ? &hint : nullptr;
-  plumbing.capture = &captured;
+  eff.warm = warm_hit ? &hint : nullptr;
+  eff.warm_out = &captured;
 
   // Salted past both the batch-index space and direct solve() calls.
   const std::uint64_t salt =
       (1ULL << 33) + solve_calls_.fetch_add(1, std::memory_order_relaxed);
   const std::shared_ptr<core::CancelToken> engine_token = issue_handle(control);
-  EngineSolveResult out = admit_and_solve(view, eff, control, salt, engine_token.get(),
-                                          AdmitMode::kAcquire, &plumbing);
+  EngineSolveResult out =
+      admit_and_solve(view, eff, control, salt, engine_token.get(), AdmitMode::kAcquire);
 
   if (out.result.status != SolveStatus::kOk && !is_instance_error(out.result.status) &&
       !is_lifecycle_error(out.result.status) && warm_hit) {
-    // The warm attempt (hint and/or adopted cache) failed for solver-side
-    // reasons the degradation cascade could not absorb. One cold retry with
-    // every piece of cross-solve state dropped — a poisoned cache must never
-    // turn a solvable instance into a failure. Counted as a warm *fallback*,
-    // not a planned cold solve, so warm failure rates stay observable.
-    fresh->accel.reset();
-    plumbing.hint = nullptr;
+    // The warm attempt failed for solver-side reasons the degradation
+    // cascade could not absorb. One cold retry without the hint — a stale
+    // central-path point must never turn a solvable instance into a failure.
+    // Counted as a warm *fallback*, not a planned cold solve, so warm failure
+    // rates stay observable.
+    eff.warm = nullptr;
     captured = mcf::WarmStart{};
     metrics_.on_submitted(priority);
     metrics_.count(EngineCounter::kResolveWarmFallback);
     const std::uint64_t cold_salt =
         (1ULL << 33) + solve_calls_.fetch_add(1, std::memory_order_relaxed);
     out = admit_and_solve(view, eff, control, cold_salt, engine_token.get(),
-                          AdmitMode::kAcquire, &plumbing);
+                          AdmitMode::kAcquire);
   }
   retire_handle(control);
 
   if (out.result.status == SolveStatus::kOk) {
-    if (warm_hit && !out.result.stats.warm_started) {
-      // The central-path hint was rejected (or absent) but the adopted
-      // acceleration cache still served this solve.
-      out.result.stats.warm_started = true;
-      out.result.stats.warm_source = "accel-cache";
-    }
     if (out.result.stats.certified && config_.instance_cache_capacity > 0) {
+      auto fresh = std::make_unique<InstanceRecord::Artifacts>();
       fresh->result = out.result;  // compact-id copy, pre-mapping
       fresh->warm = std::move(captured);
       fresh->value_hash = rec->value_hash;

@@ -110,10 +110,10 @@ struct EngineConfig {
   /// ordered by thread interleaving; 0 disables the injector entirely.
   double chaos_cancel_rate = 0.0;
   /// Cross-solve instance cache (DESIGN.md §15): how many registered
-  /// instances may retain solved artifacts (preconditioner drift state,
-  /// central-path warm start, certified optimum) at once; least-recently
-  /// resolved holders are evicted beyond this. 0 disables retention —
-  /// Engine::resolve still applies deltas but always re-solves cold.
+  /// instances may retain solved artifacts (certified optimum, central-path
+  /// warm start) at once; least-recently resolved holders are evicted
+  /// beyond this. 0 disables retention — Engine::resolve still applies
+  /// deltas but always re-solves cold.
   std::size_t instance_cache_capacity = 64;
   /// Crash-safe instance-store durability (DESIGN.md §16). When non-empty,
   /// the engine recovers the instance store from this directory at
@@ -235,23 +235,26 @@ class Engine {
   /// Registered instances currently in the store.
   [[nodiscard]] std::size_t num_instances() const;
 
-  /// Apply `delta` to the registered instance and re-solve, reusing
-  /// everything the previous solve left behind that is still valid:
+  /// Apply `delta` to the registered instance and re-solve, reusing the two
+  /// artifacts the previous solve left behind, when still valid:
   ///   - empty/no-op delta → the retained certified optimum is re-certified
   ///     (exact __int128 arithmetic, zero trust in the cache) and replayed;
-  ///   - values-only delta → warm re-solve: the retained AccelCache rides in
-  ///     (Laplacian value-refresh + drift-gated preconditioner reuse) and
-  ///     the IPM restarts from the previous central-path point at the mu
-  ///     where that solve stopped instead of the cold mu0;
+  ///   - values-only delta → warm re-solve: the IPM restarts from the
+  ///     previous central-path point at the mu where that solve stopped
+  ///     instead of the cold mu0;
   ///   - structural delta (arc add/remove) → epoch bump, artifacts
   ///     invalidated, cold re-solve.
-  /// Every result is independently certified (SolveOptions::certify is
-  /// forced on), so a stale-cache bug can never return a wrong answer
-  /// silently; a warm attempt that fails falls back to a cold solve
-  /// automatically. arc_flow in the result is indexed by *original* arc ids
-  /// (stable across removals; removed arcs report 0). Resolves on one
-  /// handle serialize; distinct handles run concurrently. Admission
-  /// control, deadlines, cancellation, and metrics behave as in solve().
+  /// Nothing else crosses solves: each resolve builds its own solver state
+  /// (Laplacian, preconditioners, CG iterates), so its result is a function
+  /// of the instance and its retained central-path point alone — the same
+  /// on a live engine as on one recovered from persist_dir. Every result is
+  /// independently certified (SolveOptions::certify is forced on), so a
+  /// stale-cache bug can never return a wrong answer silently; a warm
+  /// attempt that fails falls back to a cold solve automatically. arc_flow
+  /// in the result is indexed by *original* arc ids (stable across
+  /// removals; removed arcs report 0). Resolves on one handle serialize;
+  /// distinct handles run concurrently. Admission control, deadlines,
+  /// cancellation, and metrics behave as in solve().
   [[nodiscard]] EngineSolveResult resolve(InstanceHandle handle, const InstanceDelta& delta,
                                           const mcf::SolveOptions& opts = {},
                                           const SolveControl& control = {}) const;
@@ -285,28 +288,14 @@ class Engine {
  private:
   struct Admission;  // slot pool + one bounded FIFO per priority (engine.cpp)
 
-  /// Cross-solve plumbing a resolve threads through admit_and_solve into
-  /// solve_with_salt: the retained AccelCache to adopt/harvest, the
-  /// fingerprint it is keyed by, the warm-start hint, and the capture slot
-  /// for the new central-path point.
-  struct WarmPlumbing {
-    std::unique_ptr<linalg::AccelCache>* accel_slot = nullptr;
-    std::uint64_t cache_key = 0;
-    const mcf::WarmStart* hint = nullptr;
-    mcf::WarmStart* capture = nullptr;
-  };
-
   /// One solve under a fresh context derived from `salt`, with the resolved
   /// lifecycle configuration (deadline + up to two tokens) installed.
-  /// `warm` (resolve path only) adopts the retained AccelCache into the
-  /// context before the solve and harvests it back after.
   [[nodiscard]] EngineSolveResult solve_with_salt(const Instance& inst,
                                                   const mcf::SolveOptions& opts,
                                                   std::uint64_t salt,
                                                   const core::Deadline& deadline,
                                                   const core::CancelToken* caller_token,
-                                                  const core::CancelToken* engine_token,
-                                                  const WarmPlumbing* warm = nullptr) const;
+                                                  const core::CancelToken* engine_token) const;
 
   /// How a request reaches its admission slot: solve() and resolve()
   /// acquire (and may queue); a solve_batch item had its slot taken upfront
@@ -314,14 +303,15 @@ class Engine {
   enum class AdmitMode { kAcquire, kPreAcquired };
 
   /// Full admission + solve + release for one request (shared by solve(),
-  /// each admitted solve_batch item, and resolve()'s solving paths).
+  /// each admitted solve_batch item, and resolve()'s solving paths). A
+  /// request carrying a central-path restart (opts.warm) is priced on the
+  /// admission queue's warm service-time track.
   [[nodiscard]] EngineSolveResult admit_and_solve(const Instance& inst,
                                                   const mcf::SolveOptions& opts,
                                                   const SolveControl& control,
                                                   std::uint64_t salt,
                                                   const core::CancelToken* engine_token,
-                                                  AdmitMode mode,
-                                                  const WarmPlumbing* warm = nullptr) const;
+                                                  AdmitMode mode) const;
 
   /// Create + register a fresh registry token when the caller asked for a
   /// handle; null otherwise. retire_handle() drops the registry entry.

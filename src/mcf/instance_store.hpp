@@ -4,9 +4,12 @@
 // Engine::register_instance deep-copies an instance into an InstanceRecord
 // and hands back a stable InstanceHandle; Engine::resolve(handle, delta)
 // applies a typed InstanceDelta to the record and re-solves, reusing the
-// solved artifacts the previous solve left behind (optimal flow + duals, the
-// final central-path point, converged Lewis weights, and the retained
-// AccelCache with its preconditioner drift state). The store is the
+// solved artifacts the previous solve left behind: the certified optimum
+// (replayed when nothing changed) and the final central-path point with its
+// converged Lewis weights (the warm restart). Per-solve solver state — the
+// Laplacian pattern, preconditioners, CG iterates — never outlives its
+// solve, so a resolve is a function of the record and its artifacts alone
+// and a recovered store resolves exactly like a live one. The store is the
 // bookkeeping half: records, fingerprints, delta application, and a bounded
 // LRU over which records may retain artifacts.
 //
@@ -38,7 +41,6 @@
 
 #include "core/deadline.hpp"
 #include "graph/digraph.hpp"
-#include "linalg/accel_cache.hpp"
 #include "mcf/min_cost_flow.hpp"
 
 namespace pmcf {
@@ -114,7 +116,6 @@ struct InstanceRecord {
   struct Artifacts {
     mcf::MinCostFlowResult result;  ///< certified optimum, compact arc ids
     mcf::WarmStart warm;            ///< final central-path point (may be empty)
-    std::unique_ptr<linalg::AccelCache> accel;  ///< preconditioner + drift state
     std::uint64_t value_hash = 0;   ///< value fingerprint it was solved under
     std::uint64_t epoch = 0;        ///< structural epoch it was solved under
   };

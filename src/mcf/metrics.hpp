@@ -56,13 +56,14 @@ enum class EngineCounter : std::uint8_t {
   kCertified,              ///< kOk results that passed independent certification
   kCertificationFailures,  ///< certification rejections across tier attempts
   // --- cross-solve instance cache (DESIGN.md §15) -------------------------
-  kInstanceCacheHits,           ///< resolves that found reusable artifacts
-  kInstanceCacheMisses,         ///< resolves with nothing retained to reuse
+  kInstanceCacheHits,           ///< resolves that replayed an optimum or offered
+                                ///< a retained central-path point
+  kInstanceCacheMisses,         ///< resolves with neither to reuse
   kInstanceCacheInvalidations,  ///< artifacts dropped (structural epoch bump
                                 ///< or a replay that failed re-certification)
   kInstanceCacheEvictions,      ///< artifacts displaced by the LRU capacity
-  kResolveWarm,                 ///< resolves served warm (replay or warm state)
-  kResolveCold,                 ///< resolves planned cold (epoch bump / nothing retained)
+  kResolveWarm,                 ///< resolves served warm (replay or central-path point)
+  kResolveCold,                 ///< resolves planned cold (epoch bump / no point retained)
   kResolveWarmFallback,         ///< warm attempts that failed and were retried cold —
                                 ///< warm failure rate is kResolveWarmFallback /
                                 ///< kResolveWarm, not folded into kResolveCold

@@ -33,14 +33,15 @@ enum class Method {
 /// Stable name ("ReferenceIpm", ...), for stats reporting.
 const char* to_string(Method m);
 
-/// Cross-solve central-path warm start (DESIGN.md §15). Captured over the
-/// *augmented* LP (core arcs [+ t->s circulation arc] + auxiliary arcs) at
-/// the end of a successful IPM run, and offered back to a later solve of a
-/// value-perturbed instance with the same structure. The solver validates it
-/// before use — matching sizes, strict interiority after clamping, and a
-/// tiny conservation residual — and silently falls back to the cold start
-/// otherwise, so a stale or mismatched point can degrade speed but never
-/// correctness (round_and_repair + certification close the loop regardless).
+/// Cross-solve central-path warm start (DESIGN.md §15), the only solver
+/// state that crosses solves. Captured over the *augmented* LP (core arcs
+/// [+ t->s circulation arc] + auxiliary arcs) at the end of a successful IPM
+/// run, and offered back to a later solve of a value-perturbed instance with
+/// the same structure. The solver validates it before use — matching sizes,
+/// strict interiority after clamping, and a tiny conservation residual —
+/// and silently falls back to the cold start otherwise, so a stale or
+/// mismatched point can degrade speed but never correctness
+/// (round_and_repair + certification close the loop regardless).
 struct WarmStart {
   linalg::Vec x;    ///< final fractional primal iterate (strictly interior)
   linalg::Vec y;    ///< final dual iterate
@@ -128,13 +129,13 @@ struct SolveStats {
   std::uint64_t warm_start_hits = 0;      ///< CG solves seeded from a cached iterate
   // --- cross-solve warm-start provenance (DESIGN.md §15) ------------------
   /// True when this result was produced with cross-solve warm state (an
-  /// accepted central-path restart, an adopted acceleration cache, or a
-  /// cached-result replay). Always false on a plain cold solve.
+  /// accepted central-path restart or a cached-result replay). Always false
+  /// on a plain cold solve, and on a resolve whose offered central-path
+  /// point the solver rejected.
   bool warm_started = false;
   /// Where the warm state came from: "central-path" (IPM restarted from the
-  /// previous solve's final iterate), "accel-cache" (only the retained
-  /// preconditioner/Laplacian state was reused), "cached-result" (the
-  /// engine replayed and re-certified a stored optimum), "" when cold.
+  /// previous solve's final iterate), "cached-result" (the engine replayed
+  /// and re-certified a stored optimum), "" when cold.
   std::string warm_source;
   /// The mu the IPM actually (re)started from; 0 when no IPM tier ran warm.
   double warm_mu0 = 0.0;

@@ -186,9 +186,8 @@ void serialize_record(ByteWriter& w, const InstanceRecord& rec,
   w.u64(rec.structure_hash);
   w.u64(rec.value_hash);
   w.u64(rec.epoch);
-  // Artifacts: the stored optimum + final central-path point. The AccelCache
-  // (preconditioner/Laplacian state) is process-local scratch and rebuilds
-  // on demand, so it is deliberately not persisted.
+  // Artifacts: the stored optimum + final central-path point — everything a
+  // resolve reuses, so a recovered record resolves exactly like a live one.
   w.u8(arts != nullptr ? 1 : 0);
   if (arts != nullptr) {
     w.i64(arts->result.flow_value);

@@ -344,6 +344,27 @@ TEST_F(EngineResolveTest, CacheCountersTellTheTruth) {
   EXPECT_EQ(snap.of(EngineCounter::kResolveCold), 3u);
   EXPECT_EQ(snap.of(EngineCounter::kSolvedOk), 4u);
   EXPECT_EQ(snap.of(EngineCounter::kCertified), 4u);
+
+  // A values delta on an instance the combinatorial tier answered last: its
+  // artifacts hold a certified optimum but no central-path point, so the
+  // resolve has nothing to restart from and counts as a cold miss.
+  mcf::SolveOptions comb = opts;
+  comb.method = mcf::Method::kCombinatorial;
+  ASSERT_EQ(engine.resolve(hb, {}, comb).result.status, SolveStatus::kOk);  // miss + evicts A
+  InstanceDelta d;
+  d.cost_changes = {{0, 2}};
+  const EngineSolveResult after_comb = engine.resolve(hb, d, opts);
+  ASSERT_EQ(after_comb.result.status, SolveStatus::kOk);
+  EXPECT_FALSE(after_comb.result.stats.warm_started);
+  EXPECT_EQ(after_comb.result.stats.warm_source, "");
+
+  const MetricsSnapshot snap2 = engine.metrics_snapshot();
+  EXPECT_EQ(snap2.of(EngineCounter::kInstanceCacheHits), 1u);
+  EXPECT_EQ(snap2.of(EngineCounter::kInstanceCacheMisses), 5u);
+  EXPECT_EQ(snap2.of(EngineCounter::kResolveWarm), 1u);
+  EXPECT_EQ(snap2.of(EngineCounter::kResolveCold), 5u);
+  EXPECT_EQ(snap2.of(EngineCounter::kResolveWarmFallback), 0u);
+  EXPECT_EQ(snap2.of(EngineCounter::kCertified), 6u);
 }
 
 TEST_F(EngineResolveTest, StructuralDeltaInvalidatesArtifacts) {
@@ -448,8 +469,6 @@ TEST_F(EngineResolveTest, RemovingArcAlreadyRemovedIsRejected) {
   on_removed.cost_changes = {{5, 1}};  // value change on a removed arc
   EXPECT_EQ(engine.resolve(h, on_removed, opts).result.status, SolveStatus::kInvalidInput);
 }
-
-// --- interleaving: per-instance keying of the retained acceleration state ---
 
 TEST_F(EngineResolveTest, InterleavedInstancesStayCertifiedAndIndependent) {
   const Digraph ga = make_graph(920);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -419,6 +420,24 @@ TEST_F(StorePersistTest, WarmResolveAfterRecoveryMatchesColdSolveExactly) {
   ASSERT_EQ(cold.result.status, SolveStatus::kOk);
   EXPECT_EQ(warm.result.cost, cold.result.cost);
   EXPECT_EQ(warm.result.flow_value, cold.result.flow_value);
+
+  // The same history on an engine that never restarts. A warm resolve is a
+  // function of the instance and its retained central-path point alone, so
+  // the live engine must solve it exactly as the recovered one did.
+  EngineConfig live_cfg;
+  live_cfg.use_global_pool = false;
+  const Engine live(live_cfg);
+  const InstanceHandle lh = live.register_instance(Instance::max_flow(g, 0, g.num_vertices() - 1));
+  ASSERT_EQ(live.resolve(lh, {}, opts).result.status, SolveStatus::kOk);
+  const EngineSolveResult live_warm = live.resolve(lh, d, opts);
+  ASSERT_EQ(live_warm.result.status, SolveStatus::kOk);
+  EXPECT_EQ(live_warm.result.stats.warm_source, "central-path");
+  EXPECT_EQ(live_warm.result.stats.ipm_iterations, warm.result.stats.ipm_iterations);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(live_warm.result.stats.final_mu),
+            std::bit_cast<std::uint64_t>(warm.result.stats.final_mu));
+  EXPECT_EQ(live_warm.pram.work, warm.pram.work);
+  EXPECT_EQ(live_warm.pram.depth, warm.pram.depth);
+  EXPECT_EQ(live_warm.result.arc_flow, warm.result.arc_flow);
 }
 
 TEST_F(StorePersistTest, DeregisterIsDurable) {
