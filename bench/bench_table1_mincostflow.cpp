@@ -45,6 +45,24 @@ void BM_ReferenceIpm(benchmark::State& state) {
 }
 BENCHMARK(BM_ReferenceIpm)->Arg(16)->Arg(24)->Arg(32)->Arg(48)->Unit(benchmark::kMillisecond)->Iterations(1);
 
+// The same solves at the default sketch width: up to 48 columns every τ
+// refresh is the exact leverage oracle, not the 8-row sketch above.
+void BM_ReferenceIpmDefaultWidth(benchmark::State& state) {
+  const auto n = static_cast<graph::Vertex>(state.range(0));
+  const auto g = instance(n, 8, 42);
+  std::int32_t iters = 0;
+  bench::run_instrumented(state, [&] {
+    mcf::SolveOptions opts;
+    opts.ipm.mu_end = 1e-3;
+    const auto res = mcf::min_cost_max_flow(g, 0, n - 1, opts);
+    iters = res.stats.ipm_iterations;
+    benchmark::DoNotOptimize(res.cost);
+  });
+  state.counters["ipm_iters"] = iters;
+  state.counters["m"] = static_cast<double>(g.num_arcs());
+}
+BENCHMARK(BM_ReferenceIpmDefaultWidth)->Arg(16)->Arg(24)->Unit(benchmark::kMillisecond)->Iterations(1);
+
 void BM_RobustIpm(benchmark::State& state) {
   const auto n = static_cast<graph::Vertex>(state.range(0));
   const auto g = instance(n, 8, 42);

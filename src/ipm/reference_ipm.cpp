@@ -187,8 +187,7 @@ IpmResult reference_ipm(core::SolverContext& ctx, const IpmLp& lp, Vec x0, Vec y
       par::parallel_for(0, m, [&](std::size_t i) { scaled[i] = std::pow(tau[i], expo) * v[i]; });
       Vec sigma;
       try {
-        sigma = opts.exact_leverage ? linalg::leverage_scores_exact(a, scaled)
-                                    : linalg::leverage_scores(ctx, a, scaled, rng, opts.leverage);
+        sigma = linalg::leverage_scores(ctx, a, scaled, rng, opts.leverage);
       } catch (const ComponentError& err) {
         res.status = err.status();
         res.detail = err.what();

@@ -45,8 +45,7 @@ struct IpmLp {
 struct IpmOptions {
   double mu_end = 1e-4;          ///< path floor; duality_gap < 1 may stop sooner
   std::int32_t max_iters = 20000;
-  bool exact_leverage = false;         ///< dense oracle (tiny instances only)
-  linalg::LeverageOptions leverage;    ///< JL estimator settings
+  linalg::LeverageOptions leverage;    ///< τ oracle: exact up to sketch_dim columns, else JL
   linalg::SolveOptions solve;          ///< Newton system solver
   std::uint64_t seed = 7;
   /// Cross-solve Lewis-weight slot (DESIGN.md §15): when non-null and sized

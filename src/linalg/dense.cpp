@@ -106,16 +106,4 @@ Vec Dense::solve_pinned(Vec b, double rel_pivot_tol) const {
   return x;
 }
 
-Dense Dense::inverse() const {
-  assert(r_ == c_);
-  Dense inv(r_, r_);
-  for (std::size_t j = 0; j < r_; ++j) {
-    Vec e(r_, 0.0);
-    e[j] = 1.0;
-    const Vec col = solve(std::move(e));
-    for (std::size_t i = 0; i < r_; ++i) inv.at(i, j) = col[i];
-  }
-  return inv;
-}
-
 }  // namespace pmcf::linalg

@@ -1,7 +1,7 @@
 #pragma once
 // Small dense matrix with Gaussian-elimination solve. Used as the exact
-// oracle in tests (leverage scores, Lewis weights, projections) and inside
-// the reference IPM on tiny instances. Not part of the parallel fast path.
+// oracle in tests (projections, SDD solves) and by the CG ladder's dense
+// fallback (solve_pinned). Not part of the parallel fast path.
 
 #include <cassert>
 #include <cstddef>
@@ -35,9 +35,6 @@ class Dense {
   /// effectively disconnected there, and the Newton direction on that
   /// coordinate is arbitrary — zero is the safe choice.
   [[nodiscard]] Vec solve_pinned(Vec b, double rel_pivot_tol = 1e-14) const;
-
-  /// Inverse (square, nonsingular).
-  [[nodiscard]] Dense inverse() const;
 
  private:
   std::size_t r_ = 0, c_ = 0;

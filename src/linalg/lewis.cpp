@@ -22,8 +22,7 @@ Vec lewis_weights(core::SolverContext& ctx, const IncidenceOp& a, const Vec& v, 
   for (std::int32_t round = 0; round < opts.max_rounds; ++round) {
     // scaled rows: tau^{1/2 - 1/p} .* v
     par::parallel_for(0, m, [&](std::size_t i) { scaled[i] = std::pow(tau[i], expo) * v[i]; });
-    Vec sigma = opts.exact_leverage ? leverage_scores_exact(a, scaled)
-                                    : leverage_scores(ctx, a, scaled, rng, opts.leverage);
+    Vec sigma = leverage_scores(ctx, a, scaled, rng, opts.leverage);
     double max_rel = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
       next[i] = sigma[i] + z[i];

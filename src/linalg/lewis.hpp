@@ -18,7 +18,6 @@ struct LewisOptions {
   std::int32_t max_rounds = core::default_ingredients().sketch.lewis_fixpoint_rounds;
   /// Stop when tau changes by < tol entrywise.
   double fixpoint_tol = core::default_ingredients().sketch.lewis_fixpoint_tol;
-  bool exact_leverage = false;    // dense oracle (tests) vs JL estimator
   LeverageOptions leverage;
 };
 

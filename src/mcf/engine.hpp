@@ -121,7 +121,9 @@ struct EngineConfig {
   /// re-certified in exact arithmetic) and persists register / deregister /
   /// delta events to an fsync'd append-only journal with periodic full
   /// snapshots. Empty (the default) keeps the store process-local and every
-  /// code path bit-identical to a persistence-free engine.
+  /// code path bit-identical to a persistence-free engine. The engine holds
+  /// the directory's lock for its lifetime: constructing a second engine on
+  /// it, in any process, throws PersistDirBusy.
   std::string persist_dir;
   /// Journal appends between automatic snapshots (0 = only explicit
   /// persist_snapshot() calls snapshot).

@@ -1,6 +1,7 @@
 #include "mcf/store_persist.hpp"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -459,11 +460,21 @@ StorePersister::StorePersister(PersistConfig cfg, EngineMetrics* metrics)
     : cfg_(std::move(cfg)), metrics_(metrics) {
   std::error_code ec;
   std::filesystem::create_directories(cfg_.dir, ec);
+  // A lock file we cannot open or a filesystem without flock leaves the
+  // directory unlocked; only a lock another holder has refuses it.
+  lock_fd_ = ::open((cfg_.dir + "/LOCK").c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (lock_fd_ >= 0 && ::flock(lock_fd_, LOCK_EX | LOCK_NB) != 0) {
+    const bool busy = errno == EWOULDBLOCK;
+    ::close(lock_fd_);
+    lock_fd_ = -1;
+    if (busy) throw PersistDirBusy(cfg_.dir);
+  }
 }
 
 StorePersister::~StorePersister() {
   const std::lock_guard<std::mutex> lock(io_mu_);
   if (journal_fd_ >= 0) ::close(journal_fd_);
+  if (lock_fd_ >= 0) ::close(lock_fd_);  // releases the flock
 }
 
 bool StorePersister::barrier(int fd) {

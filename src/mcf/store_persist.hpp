@@ -40,6 +40,13 @@
 //     before they may be replayed; a miscertified optimum is dropped
 //     (the instance survives and solves cold).
 //
+// Ownership: the persister holds an exclusive flock(2) on <dir>/LOCK from
+// construction to destruction (the kernel drops it when the process dies,
+// so a killed engine never strands its directory). A second persister on
+// the same directory, in this process or another, throws PersistDirBusy
+// before it reads or writes anything there: two engines on one directory
+// would recover each other's journals.
+//
 // Fault injection: the persister owns a private par::FaultInjector wired at
 // the write/recover seams — FaultKind::kPersistTornWrite stops a journal
 // append mid-frame (and poisons the journal until rotation, modeling an
@@ -52,6 +59,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -91,10 +99,20 @@ struct RecoveryReport {
 [[nodiscard]] std::string snapshot_path(const std::string& dir, std::uint64_t gen);
 [[nodiscard]] std::string journal_path(const std::string& dir, std::uint64_t gen);
 
+/// Thrown when another persister (another Engine, maybe in another process)
+/// holds the directory's lock.
+class PersistDirBusy : public std::runtime_error {
+ public:
+  explicit PersistDirBusy(const std::string& dir)
+      : std::runtime_error("persist_dir " + dir + " is locked by another engine") {}
+};
+
 class StorePersister {
  public:
-  /// Opens nothing yet; recover() (or the first snapshot()) brings the
-  /// journal up. `metrics` may be null (counters are then dropped).
+  /// Creates the directory if needed and takes its lock (PersistDirBusy when
+  /// another persister holds it); opens no journal yet: recover() (or the
+  /// first snapshot()) brings it up. `metrics` may be null (counters are
+  /// then dropped).
   StorePersister(PersistConfig cfg, EngineMetrics* metrics);
   ~StorePersister();
 
@@ -160,6 +178,7 @@ class StorePersister {
 
   const PersistConfig cfg_;
   EngineMetrics* const metrics_;
+  int lock_fd_ = -1;              ///< <dir>/LOCK, flock'd for our lifetime
   mutable par::FaultInjector faults_;
 
   std::mutex io_mu_;              ///< journal fd, generation, append budget

@@ -17,6 +17,7 @@
 #include "ipm/rounding.hpp"
 #include "linalg/incidence.hpp"
 #include "mcf/min_cost_flow.hpp"
+#include "parallel/fault_injection.hpp"
 #include "parallel/rng.hpp"
 
 namespace pmcf {
@@ -107,6 +108,60 @@ TEST(ReferenceIpmTest, StaysFeasibleAndCentered) {
   const auto res = mcf::min_cost_max_flow(g, 0, 15, opts);
   EXPECT_LT(res.stats.final_centrality, 1.0);
   EXPECT_GT(res.stats.ipm_iterations, 10);
+}
+
+/// The late-path instances the exact leverage oracle must carry to a
+/// certified optimum: random_flow_network(n, m, cap, cost) from Rng 42 and 7.
+struct OracleCase {
+  Vertex n;
+  std::int64_t m;
+  std::int64_t max_cap;
+  std::int64_t max_cost;
+};
+constexpr OracleCase kOracleCases[] = {{12, 96, 6, 6},   {16, 128, 6, 6},     {20, 160, 6, 6},
+                                       {16, 128, 100, 100}, {20, 200, 100, 100}};
+
+/// Solves every oracle case on the reference tier alone and requires a
+/// certified kOk from it; `corrupt` arms kSketchCorruption at rate 1.0 on
+/// each solve's context and returns the exact-oracle fallbacks it took.
+std::uint64_t solve_oracle_cases(const mcf::SolveOptions& opts, bool corrupt) {
+  std::uint64_t fallbacks = 0;
+  for (const OracleCase& c : kOracleCases) {
+    for (const std::uint64_t seed : {42, 7}) {
+      SCOPED_TRACE(testing::Message() << "n=" << c.n << " m=" << c.m << " cost=" << c.max_cost
+                                      << " seed=" << seed);
+      par::Rng rng(seed);
+      const Digraph g = graph::random_flow_network(c.n, c.m, c.max_cap, c.max_cost, rng);
+      core::SolverContext ctx;
+      if (corrupt) ctx.fault().arm(par::FaultKind::kSketchCorruption, 1.0, seed);
+      const auto res = mcf::min_cost_max_flow(ctx, g, 0, c.n - 1, opts);
+      const auto oracle = baselines::ssp_min_cost_max_flow(g, 0, c.n - 1);
+      EXPECT_EQ(res.status, SolveStatus::kOk) << res.failure_detail;
+      EXPECT_TRUE(res.stats.certified);
+      EXPECT_EQ(res.stats.answered_by, mcf::Method::kReferenceIpm);
+      EXPECT_EQ(res.cost, oracle.cost);
+      EXPECT_EQ(res.flow_value, oracle.flow);
+      fallbacks += ctx.recovery().of(RecoveryEvent::kExactLeverageFallback);
+    }
+  }
+  return fallbacks;
+}
+
+TEST(ReferenceIpmTest, ExactLeverageCarriesTheLatePath) {
+  // Default options: these graphs are no wider than the 48-row sketch, so
+  // every τ refresh to the end of the path runs the exact oracle.
+  mcf::SolveOptions opts;
+  opts.allow_degradation = false;
+  EXPECT_EQ(solve_oracle_cases(opts, false), 0u);
+}
+
+TEST(ReferenceIpmTest, ExactFallbackCertifiesUnderSketchCorruption) {
+  // An 8-row sketch is narrower than every graph here; corrupting every
+  // draw sends every τ refresh to the exact fallback.
+  mcf::SolveOptions opts;
+  opts.allow_degradation = false;
+  opts.ipm.leverage.sketch_dim = 8;
+  EXPECT_GT(solve_oracle_cases(opts, true), 0u);
 }
 
 /// A b-flow LP with even capacities and b = A^T (u/2), so u/2 is a feasible

@@ -143,7 +143,9 @@ TEST(SddSolverTest, ZeroRhsReturnsZero) {
   EXPECT_EQ(res.x, Vec(3, 0.0));
 }
 
-TEST(DenseTest, SolveAndInverse) {
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(DenseTest, Solve) {
   Dense m(2, 2);
   m.at(0, 0) = 4;
   m.at(0, 1) = 1;
@@ -152,12 +154,6 @@ TEST(DenseTest, SolveAndInverse) {
   const Vec x = m.solve({9.0, 7.0});
   EXPECT_NEAR(x[0], 20.0 / 11.0, 1e-12);
   EXPECT_NEAR(x[1], 19.0 / 11.0, 1e-12);
-  const Dense inv = m.inverse();
-  const Dense id = m.matmul(inv);
-  EXPECT_NEAR(id.at(0, 0), 1.0, 1e-12);
-  EXPECT_NEAR(id.at(0, 1), 0.0, 1e-12);
-  EXPECT_NEAR(id.at(1, 0), 0.0, 1e-12);
-  EXPECT_NEAR(id.at(1, 1), 1.0, 1e-12);
 }
 
 TEST(DenseTest, SingularThrows) {
@@ -187,6 +183,51 @@ TEST(LeverageTest, SumsToRankAndBounded) {
   EXPECT_NEAR(total, static_cast<double>(a.cols() - 1), 1e-6);
 }
 
+TEST(LeverageTest, ExactOracleSurvivesWeightSpread) {
+  // Two heavy triangles hung off the ground vertex 6 by light arcs:
+  // {0,1,2} with conductance h on each arc, {3,4,5} with h, 2h, h. As h
+  // grows the scores tend to effective resistances of the light network;
+  // a dense inverse of A^T V^2 A loses them at h = 1e16 and leaves [0, 1].
+  graph::Digraph g(7);
+  const graph::Vertex arcs[][2] = {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5},
+                                 {5, 3}, {2, 6}, {5, 6}, {0, 3}};
+  for (const auto& arc : arcs) g.add_arc(arc[0], arc[1], 1, 1);
+  const IncidenceOp a(g);
+  const Vec want{2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0, 0.6, 0.8, 0.6, 0.7, 0.9, 0.4};
+  for (const double h : {1e12, 1e16, 1e20}) {
+    const double c[] = {h, h, h, h, 2 * h, h, 1, 3, 0.5};
+    Vec v(9);
+    for (std::size_t e = 0; e < 9; ++e) v[e] = std::sqrt(c[e]);
+    const Vec sigma = leverage_scores_exact(a, v);
+    for (std::size_t e = 0; e < 9; ++e)
+      EXPECT_NEAR(sigma[e], want[e], 1e-9) << "h = " << h << " arc " << e;
+  }
+
+  // Scores of any weighting sum to the rank n - 1, also when the weights
+  // span 24 decades.
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    par::Rng rng(seed);
+    const graph::Digraph net = graph::random_flow_network(24, 160, 5, 5, rng);
+    const IncidenceOp an(net);
+    Vec v(an.rows());
+    for (auto& x : v) x = std::pow(10.0, 12.0 * rng.next_double());  // v² spans 1e24
+    const Vec sigma = leverage_scores_exact(an, v);
+    const auto n = static_cast<double>(an.cols());
+    EXPECT_NEAR(sum(sigma), n - 1.0, 1e-12 * n) << "seed " << seed;
+  }
+}
+
+/// One JL pass of width `k` over the context's cached Laplacian and
+/// leverage factor, as leverage_scores runs it on graphs wider than k.
+Vec sketch_pass(core::SolverContext& ctx, const IncidenceOp& a, const Vec& v, std::size_t k,
+                par::Rng& rng, const SolveOptions& solve) {
+  const Vec w = mul(v, v);
+  AccelCache& cache = accel_cache(ctx);
+  const Csr& lap = cache.laplacian(ctx, a.graph(), w, a.dropped());
+  const SddPreconditioner& precond = cache.preconditioner(ctx, AccelSite::kLeverage, lap, w);
+  return sketched_leverage(ctx, a, v, lap, precond, k, rng, solve);
+}
+
 TEST(LeverageTest, SketchedApproximatesExact) {
   par::Rng rng(7);
   const graph::Digraph g = graph::random_flow_network(12, 60, 5, 5, rng);
@@ -195,7 +236,8 @@ TEST(LeverageTest, SketchedApproximatesExact) {
   for (auto& x : v) x = 0.2 + rng.next_double();
   const Vec exact = leverage_scores_exact(a, v);
   par::Rng rng2(77);
-  const Vec approx = leverage_scores(pmcf::core::default_context(), a, v, rng2, {.sketch_dim = 400, .solve = {}});
+  core::SolverContext ctx;
+  const Vec approx = sketch_pass(ctx, a, v, 400, rng2, {});
   for (std::size_t i = 0; i < exact.size(); ++i)
     EXPECT_NEAR(approx[i], exact[i], 0.25 * std::max(exact[i], 0.05));
 }
@@ -212,21 +254,43 @@ TEST(LeverageTest, SolveToleranceStaysBelowSketchError) {
     Vec v(a.rows());
     for (auto& x : v) x = std::pow(10.0, -6.0 * rng.next_double());
     const Vec exact = leverage_scores_exact(a, v);
-    const auto mean_error = [&](const LeverageOptions& opts) {
+    const auto mean_error = [&](const SolveOptions& solve) {
       core::SolverContext ctx;
       par::Rng sketch_rng(100 + seed);
-      const Vec sigma = leverage_scores(ctx, a, v, sketch_rng, opts);
+      const auto k = static_cast<std::size_t>(LeverageOptions{}.sketch_dim);
+      const Vec sigma = sketch_pass(ctx, a, v, k, sketch_rng, solve);
       double err = 0.0;
       for (std::size_t i = 0; i < exact.size(); ++i) err += std::abs(sigma[i] - exact[i]);
       return err / static_cast<double>(exact.size());
     };
-    LeverageOptions tight;
-    tight.solve.tolerance = 1e-10;
-    const double loose_err = mean_error(LeverageOptions{});
+    SolveOptions tight = LeverageOptions{}.solve;
+    tight.tolerance = 1e-10;
+    const double loose_err = mean_error(LeverageOptions{}.solve);
     const double tight_err = mean_error(tight);
     EXPECT_LE(loose_err, 1.1 * tight_err) << "seed " << seed << ": default " << loose_err
                                           << " vs 1e-10 " << tight_err;
   }
+}
+
+TEST(LeverageTest, SketchOnlyWhenWiderThanItsRows) {
+  // Up to sketch_dim columns leverage_scores is the exact oracle bit for
+  // bit and draws nothing; one column more and it sketches.
+  par::Rng rng(12);
+  const graph::Digraph g = graph::random_flow_network(12, 60, 5, 5, rng);
+  const IncidenceOp a(g);
+  Vec v(a.rows());
+  for (auto& x : v) x = 0.2 + rng.next_double();
+  const Vec exact = leverage_scores_exact(a, v);
+  const auto cols = static_cast<std::int32_t>(a.cols());
+  core::SolverContext ctx;
+  par::Rng draws(5);
+  const Vec at_width = leverage_scores(ctx, a, v, draws, {.sketch_dim = cols, .solve = {}});
+  ASSERT_EQ(at_width.size(), exact.size());
+  for (std::size_t e = 0; e < exact.size(); ++e) EXPECT_EQ(bits(at_width[e]), bits(exact[e]));
+  EXPECT_EQ(draws.next_u64(), par::Rng(5).next_u64());
+  const Vec narrower = leverage_scores(ctx, a, v, draws, {.sketch_dim = cols - 1, .solve = {}});
+  EXPECT_NE(narrower, exact);
+  EXPECT_NEAR(sum(narrower), sum(exact), 0.5 * sum(exact));
 }
 
 /// The per-row JL pass sketched_leverage replaced, kept as its twin: row r
@@ -302,8 +366,6 @@ std::vector<SketchCase> sketch_cases(graph::Vertex hub) {
   out.push_back({"zero_weights", star, sv});
   return out;
 }
-
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 TEST(LeverageTest, BlockedSketchMatchesPerRowPass) {
   // The blocked pass must be the per-row pass bit for bit: the same draws
@@ -388,8 +450,7 @@ TEST(LewisTest, FixedPointResidualSmall) {
   Vec v(a.rows());
   for (auto& x : v) x = 0.2 + rng.next_double();
   par::Rng r2(9);
-  LewisOptions opts;
-  opts.exact_leverage = true;
+  LewisOptions opts;  // 12 columns, no wider than the sketch: exact scores
   opts.max_rounds = 200;
   opts.fixpoint_tol = 1e-10;
   const Vec tau = ipm_lewis_weights(pmcf::core::default_context(), a, v, r2, opts);
@@ -410,9 +471,7 @@ TEST(LewisTest, WeightsAboveRegularizer) {
   const IncidenceOp a(g);
   Vec v(a.rows(), 1.0);
   par::Rng r2(11);
-  LewisOptions opts;
-  opts.exact_leverage = true;
-  const Vec tau = ipm_lewis_weights(pmcf::core::default_context(), a, v, r2, opts);
+  const Vec tau = ipm_lewis_weights(pmcf::core::default_context(), a, v, r2);
   const double reg = static_cast<double>(a.cols()) / static_cast<double>(a.rows());
   for (const double t : tau) EXPECT_GE(t, reg - 1e-9);
 }

@@ -16,6 +16,7 @@
 #include "graph/bfs.hpp"
 #include "graph/generators.hpp"
 #include "ipm/rounding.hpp"
+#include "linalg/dense.hpp"
 #include "linalg/laplacian.hpp"
 #include "linalg/leverage.hpp"
 #include "linalg/lewis.hpp"
@@ -177,9 +178,7 @@ TEST_P(SpectralSweep, LewisWeightSumApproximatelyTwoN) {
   const linalg::IncidenceOp a(g);
   Vec v(a.rows(), 1.0);
   par::Rng r2(2500 + GetParam());
-  linalg::LewisOptions opts;
-  opts.exact_leverage = true;
-  const Vec tau = linalg::ipm_lewis_weights(pmcf::core::default_context(), a, v, r2, opts);
+  const Vec tau = linalg::ipm_lewis_weights(pmcf::core::default_context(), a, v, r2);
   const double n = static_cast<double>(a.cols());
   EXPECT_NEAR(linalg::sum(tau), 2.0 * n - 1.0, 0.15 * n);
 }

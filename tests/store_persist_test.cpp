@@ -17,7 +17,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/ssp.hpp"
@@ -536,6 +538,44 @@ TEST_F(StorePersistTest, LegacySnapshotWithFilledReservedSlotRecovers) {
     EXPECT_EQ(r.result.flow_value, ssp.flow);
     EXPECT_EQ(r.result.cost, ssp.cost);
   }
+}
+
+/// Every file in `dir` with its bytes.
+std::vector<std::pair<std::string, std::string>> dir_contents(const std::filesystem::path& dir) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream f(entry.path(), std::ios::binary);
+    out.emplace_back(entry.path().filename().string(),
+                     std::string(std::istreambuf_iterator<char>(f), {}));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST_F(StorePersistTest, SecondEngineOnTheDirectoryIsRefused) {
+  const Digraph g = make_graph(151);
+  const auto opts = combinatorial_opts();
+  InstanceHandle h = 0;
+  {
+    const Engine a(persist_cfg(0));
+    h = a.register_instance(Instance::max_flow(g, 0, g.num_vertices() - 1));
+    ASSERT_NE(h, 0u);
+    const auto before = dir_contents(dir_);
+    // The second opener is refused before it recovers or publishes anything.
+    EXPECT_THROW({ const Engine b(persist_cfg(0)); }, PersistDirBusy);
+    EXPECT_EQ(dir_contents(dir_), before);
+    // The holder keeps serving and journaling.
+    InstanceDelta d;
+    d.cost_changes.push_back({0, 3});
+    ASSERT_EQ(a.resolve(h, d, opts).result.status, SolveStatus::kOk);
+  }
+  // Destruction releases the lock: the next engine recovers the holder's
+  // journal, its last delta included.
+  const Engine c(persist_cfg(0));
+  ASSERT_EQ(c.num_instances(), 1u);
+  const auto rec = c.inspect_instance(h);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->solver_graph.arc(0).cost, 3);
 }
 
 TEST_F(StorePersistTest, AutoSnapshotRotatesGenerationsAndPrunes) {
