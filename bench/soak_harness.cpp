@@ -207,8 +207,10 @@ SoakReport run_soak(const SoakConfig& cfg) {
   // --- Replay. --------------------------------------------------------------
   const std::size_t workers = std::max<std::size_t>(1, cfg.workers);
   std::vector<Outcome> outcomes(cfg.requests);
-  std::vector<std::atomic<SolveHandle>> live_handles(workers);
-  for (auto& h : live_handles) h.store(0);
+  // Client cancels: each worker owns one token, reset before each request,
+  // and flags the span from submission to return as in flight.
+  std::vector<core::CancelToken> tokens(workers);
+  std::vector<std::atomic<bool>> in_flight(workers);
   std::atomic<bool> done{false};
 
   const auto t0 = Clock::now();
@@ -230,11 +232,15 @@ SoakReport run_soak(const SoakConfig& cfg) {
         if (p.deadline_us > 0.0)
           control.deadline = core::Deadline::in(std::chrono::duration_cast<Clock::duration>(
               std::chrono::duration<double, std::micro>(p.deadline_us)));
-        if (cfg.cancel_rate > 0.0) control.handle = &live_handles[w];
+        if (cfg.cancel_rate > 0.0) {
+          tokens[w].reset();
+          control.cancel = &tokens[w];
+          in_flight[w].store(true, std::memory_order_release);
+        }
         const auto s0 = Clock::now();
         const auto res = engine.solve(instances[p.instance], opts, control);
         const auto s1 = Clock::now();
-        if (cfg.cancel_rate > 0.0) live_handles[w].store(0, std::memory_order_relaxed);
+        if (cfg.cancel_rate > 0.0) in_flight[w].store(false, std::memory_order_release);
         outcomes[i].status = res.result.status;
         outcomes[i].priority = p.priority;
         outcomes[i].latency_us = std::chrono::duration<double, std::micro>(s1 - s0).count();
@@ -250,15 +256,16 @@ SoakReport run_soak(const SoakConfig& cfg) {
   if (cfg.cancel_rate > 0.0) {
     threads.emplace_back([&] {
       // Roughly cancel_rate cancel attempts per mean service time, walking
-      // the workers round-robin. Most attempts miss (handle already retired)
-      // — that is the point: cancel() must be a clean no-op then.
+      // the workers round-robin and skipping idle ones. An attempt racing a
+      // worker's return may land on its next request or be cleared by the
+      // reset; either way every outcome must stay typed.
       const auto gap = std::chrono::duration_cast<Clock::duration>(
           std::chrono::duration<double, std::micro>(mean_service_us / cfg.cancel_rate));
       std::size_t rr = 0;
       while (!done.load(std::memory_order_relaxed)) {
         std::this_thread::sleep_for(gap);
-        const SolveHandle h = live_handles[rr++ % workers].load(std::memory_order_relaxed);
-        if (h != 0) (void)engine.cancel(h);
+        const std::size_t w = rr++ % workers;
+        if (in_flight[w].load(std::memory_order_acquire)) tokens[w].cancel();
       }
     });
   }

@@ -58,10 +58,11 @@ struct SoakConfig {
   double deadline_share = 0.2;  ///< fraction of requests carrying a deadline
   /// Deadline ~ scale * effective service time. Sized so deadlines clear the
   /// queue-wait p99 under 2x overload: admitted work usually finishes in
-  /// time, while the predictive shed still fires on hopeless arrivals.
+  /// time, while a hopeless arrival expires in the queue ("queue wait").
   double deadline_scale = 64.0;
-  /// >0: a canceler thread fires Engine::cancel at live handles roughly
-  /// `cancel_rate` times per mean service time.
+  /// >0: every worker passes its own CancelToken (SolveControl::cancel), and
+  /// a canceler thread cancels the token of a worker with a request in
+  /// flight roughly `cancel_rate` times per mean service time.
   double cancel_rate = 0.0;
 
   // Burst process shape (kBurst only). The calm/burst rates are solved so

@@ -6,8 +6,7 @@ namespace pmcf::core {
 
 SolveStatus Lifecycle::poll_slow(const par::Tracker& tracker) const {
   if (forced_) return SolveStatus::kCanceled;
-  for (const CancelToken* t : tokens_)
-    if (t != nullptr && t->canceled()) return SolveStatus::kCanceled;
+  if (token_ != nullptr && token_->canceled()) return SolveStatus::kCanceled;
   if (deadline_.work != 0 && tracker.enabled() && tracker.work() > deadline_.work)
     return SolveStatus::kDeadlineExceeded;
   if (deadline_.wall != Deadline::Clock::time_point::max() &&

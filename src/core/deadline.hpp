@@ -29,9 +29,8 @@
 namespace pmcf::core {
 
 /// Thread-safe cancellation flag shared between a caller and an in-flight
-/// solve. The caller keeps the token alive for the solve's duration (the
-/// Engine registry does this for handle-based cancellation) and may cancel
-/// from any thread; the solve observes it at its next lifecycle poll.
+/// solve. The caller keeps the token alive for the solve's duration and may
+/// cancel from any thread; the solve observes it at its next lifecycle poll.
 class CancelToken {
  public:
   void cancel() noexcept { canceled_.store(true, std::memory_order_release); }
@@ -79,12 +78,11 @@ struct Deadline {
   }
 };
 
-/// The per-solve lifecycle state owned by a SolverContext: at most two bound
-/// cancel tokens (a caller-owned one and the Engine's handle-registry one)
-/// plus the solve's Deadline. Configured before the solve starts and read
-/// cooperatively from the solve's own threads; reconfiguration while a solve
-/// is in flight is not supported (matching the context's single-solve
-/// contract).
+/// The per-solve lifecycle state owned by a SolverContext: at most one bound
+/// caller-owned cancel token plus the solve's Deadline. Configured before the
+/// solve starts and read cooperatively from the solve's own threads;
+/// reconfiguration while a solve is in flight is not supported (matching the
+/// context's single-solve contract).
 class Lifecycle {
  public:
   /// Replace the deadline (and re-arm / disarm the fast path).
@@ -92,18 +90,14 @@ class Lifecycle {
     deadline_ = d;
     rearm();
   }
-  /// Bind a token (up to 2; further binds replace the second slot).
+  /// Bind the cancel token (replaces any earlier one; nullptr unbinds).
   void bind_token(const CancelToken* token) {
-    if (tokens_[0] == nullptr || tokens_[0] == token) {
-      tokens_[0] = token;
-    } else {
-      tokens_[1] = token;
-    }
+    token_ = token;
     rearm();
   }
-  /// Forget tokens and deadline: the context can host a fresh solve.
+  /// Forget token and deadline: the context can host a fresh solve.
   void clear() {
-    tokens_[0] = tokens_[1] = nullptr;
+    token_ = nullptr;
     deadline_ = Deadline::unlimited();
     forced_ = false;
     armed_ = false;
@@ -129,10 +123,10 @@ class Lifecycle {
  private:
   [[nodiscard]] SolveStatus poll_slow(const par::Tracker& tracker) const;
   void rearm() {
-    armed_ = forced_ || tokens_[0] != nullptr || tokens_[1] != nullptr || !deadline_.open();
+    armed_ = forced_ || token_ != nullptr || !deadline_.open();
   }
 
-  const CancelToken* tokens_[2] = {nullptr, nullptr};
+  const CancelToken* token_ = nullptr;
   Deadline deadline_{};
   bool forced_ = false;
   bool armed_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <utility>
 
@@ -29,10 +30,6 @@ core::Deadline merge_deadlines(const core::Deadline& a, const core::Deadline& b)
   d.wall = std::min(a.wall, b.wall);
   d.work = a.work == 0 ? b.work : (b.work == 0 ? a.work : std::min(a.work, b.work));
   return d;
-}
-
-double to_us(Clock::duration d) {
-  return std::chrono::duration<double, std::micro>(d).count();
 }
 
 std::size_t clamp_priority(std::uint32_t p) {
@@ -92,60 +89,38 @@ struct Engine::Admission {
   };
 
   enum class Outcome {
-    kAcquired,
+    kAcquired,        ///< took a free slot at arrival
+    kAcquiredQueued,  ///< granted a slot after parking in the queue
     kShedNoCapacity,
     kShedQueueFull,
-    kShedDeadline,
     kShedEvicted,
     kTimeout,
     kCanceled,
-  };
-  struct AcquireResult {
-    Outcome outcome = Outcome::kAcquired;
-    bool queued = false;  ///< went through the parked-waiter path
-    std::size_t depth = 0;  ///< queue depth observed at the decision point
   };
 
   Admission(const EngineConfig& cfg, std::atomic<std::size_t>* gauge)
       : slots(cfg.max_in_flight), max_queue(cfg.max_queue), gauge_(gauge) {}
 
-  AcquireResult acquire(std::size_t priority, Clock::time_point wall,
-                        const core::CancelToken* t1, const core::CancelToken* t2, bool warm,
-                        par::FaultInjector* chaos) {
+  Outcome acquire(std::size_t priority, Clock::time_point wall, const core::CancelToken* cancel,
+                  par::FaultInjector* chaos) {
     std::unique_lock<std::mutex> lock(mu_);
     if (free_slots_locked() > 0) {
       ++in_use_;
       publish_gauge();
-      return {Outcome::kAcquired, false, queue_len_};
+      return Outcome::kAcquired;
     }
 
     // No free slot: shed or queue. Every shed decision here happens before
     // the request touches instance scratch or a solver context —
     // allocation-free.
-    if (max_queue == 0) return {Outcome::kShedNoCapacity, false, queue_len_};
-    // Predict this request's queue wait from the service-time EWMA and its
-    // position; an unmeetable deadline sheds now instead of burning a slot
-    // (or queue residency) on a doomed request. Warm resolves are judged by
-    // their own (much cheaper) track so a cold-calibrated estimate cannot
-    // shed them; an empty track borrows the other as a conservative
-    // stand-in.
-    double est_us = ewma_us_[warm ? 1 : 0];
-    if (est_us == 0.0) est_us = ewma_us_[warm ? 0 : 1];
-    if (wall != Clock::time_point::max() && est_us > 0.0) {
-      const double ahead = static_cast<double>(queue_len_ + 1);
-      const double eff_slots = static_cast<double>(
-          std::max<std::size_t>(1, slots > reserved_ ? slots - reserved_ : 1));
-      const auto expected = std::chrono::duration_cast<Clock::duration>(
-          std::chrono::duration<double, std::micro>(est_us * ahead / eff_slots));
-      if (Clock::now() + expected > wall) return {Outcome::kShedDeadline, false, queue_len_};
-    }
+    if (max_queue == 0) return Outcome::kShedNoCapacity;
     // Full queue: a more important arrival bumps the newest waiter of the
     // least important class below it; otherwise the newcomer sheds.
     if (queue_len_ >= max_queue && !evict_locked(priority))
-      return {Outcome::kShedQueueFull, false, queue_len_};
+      return Outcome::kShedQueueFull;
 
     if (chaos != nullptr && chaos->should_fire(par::FaultKind::kCancelRequest))
-      return {Outcome::kCanceled, false, queue_len_};  // enqueue-point chaos draw
+      return Outcome::kCanceled;  // enqueue-point chaos draw
 
     Waiter w;
     w.priority = priority;
@@ -154,15 +129,15 @@ struct Engine::Admission {
     const bool has_deadline = wall != Clock::time_point::max();
     while (true) {
       if (w.state == Waiter::State::kAdmitted) break;
-      if (w.state == Waiter::State::kEvicted) return {Outcome::kShedEvicted, true, queue_len_};
-      if ((t1 != nullptr && t1->canceled()) || (t2 != nullptr && t2->canceled())) {
+      if (w.state == Waiter::State::kEvicted) return Outcome::kShedEvicted;
+      if (cancel != nullptr && cancel->canceled()) {
         unlink_locked(&w);
-        return {Outcome::kCanceled, true, queue_len_};
+        return Outcome::kCanceled;
       }
       const auto now = Clock::now();
       if (has_deadline && now >= wall) {
         unlink_locked(&w);
-        return {Outcome::kTimeout, true, queue_len_};
+        return Outcome::kTimeout;
       }
       const auto tick = now + kQueuePollTick;
       w.cv.wait_until(lock, has_deadline ? std::min(tick, wall) : tick);
@@ -173,24 +148,16 @@ struct Engine::Admission {
       --in_use_;
       publish_gauge();
       dispatch_locked();
-      return {Outcome::kCanceled, true, queue_len_};
+      return Outcome::kCanceled;
     }
-    return {Outcome::kAcquired, true, queue_len_};
+    return Outcome::kAcquiredQueued;
   }
 
-  /// Return a slot; fold the observed service time into the matching wait
-  /// predictor track (warm resolves and cold solves have service times an
-  /// order of magnitude apart — mixing them made the predictor shed cheap
-  /// warm resolves off expensive cold calibration) and hand the slot to the
-  /// next waiter under the same lock.
-  void release(double solve_us, bool warm) {
+  /// Return a slot and hand it to the next waiter under the same lock.
+  void release() {
     const std::lock_guard<std::mutex> lock(mu_);
     --in_use_;
     publish_gauge();
-    if (solve_us > 0.0) {
-      double& ewma = ewma_us_[warm ? 1 : 0];
-      ewma = ewma == 0.0 ? solve_us : 0.2 * solve_us + 0.8 * ewma;
-    }
     dispatch_locked();
   }
 
@@ -300,9 +267,6 @@ struct Engine::Admission {
   std::size_t queue_len_ = 0;  ///< parked waiters
   Waiter* head_[kNumPriorities] = {};
   Waiter* tail_[kNumPriorities] = {};
-  /// Service-time predictors for the deadline shed: [0] cold solves,
-  /// [1] warm resolves (central-path restart offered).
-  double ewma_us_[2] = {0.0, 0.0};
   std::atomic<std::size_t>* gauge_;
 };
 
@@ -357,8 +321,7 @@ MetricsSnapshot Engine::metrics_snapshot() const {
 
 EngineSolveResult Engine::solve_with_salt(const Instance& inst, const mcf::SolveOptions& opts,
                                           std::uint64_t salt, const core::Deadline& deadline,
-                                          const core::CancelToken* caller_token,
-                                          const core::CancelToken* engine_token) const {
+                                          const core::CancelToken* cancel) const {
   core::ContextOptions copts;
   copts.seed = mix_seed(config_.seed, salt);
   copts.instrument = config_.instrument;
@@ -366,8 +329,7 @@ EngineSolveResult Engine::solve_with_salt(const Instance& inst, const mcf::Solve
   copts.use_global_pool = config_.use_global_pool;
   core::SolverContext ctx(copts);
   ctx.lifecycle().set_deadline(merge_deadlines(deadline, inst.deadline));
-  if (caller_token != nullptr) ctx.lifecycle().bind_token(caller_token);
-  if (engine_token != nullptr) ctx.lifecycle().bind_token(engine_token);
+  ctx.lifecycle().bind_token(cancel);
 
   EngineSolveResult out;
   if (inst.kind == Instance::Kind::kMaxFlow) {
@@ -379,73 +341,30 @@ EngineSolveResult Engine::solve_with_salt(const Instance& inst, const mcf::Solve
   return out;
 }
 
-std::shared_ptr<core::CancelToken> Engine::issue_handle(const SolveControl& control) const {
-  if (control.handle == nullptr) return nullptr;
-  auto token = std::make_shared<core::CancelToken>();
-  const SolveHandle h = next_handle_.fetch_add(1, std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(registry_mu_);
-    registry_.emplace(h, token);
-  }
-  // Published before admission begins: a racing Engine::cancel either finds
-  // the registry entry or the caller has not observed the handle yet.
-  control.handle->store(h, std::memory_order_release);
-  return token;
-}
-
-void Engine::retire_handle(const SolveControl& control) const {
-  if (control.handle == nullptr) return;
-  const std::lock_guard<std::mutex> lock(registry_mu_);
-  registry_.erase(control.handle->load(std::memory_order_relaxed));
-}
-
-bool Engine::cancel(SolveHandle handle) const {
-  metrics_.count(EngineCounter::kCancelRequests);
-  if (handle == 0) return false;  // never published
-  std::shared_ptr<core::CancelToken> token;
-  {
-    const std::lock_guard<std::mutex> lock(registry_mu_);
-    const auto it = registry_.find(handle);
-    if (it == registry_.end()) return false;  // retired (or unknown): no-op
-    token = it->second;
-  }
-  metrics_.count(EngineCounter::kCancelHits);
-  token->cancel();
-  return true;
-}
-
 EngineSolveResult Engine::admit_and_solve(const Instance& inst, const mcf::SolveOptions& opts,
                                           const SolveControl& control, std::uint64_t salt,
-                                          const core::CancelToken* engine_token,
                                           AdmitMode mode) const {
   const auto arrival = Clock::now();
   const std::size_t priority = clamp_priority(control.priority);
-  // A request arriving with a central-path restart (a warm resolve) is
-  // priced on the warm service-time track; everything else (solve(), cold
-  // resolves, the warm-failure cold retry) on the cold track.
-  const bool warm_request = opts.warm != nullptr;
 
   if (admission_ != nullptr && mode != AdmitMode::kPreAcquired) {
     const core::Deadline merged = merge_deadlines(control.deadline, inst.deadline);
     par::FaultInjector* chaos = config_.chaos_cancel_rate > 0.0 ? &chaos_ : nullptr;
-    const auto acq = admission_->acquire(priority, merged.wall, control.cancel, engine_token,
-                                         warm_request, chaos);
-    switch (acq.outcome) {
+    switch (admission_->acquire(priority, merged.wall, control.cancel, chaos)) {
       case Admission::Outcome::kAcquired:
-        metrics_.count(acq.queued ? EngineCounter::kAdmittedQueued
-                                  : EngineCounter::kAdmittedImmediate);
+        metrics_.count(EngineCounter::kAdmittedImmediate);
+        break;
+      case Admission::Outcome::kAcquiredQueued:
+        metrics_.count(EngineCounter::kAdmittedQueued);
         break;
       case Admission::Outcome::kShedNoCapacity:
-        metrics_.on_shed(priority, EngineCounter::kShedNoCapacity, acq.depth);
+        metrics_.on_shed(priority, EngineCounter::kShedNoCapacity);
         return refusal(SolveStatus::kLoadShed, "no capacity");
       case Admission::Outcome::kShedQueueFull:
-        metrics_.on_shed(priority, EngineCounter::kShedQueueFull, acq.depth);
+        metrics_.on_shed(priority, EngineCounter::kShedQueueFull);
         return refusal(SolveStatus::kLoadShed, "queue full");
-      case Admission::Outcome::kShedDeadline:
-        metrics_.on_shed(priority, EngineCounter::kShedDeadline, acq.depth);
-        return refusal(SolveStatus::kLoadShed, "deadline<wait");
       case Admission::Outcome::kShedEvicted:
-        metrics_.on_shed(priority, EngineCounter::kShedEvicted, acq.depth);
+        metrics_.on_shed(priority, EngineCounter::kShedEvicted);
         return refusal(SolveStatus::kLoadShed, "evicted");
       case Admission::Outcome::kTimeout:
         metrics_.count(EngineCounter::kQueueTimeouts);
@@ -462,8 +381,7 @@ EngineSolveResult Engine::admit_and_solve(const Instance& inst, const mcf::Solve
 
   const auto acquired_at = Clock::now();
   metrics_.queue_wait.record(acquired_at - arrival);
-  EngineSolveResult out =
-      solve_with_salt(inst, opts, salt, control.deadline, control.cancel, engine_token);
+  EngineSolveResult out = solve_with_salt(inst, opts, salt, control.deadline, control.cancel);
   const auto done = Clock::now();
   metrics_.solve_time.record(done - acquired_at);
   metrics_.latency.record(done - arrival);
@@ -471,7 +389,7 @@ EngineSolveResult Engine::admit_and_solve(const Instance& inst, const mcf::Solve
   if (out.result.stats.certified) metrics_.count(EngineCounter::kCertified);
   if (out.result.stats.certification_failures > 0)
     metrics_.count(EngineCounter::kCertificationFailures, out.result.stats.certification_failures);
-  if (admission_ != nullptr) admission_->release(to_us(done - acquired_at), warm_request);
+  if (admission_ != nullptr) admission_->release();
   return out;
 }
 
@@ -482,11 +400,7 @@ EngineSolveResult Engine::solve(const Instance& inst, const mcf::SolveOptions& o
   // never collide on a context stream.
   const std::uint64_t salt =
       (1ULL << 32) + solve_calls_.fetch_add(1, std::memory_order_relaxed);
-  const std::shared_ptr<core::CancelToken> engine_token = issue_handle(control);
-  EngineSolveResult out =
-      admit_and_solve(inst, opts, control, salt, engine_token.get(), AdmitMode::kAcquire);
-  retire_handle(control);
-  return out;
+  return admit_and_solve(inst, opts, control, salt, AdmitMode::kAcquire);
 }
 
 std::vector<EngineSolveResult> Engine::solve_batch(const std::vector<Instance>& batch,
@@ -503,18 +417,14 @@ std::vector<EngineSolveResult> Engine::solve_batch(const std::vector<Instance>& 
   if (admission_ != nullptr) {
     admitted = admission_->acquire_upfront(batch.size());
     if (admitted < batch.size()) {
-      metrics_.on_shed(priority, EngineCounter::kShedNoCapacity, queue_depth(),
-                       batch.size() - admitted);
+      metrics_.on_shed(priority, EngineCounter::kShedNoCapacity, batch.size() - admitted);
       for (std::size_t i = admitted; i < batch.size(); ++i)
         results[i] = refusal(SolveStatus::kLoadShed, "no capacity");
     }
   }
   metrics_.count(EngineCounter::kAdmittedImmediate, admitted);
-  const std::shared_ptr<core::CancelToken> engine_token =
-      admitted > 0 ? issue_handle(control) : nullptr;
   const auto solve_one = [&](std::size_t i) {
-    results[i] = admit_and_solve(batch[i], opts, control, /*salt=*/i, engine_token.get(),
-                                 AdmitMode::kPreAcquired);
+    results[i] = admit_and_solve(batch[i], opts, control, /*salt=*/i, AdmitMode::kPreAcquired);
   };
   par::ThreadPool* p = pool();
   if (p == nullptr || p->num_threads() <= 1 || admitted <= 1) {
@@ -527,7 +437,6 @@ std::vector<EngineSolveResult> Engine::solve_batch(const std::vector<Instance>& 
       for (std::size_t i = b; i < e; ++i) solve_one(i);
     });
   }
-  if (admitted > 0) retire_handle(control);
   return results;
 }
 
@@ -691,9 +600,7 @@ EngineSolveResult Engine::resolve(InstanceHandle handle, const InstanceDelta& de
   // Salted past both the batch-index space and direct solve() calls.
   const std::uint64_t salt =
       (1ULL << 33) + solve_calls_.fetch_add(1, std::memory_order_relaxed);
-  const std::shared_ptr<core::CancelToken> engine_token = issue_handle(control);
-  EngineSolveResult out =
-      admit_and_solve(view, eff, control, salt, engine_token.get(), AdmitMode::kAcquire);
+  EngineSolveResult out = admit_and_solve(view, eff, control, salt, AdmitMode::kAcquire);
 
   if (out.result.status != SolveStatus::kOk && !is_instance_error(out.result.status) &&
       !is_lifecycle_error(out.result.status) && warm_hit) {
@@ -708,10 +615,8 @@ EngineSolveResult Engine::resolve(InstanceHandle handle, const InstanceDelta& de
     metrics_.count(EngineCounter::kResolveWarmFallback);
     const std::uint64_t cold_salt =
         (1ULL << 33) + solve_calls_.fetch_add(1, std::memory_order_relaxed);
-    out = admit_and_solve(view, eff, control, cold_salt, engine_token.get(),
-                          AdmitMode::kAcquire);
+    out = admit_and_solve(view, eff, control, cold_salt, AdmitMode::kAcquire);
   }
-  retire_handle(control);
 
   if (out.result.status == SolveStatus::kOk) {
     if (out.result.stats.certified && config_.instance_cache_capacity > 0) {

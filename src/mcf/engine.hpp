@@ -20,6 +20,11 @@
 //     blocking callers, priorities (0 = most important) are served first
 //     and shed last, and a lock-free metrics surface (mcf/metrics.hpp)
 //     exports what happened.
+//   - Every request is stopped the same way: the caller's CancelToken
+//     (SolveControl::cancel), cancelable from any thread, reaches a running
+//     solve at its next lifecycle poll, a queued request at the admission
+//     queue's poll tick, and every item of a batch or both attempts of a
+//     resolve at once.
 //
 // Instrumented engines (the default) run each solve single-threaded under
 // its own PRAM tracker — batch throughput then comes purely from solving
@@ -31,9 +36,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/deadline.hpp"
@@ -99,10 +102,10 @@ struct EngineConfig {
   /// Backpressure queue capacity in front of the slot pool, shared by the
   /// blocking callers (solve, resolve). 0 = no queue: a request that finds
   /// no free slot is shed immediately with SolveStatus::kLoadShed. With a
-  /// queue, overflow sheds typed kLoadShed, arrivals whose deadline cannot
-  /// be met given the predicted queue wait are shed up front, and a full
-  /// queue evicts a strictly-lower-priority waiter to make room for a more
-  /// important arrival. solve_batch never queues (see there).
+  /// queue, overflow sheds typed kLoadShed, a full queue evicts a
+  /// strictly-lower-priority waiter to make room for a more important
+  /// arrival, and a waiter whose deadline passes in the queue ends
+  /// kDeadlineExceeded. solve_batch never queues (see there).
   std::size_t max_queue = 0;
   /// Chaos engineering: probability that a kCancelRequest fault fires at the
   /// admission queue's enqueue and dequeue points, turning the request into
@@ -130,24 +133,15 @@ struct EngineConfig {
   std::size_t persist_snapshot_every = 256;
 };
 
-/// Opaque ticket for Engine::cancel. Published through SolveControl::handle
-/// *before* admission, so a caller thread can cancel a solve another thread
-/// is blocked in — including one still parked in the admission queue.
-using SolveHandle = std::uint64_t;
-
-/// Per-request lifecycle controls for Engine::solve / solve_batch.
+/// Per-request lifecycle controls for Engine::solve / solve_batch / resolve.
 struct SolveControl {
   /// Request deadline; combined with each Instance's own (tighter wins).
   core::Deadline deadline = core::Deadline::unlimited();
-  /// Caller-owned cancellation token; must outlive the call. Observed
-  /// cooperatively at the solver's lifecycle poll sites and, for queued
-  /// requests, at the admission queue's poll tick.
+  /// Caller-owned cancellation token; must outlive the call. Any thread may
+  /// cancel it: the solver observes it at its lifecycle poll sites, a queued
+  /// request at the admission queue's poll tick. One token covers every
+  /// item of a solve_batch and both attempts of a resolve.
   const core::CancelToken* cancel = nullptr;
-  /// When non-null, receives a handle for Engine::cancel before admission
-  /// begins (for solve_batch, one handle cancels all in-flight items).
-  /// Atomic so a watcher thread can poll for publication (0 = not yet
-  /// published) while the solving thread blocks inside solve().
-  std::atomic<SolveHandle>* handle = nullptr;
   /// 0 (most important) … kNumPriorities-1. Under overload lower priorities
   /// shed first; values past the ladder clamp to the least important class.
   std::uint32_t priority = 0;
@@ -190,14 +184,6 @@ class Engine {
   [[nodiscard]] std::vector<EngineSolveResult> solve_batch(
       const std::vector<Instance>& batch, const mcf::SolveOptions& opts = {},
       const SolveControl& control = {}) const;
-
-  /// Cancel the in-flight or queued solve (or batch) identified by `handle`
-  /// (SolveControl::handle). Safe from any thread; returns false when the
-  /// handle was never published or the solve already completed (its handle
-  /// is retired) — a clean no-op either way. A running solve observes the
-  /// cancellation at its next lifecycle poll and returns kCanceled; a
-  /// queued one at the admission queue's next poll tick.
-  bool cancel(SolveHandle handle) const;
 
   [[nodiscard]] const EngineConfig& config() const { return config_; }
   /// The pool solve_batch fans across (nullptr = serial).
@@ -291,13 +277,12 @@ class Engine {
   struct Admission;  // slot pool + one bounded FIFO per priority (engine.cpp)
 
   /// One solve under a fresh context derived from `salt`, with the resolved
-  /// lifecycle configuration (deadline + up to two tokens) installed.
+  /// lifecycle configuration (deadline + the caller's token) installed.
   [[nodiscard]] EngineSolveResult solve_with_salt(const Instance& inst,
                                                   const mcf::SolveOptions& opts,
                                                   std::uint64_t salt,
                                                   const core::Deadline& deadline,
-                                                  const core::CancelToken* caller_token,
-                                                  const core::CancelToken* engine_token) const;
+                                                  const core::CancelToken* cancel) const;
 
   /// How a request reaches its admission slot: solve() and resolve()
   /// acquire (and may queue); a solve_batch item had its slot taken upfront
@@ -305,20 +290,12 @@ class Engine {
   enum class AdmitMode { kAcquire, kPreAcquired };
 
   /// Full admission + solve + release for one request (shared by solve(),
-  /// each admitted solve_batch item, and resolve()'s solving paths). A
-  /// request carrying a central-path restart (opts.warm) is priced on the
-  /// admission queue's warm service-time track.
+  /// each admitted solve_batch item, and resolve()'s solving paths).
   [[nodiscard]] EngineSolveResult admit_and_solve(const Instance& inst,
                                                   const mcf::SolveOptions& opts,
                                                   const SolveControl& control,
                                                   std::uint64_t salt,
-                                                  const core::CancelToken* engine_token,
                                                   AdmitMode mode) const;
-
-  /// Create + register a fresh registry token when the caller asked for a
-  /// handle; null otherwise. retire_handle() drops the registry entry.
-  [[nodiscard]] std::shared_ptr<core::CancelToken> issue_handle(const SolveControl& control) const;
-  void retire_handle(const SolveControl& control) const;
 
   EngineConfig config_;
   /// Distinct salt per direct solve() call so concurrent callers get
@@ -326,9 +303,6 @@ class Engine {
   /// randomness seeds from SolveOptions — but forked streams must differ).
   mutable std::atomic<std::uint64_t> solve_calls_{0};
   mutable std::atomic<std::size_t> in_flight_{0};
-  mutable std::atomic<SolveHandle> next_handle_{1};
-  mutable std::mutex registry_mu_;
-  mutable std::unordered_map<SolveHandle, std::shared_ptr<core::CancelToken>> registry_;
   mutable std::unique_ptr<Admission> admission_;  ///< null when unbounded
   mutable std::unique_ptr<InstanceStore> store_;  ///< cross-solve instance cache
   mutable std::unique_ptr<StorePersister> persister_;  ///< null: persistence off

@@ -1,6 +1,5 @@
 #include "mcf/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace pmcf {
@@ -16,12 +15,9 @@ const char* to_string(EngineCounter c) {
     case EngineCounter::kFailed: return "Failed";
     case EngineCounter::kShedNoCapacity: return "ShedNoCapacity";
     case EngineCounter::kShedQueueFull: return "ShedQueueFull";
-    case EngineCounter::kShedDeadline: return "ShedDeadline";
     case EngineCounter::kShedEvicted: return "ShedEvicted";
     case EngineCounter::kQueueTimeouts: return "QueueTimeouts";
     case EngineCounter::kQueueCancels: return "QueueCancels";
-    case EngineCounter::kCancelRequests: return "CancelRequests";
-    case EngineCounter::kCancelHits: return "CancelHits";
     case EngineCounter::kCertified: return "Certified";
     case EngineCounter::kCertificationFailures: return "CertificationFailures";
     case EngineCounter::kInstanceCacheHits: return "InstanceCacheHits";
@@ -117,24 +113,6 @@ MetricsSnapshot EngineMetrics::snapshot() const {
   snap.latency = latency.snapshot();
   snap.queue_wait = queue_wait.snapshot();
   snap.solve_time = solve_time.snapshot();
-  // Trace ring: collect every cell whose seqlock word is stable across the
-  // payload read (even + unchanged ⇒ the packed word belongs to that seq),
-  // then order by shed ordinal so the export reads oldest → newest.
-  snap.shed_trace.reserve(kShedTraceCapacity);
-  for (const TraceCell& cell : shed_trace_) {
-    const std::uint64_t s1 = cell.seq.load(std::memory_order_acquire);
-    if (s1 == 0 || (s1 & 1) != 0) continue;  // empty or mid-write
-    const std::uint64_t packed = cell.packed.load(std::memory_order_acquire);
-    if (cell.seq.load(std::memory_order_acquire) != s1) continue;  // torn
-    ShedTraceEntry e;
-    e.seq = s1 / 2;
-    e.reason = static_cast<EngineCounter>(packed & 0xff);
-    e.priority = static_cast<std::uint8_t>((packed >> 8) & 0xff);
-    e.queue_depth = static_cast<std::uint32_t>(packed >> 16);
-    snap.shed_trace.push_back(e);
-  }
-  std::sort(snap.shed_trace.begin(), snap.shed_trace.end(),
-            [](const ShedTraceEntry& a, const ShedTraceEntry& b) { return a.seq < b.seq; });
   return snap;
 }
 

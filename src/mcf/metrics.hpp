@@ -8,17 +8,17 @@
 // counters plus fixed-bucket latency histograms, safe to update from any
 // number of threads with no locks and no allocation (the shed fast path is
 // asserted allocation-free end to end by AllocCountTest). MetricsSnapshot is
-// the reading side: a plain-value copy suitable for export to a dashboard
-// scraper. Counters are monotone, so successive snapshots can be diffed;
-// a snapshot is internally consistent in the monotonic sense (each value is
-// a point-in-time atomic read; cross-counter sums may be mid-update by at
-// most the number of requests in flight during the copy).
+// the reading side: a plain-value copy, taken without allocating, suitable
+// for export to a dashboard scraper. Counters are monotone, so successive
+// snapshots can be diffed; a snapshot is internally consistent in the
+// monotonic sense (each value is a point-in-time atomic read; cross-counter
+// sums may be mid-update by at most the number of requests in flight during
+// the copy).
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "core/solve_status.hpp"
 
@@ -29,12 +29,15 @@ namespace pmcf {
 /// (numerically larger) are shed first.
 inline constexpr std::size_t kNumPriorities = 4;
 
-/// Monotonic engine-level counters. Every request entering Engine::solve or
-/// as a solve_batch item increments kSubmitted exactly once and exactly one
-/// of the terminal outcome counters (kSolvedOk / kDeadlineExceeded /
-/// kCanceled / kFailed / one of the kShed* kinds) exactly once.
+/// Monotonic engine-level counters. Every request entering Engine::solve, as
+/// a solve_batch item, or as an Engine::resolve increments kSubmitted exactly
+/// once and exactly one of the terminal outcome counters (kSolvedOk /
+/// kDeadlineExceeded / kCanceled / kFailed / one of the kShed* kinds) exactly
+/// once. A resolve whose warm attempt fails and is retried cold
+/// (kResolveWarmFallback) counts as a second submission with its own
+/// terminal outcome.
 enum class EngineCounter : std::uint8_t {
-  kSubmitted = 0,      ///< requests entering solve() / batch items
+  kSubmitted = 0,      ///< requests entering solve() / resolve() / batch items
   kAdmittedImmediate,  ///< took a free slot at arrival (no queue pass)
   kAdmittedQueued,     ///< granted a slot after waiting in the admission queue
   // --- terminal outcomes -------------------------------------------------
@@ -45,14 +48,11 @@ enum class EngineCounter : std::uint8_t {
   kShedNoCapacity,    ///< kLoadShed: no free slot and no queue to wait in
                       ///< (queueless engine, or a solve_batch suffix)
   kShedQueueFull,     ///< kLoadShed: queue at capacity, nothing evictable
-  kShedDeadline,      ///< kLoadShed: deadline unmeetable given queue wait
   kShedEvicted,       ///< kLoadShed: evicted by a higher-priority arrival
   // --- queue-path detail -------------------------------------------------
   kQueueTimeouts,  ///< waiters whose deadline expired in the queue
-  kQueueCancels,   ///< waiters canceled while queued (token, handle, chaos)
-  // --- cancel / certification surfaces -----------------------------------
-  kCancelRequests,         ///< Engine::cancel calls
-  kCancelHits,             ///< ... that found a live registry entry
+  kQueueCancels,   ///< waiters canceled while queued (token or chaos)
+  // --- certification -----------------------------------------------------
   kCertified,              ///< kOk results that passed independent certification
   kCertificationFailures,  ///< certification rejections across tier attempts
   // --- cross-solve instance cache (DESIGN.md §15) -------------------------
@@ -83,24 +83,6 @@ enum class EngineCounter : std::uint8_t {
 
 /// Stable name (e.g. "SolvedOk", "ShedQueueFull").
 const char* to_string(EngineCounter c);
-
-// ---------------------------------------------------------------------------
-// Shed-decision trace ring: a bounded record of the most recent refusals so a
-// shed storm can be diagnosed after the fact ("which class was turned away,
-// and why?") without logging on the hot path. Each cell is a tiny seqlock —
-// writers pack the entry into two u64 payload words between seq increments,
-// readers retry torn cells — so recording stays wait-free-ish and
-// allocation-free (the shed fast path is covered by AllocCountTest).
-
-inline constexpr std::size_t kShedTraceCapacity = 64;
-
-/// One refusal, as exported by MetricsSnapshot::shed_trace (oldest first).
-struct ShedTraceEntry {
-  std::uint64_t seq = 0;        ///< global shed ordinal (1-based, monotone)
-  EngineCounter reason = EngineCounter::kShedNoCapacity;  ///< which kShed* fired
-  std::uint8_t priority = 0;    ///< its priority lane
-  std::uint32_t queue_depth = 0;  ///< admission-queue depth at refusal time
-};
 
 // ---------------------------------------------------------------------------
 // Fixed-bucket log-linear latency histogram (HDR-style): 4 sub-buckets per
@@ -180,14 +162,10 @@ struct MetricsSnapshot {
   std::uint64_t counters[static_cast<std::size_t>(EngineCounter::kNumEngineCounters)] = {};
   PrioritySnapshot priorities[kNumPriorities];
   HistogramSnapshot latency;     ///< arrival → terminal outcome, µs
-  HistogramSnapshot queue_wait;  ///< arrival → slot acquisition, µs (admitted only)
+  HistogramSnapshot queue_wait;  ///< arrival → slot acquisition, µs (every admitted request)
   HistogramSnapshot solve_time;  ///< slot acquisition → solver return, µs
   std::size_t in_flight = 0;     ///< gauge: slots held at snapshot time
   std::size_t queue_depth = 0;   ///< gauge: requests parked at snapshot time
-  /// The last ≤ kShedTraceCapacity refusals, oldest first. Entries observed
-  /// mid-write during the copy are skipped, so a snapshot taken during a shed
-  /// storm may be slightly shorter than the ring.
-  std::vector<ShedTraceEntry> shed_trace;
 
   [[nodiscard]] std::uint64_t of(EngineCounter c) const {
     return counters[static_cast<std::size_t>(c)];
@@ -195,7 +173,7 @@ struct MetricsSnapshot {
   /// All kLoadShed outcomes (every shed kind combined).
   [[nodiscard]] std::uint64_t shed_total() const {
     return of(EngineCounter::kShedNoCapacity) + of(EngineCounter::kShedQueueFull) +
-           of(EngineCounter::kShedDeadline) + of(EngineCounter::kShedEvicted);
+           of(EngineCounter::kShedEvicted);
   }
   /// All terminal outcomes (must equal kSubmitted once the engine drains).
   [[nodiscard]] std::uint64_t terminal_total() const {
@@ -221,14 +199,11 @@ class EngineMetrics {
     priorities_[priority].submitted.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// A request was refused with kLoadShed; `kind` is one of the kShed*
-  /// counters naming why. `queue_depth` feeds the trace ring — a batch
-  /// refusal (n > 1) records one trace entry for the whole batch.
-  void on_shed(std::size_t priority, EngineCounter kind, std::size_t queue_depth = 0,
-               std::uint64_t n = 1) {
+  /// `n` requests were refused with kLoadShed; `kind` is one of the kShed*
+  /// counters naming why.
+  void on_shed(std::size_t priority, EngineCounter kind, std::uint64_t n = 1) {
     count(kind, n);
     priorities_[priority].shed.fetch_add(n, std::memory_order_relaxed);
-    trace_shed(priority, kind, queue_depth);
   }
 
   /// A request that held (or was denied short of) a slot reached a terminal
@@ -263,32 +238,6 @@ class EngineMetrics {
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
-  // One trace-ring cell. `seq` doubles as the seqlock word: 0 = empty, odd =
-  // write in progress, even = published (entry ordinal = seq / 2). Payload
-  // word packs reason | priority | queue depth.
-  struct TraceCell {
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> packed{0};
-  };
-
-  static std::uint64_t pack_shed(EngineCounter kind, std::size_t priority,
-                                 std::size_t queue_depth) {
-    const std::uint64_t depth =
-        queue_depth > 0xffffffff ? 0xffffffff : static_cast<std::uint64_t>(queue_depth);
-    // Field layout: reason[0,8) priority[8,16) depth[16,48).
-    return static_cast<std::uint64_t>(kind) | (static_cast<std::uint64_t>(priority & 0xff) << 8) |
-           (depth << 16);
-  }
-
-  void trace_shed(std::size_t priority, EngineCounter kind, std::size_t queue_depth) {
-    // Ordinal 1, 2, ... → cell (ordinal-1) % capacity; published seq = 2*ordinal.
-    const std::uint64_t ordinal = shed_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    TraceCell& cell = shed_trace_[(ordinal - 1) % kShedTraceCapacity];
-    cell.seq.store(2 * ordinal - 1, std::memory_order_release);  // mark torn
-    cell.packed.store(pack_shed(kind, priority, queue_depth), std::memory_order_release);
-    cell.seq.store(2 * ordinal, std::memory_order_release);  // publish
-  }
-
   struct PriorityCells {
     std::atomic<std::uint64_t> submitted{0};
     std::atomic<std::uint64_t> solved_ok{0};
@@ -301,8 +250,6 @@ class EngineMetrics {
   std::atomic<std::uint64_t>
       counters_[static_cast<std::size_t>(EngineCounter::kNumEngineCounters)] = {};
   PriorityCells priorities_[kNumPriorities];
-  std::atomic<std::uint64_t> shed_seq_{0};
-  TraceCell shed_trace_[kShedTraceCapacity];
 };
 
 }  // namespace pmcf

@@ -255,9 +255,10 @@ TEST_F(AllocCountTest, SketchPassAllocationsDoNotGrowWithK) {
 TEST_F(AllocCountTest, AdmissionShedFastPathIsAllocationFree) {
   // Overload hardening (DESIGN.md §12): when a drained engine refuses a
   // request, the typed kLoadShed refusal must not touch the heap — the shed
-  // decision happens before any solver context, scratch, or registry entry
-  // exists, and the refusal detail fits the small-string buffer. A serving
-  // layer drowning in overload must not add allocator pressure on top.
+  // decision happens before any solver context or scratch exists, and the
+  // refusal detail fits the small-string buffer. A serving layer drowning in
+  // overload must not add allocator pressure on top. Nor may the scraper
+  // reading it: a metrics snapshot is a plain-value copy.
   par::Rng rng(909);
   const graph::Digraph g = graph::random_flow_network(12, 60, 6, 6, rng);
   const Instance inst = Instance::max_flow(g, 0, g.num_vertices() - 1);
@@ -279,6 +280,10 @@ TEST_F(AllocCountTest, AdmissionShedFastPathIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "the no-capacity shed path allocated " << (after - before)
       << " times across 16 refusals; shedding must be allocation-free";
+
+  const MetricsSnapshot m = engine.metrics_snapshot();
+  EXPECT_EQ(g_alloc_count.load() - after, 0u) << "metrics_snapshot() allocated";
+  EXPECT_EQ(m.of(EngineCounter::kShedNoCapacity), 17u);
 
   engine.restore_capacity(1);
   const auto ok = engine.solve(inst, opts);

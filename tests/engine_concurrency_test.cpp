@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/deadline.hpp"
 #include "core/solver_context.hpp"
 #include "graph/digraph.hpp"
 #include "graph/generators.hpp"
@@ -179,40 +180,13 @@ TEST_F(EngineConcurrencyTest, SolveBatchMatchesSerialLoopAcrossThreadCounts) {
   }
 }
 
-TEST_F(EngineConcurrencyTest, CancelOnUnpublishedOrRetiredHandleIsCleanNoOp) {
-  const auto graphs = make_graphs();
-  const Engine engine({.seed = 123, .use_global_pool = false});
-  const Instance inst = Instance::max_flow(graphs[0], 0, graphs[0].num_vertices() - 1);
-
-  // Never-published handle (0) and a made-up handle: both false, no effect.
-  EXPECT_FALSE(engine.cancel(0));
-  EXPECT_FALSE(engine.cancel(0xdeadbeef));
-
-  // A retired handle (solve completed, registry entry dropped): also false.
-  std::atomic<SolveHandle> handle{0};
-  SolveControl control;
-  control.handle = &handle;
-  const auto res = engine.solve(inst, fast_opts(), control);
-  EXPECT_EQ(res.result.status, SolveStatus::kOk);
-  ASSERT_NE(handle.load(), 0u);
-  EXPECT_FALSE(engine.cancel(handle.load()));
-
-  // The engine stays fully usable after the misses.
-  const auto again = engine.solve(inst, fast_opts());
-  EXPECT_EQ(again.result.status, SolveStatus::kOk);
-
-  const auto m = engine.metrics_snapshot();
-  EXPECT_EQ(m.of(EngineCounter::kCancelRequests), 3u);
-  EXPECT_EQ(m.of(EngineCounter::kCancelHits), 0u);
-}
-
 TEST_F(EngineConcurrencyTest, CancelRacesPublishAndRetireWithoutCorruption) {
-  // Hammer the handle lifecycle from both sides: worker threads run solves
-  // that publish and retire handles as fast as they complete, while a
-  // canceler thread fires Engine::cancel at whatever handle value it last
-  // observed — sometimes unpublished (0), sometimes live, sometimes already
-  // retired. Every solve must end in a typed status and every cancel must
-  // return a plain bool; TSan (CI) checks the synchronization.
+  // Hammer token cancellation from both sides: each worker resets its own
+  // token before every round (publishing it to a fresh solve) and abandons it
+  // when the solve returns, while a canceler thread cancels whichever worker
+  // token it reaches next — before a solve starts, mid-solve, or after it
+  // returned. Every solve must end kOk or kCanceled and the metrics must
+  // account for each one; TSan (CI) checks the synchronization.
   const auto graphs = make_graphs();
   const Engine engine({.seed = 321, .use_global_pool = false});
   constexpr std::size_t kWorkers = 4;
@@ -222,31 +196,32 @@ TEST_F(EngineConcurrencyTest, CancelRacesPublishAndRetireWithoutCorruption) {
   for (const auto& g : graphs)
     instances.push_back(Instance::max_flow(g, 0, g.num_vertices() - 1));
 
-  std::vector<std::atomic<SolveHandle>> handles(kWorkers);
-  for (auto& h : handles) h.store(0);
+  std::vector<core::CancelToken> tokens(kWorkers);
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> untyped{0};
+  std::atomic<std::size_t> canceled{0};
 
   std::vector<std::thread> workers;
   workers.reserve(kWorkers + 1);
   for (std::size_t w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&, w] {
       for (std::size_t r = 0; r < kRounds; ++r) {
+        tokens[w].reset();
         SolveControl control;
-        control.handle = &handles[w];
+        control.cancel = &tokens[w];
         const auto res =
             engine.solve(instances[(w + r) % instances.size()], fast_opts(), control);
-        if (res.result.status != SolveStatus::kOk &&
-            res.result.status != SolveStatus::kCanceled)
+        if (res.result.status == SolveStatus::kCanceled)
+          canceled.fetch_add(1);
+        else if (res.result.status != SolveStatus::kOk)
           untyped.fetch_add(1);
-        handles[w].store(0, std::memory_order_relaxed);
       }
     });
   }
   workers.emplace_back([&] {
     std::size_t rr = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)engine.cancel(handles[rr++ % kWorkers].load(std::memory_order_relaxed));
+      tokens[rr++ % kWorkers].cancel();
       std::this_thread::yield();
     }
   });
@@ -256,10 +231,11 @@ TEST_F(EngineConcurrencyTest, CancelRacesPublishAndRetireWithoutCorruption) {
 
   EXPECT_EQ(untyped.load(), 0u);
   const auto m = engine.metrics_snapshot();
-  EXPECT_EQ(m.terminal_total(), m.of(EngineCounter::kSubmitted));
   EXPECT_EQ(m.of(EngineCounter::kSubmitted), kWorkers * kRounds + 0u);
-  // Hits + misses partition the cancel attempts.
-  EXPECT_GE(m.of(EngineCounter::kCancelRequests), m.of(EngineCounter::kCancelHits));
+  EXPECT_EQ(m.terminal_total(), m.of(EngineCounter::kSubmitted));
+  EXPECT_EQ(m.of(EngineCounter::kCanceled), canceled.load());
+  EXPECT_EQ(m.of(EngineCounter::kSolvedOk) + m.of(EngineCounter::kCanceled),
+            m.of(EngineCounter::kSubmitted));
 }
 
 TEST_F(EngineConcurrencyTest, InstrumentationOnlyCounts) {

@@ -215,7 +215,7 @@ Digraph make_drain_graph() { return make_graph(920, 24, 160); }
 
 }  // namespace
 
-TEST_F(EngineOverloadTest, QueueDrainsFifoWithinOneTenant) {
+TEST_F(EngineOverloadTest, QueueDrainsFifoWithinOnePriority) {
   // One caller's requests at one priority: plain arrival order.
   const Digraph g = make_drain_graph();
   const Instance inst = Instance::max_flow(g, 0, g.num_vertices() - 1);
@@ -335,17 +335,18 @@ TEST_F(EngineOverloadTest, PriorityPastLadderClampsToLeastImportant) {
 }
 
 // ---------------------------------------------------------------------------
-// Deadlines at the queue: predictive shedding and typed queue-wait expiry.
+// Deadlines at the queue: typed queue-wait expiry.
 // ---------------------------------------------------------------------------
 
-TEST_F(EngineOverloadTest, UnmeetableDeadlineIsShedBeforeQueueing) {
+TEST_F(EngineOverloadTest, UnmeetableDeadlineExpiresInTheQueue) {
   const Digraph g = make_graph(950);
   const Instance inst = Instance::max_flow(g, 0, g.num_vertices() - 1);
   const Engine engine(
       {.seed = 10, .use_global_pool = false, .max_in_flight = 1, .max_queue = 4});
 
-  // Warm the service-time EWMA with one millisecond-scale solve, then take
-  // the slot away: the predictor now knows a queued request waits ~ms.
+  // One millisecond-scale solve, then take the slot away. A 50 µs deadline
+  // cannot outlast the wait, yet admission does not refuse it up front: the
+  // request parks and its deadline expires in the queue.
   const auto warm = engine.solve(inst, slow_opts());
   ASSERT_EQ(warm.result.status, SolveStatus::kOk);
   EXPECT_EQ(engine.reserve_capacity(1), 1u);
@@ -353,121 +354,13 @@ TEST_F(EngineOverloadTest, UnmeetableDeadlineIsShedBeforeQueueing) {
   SolveControl control;
   control.deadline = core::Deadline::in(std::chrono::microseconds(50));
   const auto res = engine.solve(inst, slow_opts(), control);
-  EXPECT_EQ(res.result.status, SolveStatus::kLoadShed);
-  EXPECT_EQ(res.result.failure_detail, "deadline<wait");
-  EXPECT_EQ(engine.metrics_snapshot().of(EngineCounter::kShedDeadline), 1u);
-  engine.restore_capacity(1);
-}
-
-TEST_F(EngineOverloadTest, WarmResolvesAreNotShedByColdCalibratedEstimates) {
-  // Delta-aware admission (DESIGN.md §16): the predictive-shed estimate keeps
-  // separate EWMA tracks for cold solves and warm resolves. A stream of
-  // heavyweight cold solves must not inflate the estimate used to judge a
-  // warm resolve — only requests actually priced on the cold track shed.
-  const Digraph small = make_graph(955);
-  const Digraph big = make_graph(956, 32, 240);
-  const Instance small_inst = Instance::max_flow(small, 0, small.num_vertices() - 1);
-  const Instance big_inst = Instance::max_flow(big, 0, big.num_vertices() - 1);
-  const Engine engine(
-      {.seed = 14, .use_global_pool = false, .max_in_flight = 1, .max_queue = 4});
-
-  // Calibrate the warm track: first resolve is cold, the following ones ride
-  // the captured central-path point and land on the warm track. The warm
-  // estimate is an EWMA of their engine-side solve times, each no longer
-  // than its wall time here, so it never exceeds the slowest warm wall time.
-  const InstanceHandle h = engine.register_instance(small_inst);
-  ASSERT_EQ(engine.resolve(h, {}, slow_opts()).result.status, SolveStatus::kOk);
-  double warm_wall_us = 0.0;
-  for (int i = 0; i < 2; ++i) {
-    InstanceDelta d;
-    d.cost_changes.push_back({0, 4 + i});
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto res = engine.resolve(h, d, slow_opts());
-    warm_wall_us = std::max(warm_wall_us, std::chrono::duration<double, std::micro>(
-                                              std::chrono::steady_clock::now() - t0)
-                                              .count());
-    ASSERT_EQ(res.result.status, SolveStatus::kOk);
-    ASSERT_TRUE(res.result.stats.warm_started);
-  }
-
-  // Inflate the cold track with much larger solves.
-  double big_wall_us = 1e18;
-  for (int i = 0; i < 2; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    ASSERT_EQ(engine.solve(big_inst, slow_opts()).result.status, SolveStatus::kOk);
-    big_wall_us = std::min(big_wall_us, std::chrono::duration<double, std::micro>(
-                                            std::chrono::steady_clock::now() - t0)
-                                            .count());
-  }
-  const double deadline_us = 4.0 * warm_wall_us;
-  if (big_wall_us < 16.0 * warm_wall_us) {
-    GTEST_SKIP() << "no cold/warm separation on this machine: warm "
-                 << warm_wall_us << "us vs big " << big_wall_us << "us";
-  }
-
-  // No free slot: both probes hit the queue path and its predictor.
-  EXPECT_EQ(engine.reserve_capacity(1), 1u);
-
-  // A cold solve with a deadline far below the cold estimate sheds upfront.
-  SolveControl cold_control;
-  cold_control.priority = 2;
-  cold_control.deadline = core::Deadline::in(
-      std::chrono::microseconds(static_cast<std::int64_t>(deadline_us)));
-  const auto cold = engine.solve(small_inst, slow_opts(), cold_control);
-  EXPECT_EQ(cold.result.status, SolveStatus::kLoadShed);
-  EXPECT_EQ(cold.result.failure_detail, "deadline<wait");
-
-  // The same deadline on a warm resolve is judged by the warm track: it is
-  // admitted to the queue (and later expires there, since the slot never
-  // frees) instead of being predictively shed.
-  InstanceDelta d;
-  d.cost_changes.push_back({0, 9});
-  SolveControl warm_control;
-  warm_control.deadline = core::Deadline::in(
-      std::chrono::microseconds(static_cast<std::int64_t>(deadline_us)));
-  const auto warm = engine.resolve(h, d, slow_opts(), warm_control);
-  EXPECT_EQ(warm.result.status, SolveStatus::kDeadlineExceeded);
-  EXPECT_EQ(warm.result.failure_detail, "queue wait");
+  EXPECT_EQ(res.result.status, SolveStatus::kDeadlineExceeded);
+  EXPECT_EQ(res.result.failure_detail, "queue wait");
   engine.restore_capacity(1);
 
   const MetricsSnapshot m = engine.metrics_snapshot();
-  EXPECT_EQ(m.of(EngineCounter::kShedDeadline), 1u);  // the cold probe only
-
-  // The refusal landed in the shed-decision trace with its reason,
-  // priority, and observed queue depth.
-  ASSERT_FALSE(m.shed_trace.empty());
-  const ShedTraceEntry& e = m.shed_trace.back();
-  EXPECT_EQ(e.reason, EngineCounter::kShedDeadline);
-  EXPECT_EQ(e.priority, 2u);
-  EXPECT_EQ(e.queue_depth, 0u);  // nothing was parked when it was refused
-}
-
-TEST_F(EngineOverloadTest, ShedTraceRingKeepsNewestDecisionsInOrder) {
-  const Digraph g = make_graph(957);
-  const Instance inst = Instance::max_flow(g, 0, g.num_vertices() - 1);
-  const Engine engine({.seed = 15, .use_global_pool = false, .max_in_flight = 1});
-  EXPECT_EQ(engine.reserve_capacity(1), 1u);
-
-  // Overflow the ring so it wraps: only the newest kShedTraceCapacity
-  // decisions survive, oldest-first.
-  const std::size_t total = kShedTraceCapacity + 9;
-  for (std::size_t i = 0; i < total; ++i) {
-    SolveControl control;
-    control.priority = 1;
-    const auto res = engine.solve(inst, combinatorial_opts(), control);
-    EXPECT_EQ(res.result.status, SolveStatus::kLoadShed);
-  }
-  engine.restore_capacity(1);
-
-  const MetricsSnapshot m = engine.metrics_snapshot();
-  EXPECT_EQ(m.of(EngineCounter::kShedNoCapacity), total);
-  ASSERT_EQ(m.shed_trace.size(), kShedTraceCapacity);
-  for (std::size_t i = 0; i < m.shed_trace.size(); ++i) {
-    const ShedTraceEntry& e = m.shed_trace[i];
-    EXPECT_EQ(e.seq, total - kShedTraceCapacity + i + 1);
-    EXPECT_EQ(e.reason, EngineCounter::kShedNoCapacity);
-    EXPECT_EQ(e.priority, 1u);
-  }
+  EXPECT_EQ(m.of(EngineCounter::kQueueTimeouts), 1u);
+  EXPECT_EQ(m.terminal_total(), m.of(EngineCounter::kSubmitted));
 }
 
 TEST_F(EngineOverloadTest, QueueWaitDeadlineExpiresTyped) {
@@ -475,8 +368,6 @@ TEST_F(EngineOverloadTest, QueueWaitDeadlineExpiresTyped) {
   const Instance inst = Instance::max_flow(g, 0, g.num_vertices() - 1);
   const Engine engine(
       {.seed = 11, .use_global_pool = false, .max_in_flight = 1, .max_queue = 2});
-  // Cold EWMA: the predictor cannot refuse upfront, so the request parks
-  // and its deadline expires at the queue's poll tick.
   EXPECT_EQ(engine.reserve_capacity(1), 1u);
 
   SolveControl control;
@@ -492,6 +383,11 @@ TEST_F(EngineOverloadTest, QueueWaitDeadlineExpiresTyped) {
   engine.restore_capacity(1);
 }
 
+// ---------------------------------------------------------------------------
+// Cancellation: the caller's token reaches a parked request, and one token
+// stops every request it was passed to.
+// ---------------------------------------------------------------------------
+
 TEST_F(EngineOverloadTest, CancelReachesARequestParkedInTheQueue) {
   const Digraph g = make_graph(952);
   const Instance inst = Instance::max_flow(g, 0, g.num_vertices() - 1);
@@ -499,25 +395,66 @@ TEST_F(EngineOverloadTest, CancelReachesARequestParkedInTheQueue) {
       {.seed = 12, .use_global_pool = false, .max_in_flight = 1, .max_queue = 2});
   EXPECT_EQ(engine.reserve_capacity(1), 1u);
 
-  std::atomic<SolveHandle> handle{0};
+  core::CancelToken token;
   EngineSolveResult res;
   std::thread parked([&] {
     SolveControl control;
-    control.handle = &handle;
+    control.cancel = &token;
     res = engine.solve(inst, combinatorial_opts(), control);
   });
-  ASSERT_TRUE(wait_until([&] { return handle.load() != 0 && engine.queue_depth() >= 1; }));
-  EXPECT_TRUE(engine.cancel(handle.load()));
+  EXPECT_TRUE(wait_until([&] { return engine.queue_depth() >= 1; }));
+  token.cancel();
   parked.join();
   EXPECT_EQ(res.result.status, SolveStatus::kCanceled);
   EXPECT_EQ(res.result.failure_detail, "queued cancel");
 
   const MetricsSnapshot m = engine.metrics_snapshot();
   EXPECT_EQ(m.of(EngineCounter::kQueueCancels), 1u);
-  EXPECT_EQ(m.of(EngineCounter::kCancelRequests), 1u);
-  EXPECT_EQ(m.of(EngineCounter::kCancelHits), 1u);
   EXPECT_EQ(m.terminal_total(), m.of(EngineCounter::kSubmitted));
   engine.restore_capacity(1);
+}
+
+TEST_F(EngineOverloadTest, OneTokenStopsARunningBatchAndAQueuedResolve) {
+  // Two tens-of-millisecond batch items take both slots and run on the pool;
+  // a resolve passed the same token parks behind them. One cancel stops all
+  // three: the items at their next lifecycle poll, the resolve at the
+  // queue's poll tick or, when a slot the items free reaches it first, at
+  // its solve's entry check.
+  par::ThreadPool::configure(2);
+  const Digraph g1 = make_drain_graph();
+  const Digraph g2 = make_graph(921, 24, 160);
+  const Digraph g3 = make_graph(953);
+  const std::vector<Instance> batch = {Instance::max_flow(g1, 0, g1.num_vertices() - 1),
+                                       Instance::max_flow(g2, 0, g2.num_vertices() - 1)};
+  const Engine engine({.seed = 16, .max_in_flight = 2, .max_queue = 1});
+  const InstanceHandle h =
+      engine.register_instance(Instance::max_flow(g3, 0, g3.num_vertices() - 1));
+
+  core::CancelToken token;
+  SolveControl control;
+  control.cancel = &token;
+  std::vector<EngineSolveResult> batch_res;
+  std::thread batch_caller([&] { batch_res = engine.solve_batch(batch, slow_opts(), control); });
+  EXPECT_TRUE(wait_until([&] { return engine.in_flight() == 2; }));
+  EngineSolveResult resolve_res;
+  std::thread resolve_caller([&] { resolve_res = engine.resolve(h, {}, slow_opts(), control); });
+  EXPECT_TRUE(wait_until([&] { return engine.queue_depth() == 1; }));
+  token.cancel();
+  batch_caller.join();
+  resolve_caller.join();
+
+  ASSERT_EQ(batch_res.size(), batch.size());
+  for (const EngineSolveResult& item : batch_res)
+    EXPECT_EQ(item.result.status, SolveStatus::kCanceled);
+  EXPECT_EQ(resolve_res.result.status, SolveStatus::kCanceled);
+
+  const MetricsSnapshot m = engine.metrics_snapshot();
+  EXPECT_EQ(m.of(EngineCounter::kCanceled), 3u);
+  EXPECT_EQ(m.terminal_total(), m.of(EngineCounter::kSubmitted));
+  EXPECT_EQ(engine.in_flight(), 0u);
+
+  // The canceled resolve left the instance resolvable.
+  EXPECT_EQ(engine.resolve(h, {}, slow_opts()).result.status, SolveStatus::kOk);
 }
 
 // ---------------------------------------------------------------------------

@@ -89,13 +89,15 @@ TEST_F(SoakTest, ChaosCancellationAndClientCancelsStayTyped) {
   soak::SoakConfig cfg = small_soak(0x50a4b013ULL);
   cfg.requests = 5000;
   cfg.chaos_cancel_rate = 0.02;  // queue-point kCancelRequest injection
-  cfg.cancel_rate = 0.2;         // plus a live Engine::cancel canceler thread
+  cfg.cancel_rate = 0.2;         // plus a canceler thread on the workers' tokens
   const soak::SoakReport rep = soak::run_soak(cfg);
   expect_reconciled(rep);
   EXPECT_EQ(rep.metrics.of(EngineCounter::kFailed), 0u);
   EXPECT_GT(rep.metrics.of(EngineCounter::kQueueCancels), 0u);
-  EXPECT_GE(rep.metrics.of(EngineCounter::kCancelRequests),
-            rep.metrics.of(EngineCounter::kCancelHits));
+  // Client cancels land past the queue too: chaos fires only at queue
+  // points, so every kCanceled beyond kQueueCancels came from a token.
+  EXPECT_GT(rep.metrics.of(EngineCounter::kCanceled),
+            rep.metrics.of(EngineCounter::kQueueCancels));
 }
 
 TEST_F(SoakTest, ScheduleIsReproducibleAcrossRuns) {

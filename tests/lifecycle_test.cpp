@@ -12,8 +12,8 @@
 //    and seeds in serial and pooled modes (satellite of ISSUE 5).
 //  - Engine: per-item batch statuses stay exact across a mix of valid /
 //    infeasible / invalid / past-deadline instances; admission control sheds
-//    the deterministic suffix with kLoadShed; Engine::cancel(handle) reaches
-//    a solve blocked on another thread.
+//    the deterministic suffix with kLoadShed; the caller's CancelToken
+//    reaches a solve blocked on another thread.
 //
 // Suite names contain "Lifecycle" on purpose: the TSan CI job's ctest filter
 // and the chaos-sweep step both select on it.
@@ -284,7 +284,7 @@ TEST_F(LifecycleTest, CancelTokenFromAnotherThreadIsObservedCooperatively) {
 
 // ---------------------------------------------------------------------------
 // Engine: per-request lifecycle controls, exact per-item statuses, admission
-// control, and handle-based cancellation.
+// control, and cancellation from another thread.
 // ---------------------------------------------------------------------------
 
 TEST_F(LifecycleEngineTest, BatchMixedInstancesGetExactPerItemStatuses) {
@@ -421,26 +421,25 @@ TEST_F(LifecycleEngineTest, CancelHandleReachesASolveOnAnotherThread) {
   const Digraph g = make_graph(403, 16, 90);
   const auto opts = fast_opts();
 
-  const Engine engine({.seed = 88, .use_global_pool = false});
-  std::atomic<SolveHandle> handle{0};
+  const Engine engine({.seed = 88, .use_global_pool = false, .max_in_flight = 1});
+  // The caller's token is its handle on the solve: any thread may cancel it.
+  core::CancelToken token;
   SolveControl control;
-  control.handle = &handle;
+  control.cancel = &token;
 
   EngineSolveResult out;
-  std::thread solver(
-      [&] { out = engine.solve(Instance::max_flow(g, 0, g.num_vertices() - 1), opts, control); });
-  // The handle is published before the solve starts, so the watcher can
-  // cancel a solve it never saw begin.
-  SolveHandle h = 0;
-  while ((h = handle.load(std::memory_order_acquire)) == 0) std::this_thread::yield();
-  engine.cancel(h);
+  std::atomic<bool> returned{false};
+  std::thread solver([&] {
+    out = engine.solve(Instance::max_flow(g, 0, g.num_vertices() - 1), opts, control);
+    returned.store(true);
+  });
+  // The watcher cancels once the solve holds its slot.
+  while (engine.in_flight() == 0 && !returned.load()) std::this_thread::yield();
+  token.cancel();
   solver.join();
   EXPECT_TRUE(out.result.status == SolveStatus::kCanceled ||
               out.result.status == SolveStatus::kOk)
       << to_string(out.result.status);
-
-  // Once the solve returns, its handle is retired: cancel() reports a miss.
-  EXPECT_FALSE(engine.cancel(h));
   EXPECT_EQ(engine.in_flight(), 0u);
 
   // The engine stays serviceable after a cancellation.
