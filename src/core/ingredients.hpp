@@ -32,6 +32,13 @@ struct IpmStepIngredient {
   double rob_center_damping = 0.95;     ///< exact re-centering step damping
   std::int32_t rob_recenter_max = 30;   ///< re-centering steps per epoch
   double rob_recenter_threshold = 0.5;  ///< centrality target at epoch start
+  /// NewtonSystem (both IPMs) solves exactly, by GroundedFactor, on graphs
+  /// of at most this many columns, and by the CG ladder above it.
+  std::size_t newton_exact_max_cols = 48;
+  /// The exact Newton solve pins a vertex whose pivot is at or below this
+  /// fraction of the largest normalized conductance (which is 1): the
+  /// dense rung's Dense::solve_pinned rule.
+  double newton_pin_floor = 1e-14;
 };
 
 /// Sketch dimension / leverage sampling config (linalg/leverage.cpp,

@@ -43,7 +43,7 @@ double duality_gap(const IpmLp& lp, const Vec& x, const Vec& y, const Vec& s, co
 NewtonSystem::NewtonSystem(const IpmLp& lp, const linalg::IncidenceOp& a) : lp_(lp), a_(a) {
   for (Vec* v : {&hess_, &grad_, &s_, &z_, &d_, &resid_, &dresid_, &ay_, &a_dy_, &dx_, &dn_})
     v->resize(a.rows());
-  for (Vec* v : {&atx_, &rp_, &rhs_, &rhsn_}) v->resize(a.cols());
+  for (Vec* v : {&atx_, &rp_, &rhs_, &rhsn_, &dy_}) v->resize(a.cols());
 }
 
 void NewtonSystem::eval_barrier(const Vec& x) {
@@ -76,39 +76,53 @@ NewtonStep NewtonSystem::step(core::SolverContext& ctx, Vec& x, Vec& y, double m
   a_.apply_transpose_into(dresid_, rhs_);
   par::parallel_for(0, n, [&](std::size_t i) { rhs_[i] = -rp_[i] - rhs_[i]; });
   rhs_[dropped] = 0.0;
-  // Normalize the weight scale so the dropped row's unit pin is
-  // commensurate with the Laplacian diagonal (keeps CG well conditioned).
+  // Normalize the weight scale so the largest conductance is 1: the pin
+  // floor and the dropped row's unit pin are relative to it.
   const double dmax = linalg::norm_inf(d_);
   linalg::scale_into(d_, 1.0 / dmax, dn_);
   linalg::scale_into(rhs_, 1.0 / dmax, rhsn_);
-  // Acceleration layer (DESIGN.md §10): the Laplacian pattern is fixed
-  // across steps (value-only refresh), the incomplete-Cholesky
-  // preconditioner survives while the normalized weights drift slowly
-  // along the path, and δy warm-starts from the previous step's direction.
-  linalg::AccelCache& cache = linalg::accel_cache(ctx);
-  const linalg::Csr& lap = cache.laplacian(ctx, a_.graph(), dn_, a_.dropped());
-  const linalg::SddPreconditioner& precond =
-      cache.preconditioner(ctx, linalg::AccelSite::kNewton, lap, dn_);
-  Vec& warm_dy = cache.warm_start(linalg::AccelSite::kNewton, 0, n);
-  // Newton system with the full recovery ladder: CG, tolerance
-  // escalation, dense elimination. A rung that still fails ends the step
-  // with a typed status instead of stepping on a garbage direction.
-  linalg::ResilientSolveOptions rso;
-  rso.base = solve;
-  auto sol = linalg::solve_sdd_resilient(ctx, lap, rhsn_, rso, &precond, &warm_dy);
   NewtonStep out;
-  out.cg_escalations = sol.tolerance_escalations;
-  out.dense_fallback = sol.used_dense_fallback;
-  if (sol.status != SolveStatus::kOk) {
-    // Lifecycle statuses pass through untouched — they describe the
-    // request, not the instance or the numerics.
-    out.status = is_lifecycle_error(sol.status) ? sol.status : SolveStatus::kNumericalFailure;
-    return out;
+  const core::IpmStepIngredient& stp = core::default_ingredients().step;
+  if (n <= stp.newton_exact_max_cols) {
+    // Exact solve (DESIGN.md §10): the GTH factor of the grounded Laplacian
+    // costs less than one CG solve at these sizes. Late on the path whole
+    // vertices hang by conductances near 1e-29; the pin floor grounds them
+    // (δy = 0 there) instead of dividing noise by their pivots.
+    factor_.factor(a_, dn_, stp.newton_pin_floor);
+    factor_.solve(rhsn_, dy_);
+    if (!std::all_of(dy_.begin(), dy_.end(), [](double t) { return std::isfinite(t); })) {
+      out.status = SolveStatus::kNumericalFailure;
+      return out;
+    }
+  } else {
+    // Acceleration layer (DESIGN.md §10): the Laplacian pattern is fixed
+    // across steps (value-only refresh), the incomplete-Cholesky
+    // preconditioner survives while the normalized weights drift slowly
+    // along the path, and δy warm-starts from the previous step's direction.
+    linalg::AccelCache& cache = linalg::accel_cache(ctx);
+    const linalg::Csr& lap = cache.laplacian(ctx, a_.graph(), dn_, a_.dropped());
+    const linalg::SddPreconditioner& precond =
+        cache.preconditioner(ctx, linalg::AccelSite::kNewton, lap, dn_);
+    Vec& warm_dy = cache.warm_start(linalg::AccelSite::kNewton, 0, n);
+    // Newton system with the full recovery ladder: CG, tolerance
+    // escalation, dense elimination. A rung that still fails ends the step
+    // with a typed status instead of stepping on a garbage direction.
+    linalg::ResilientSolveOptions rso;
+    rso.base = solve;
+    auto sol = linalg::solve_sdd_resilient(ctx, lap, rhsn_, rso, &precond, &warm_dy);
+    out.cg_escalations = sol.tolerance_escalations;
+    out.dense_fallback = sol.used_dense_fallback;
+    if (sol.status != SolveStatus::kOk) {
+      // Lifecycle statuses pass through untouched — they describe the
+      // request, not the instance or the numerics.
+      out.status = is_lifecycle_error(sol.status) ? sol.status : SolveStatus::kNumericalFailure;
+      return out;
+    }
+    sol.x[dropped] = 0.0;
+    warm_dy = sol.x;  // seed the next step's Newton solve
+    dy_.swap(sol.x);
   }
-  Vec& dy = sol.x;
-  dy[dropped] = 0.0;
-  warm_dy = dy;  // seed the next step's Newton solve
-  a_.apply_into(dy, a_dy_);
+  a_.apply_into(dy_, a_dy_);
   par::parallel_for(0, m, [&](std::size_t i) { dx_[i] = -d_[i] * (resid_[i] + a_dy_[i]); });
 
   // Damping: stay a factor `keep` inside the walls multiplicatively.
@@ -128,7 +142,7 @@ NewtonStep NewtonSystem::step(core::SolverContext& ctx, Vec& x, Vec& y, double m
   par::parallel_for(0, m, [&](std::size_t i) { x[i] += alpha * dx_[i]; });
   // With s = c - Ay the solved system's direction enters the dual with a
   // minus sign: y_new = y - δy (while δx above is already consistent).
-  par::parallel_for(0, n, [&](std::size_t i) { y[i] -= alpha * dy[i]; });
+  par::parallel_for(0, n, [&](std::size_t i) { y[i] -= alpha * dy_[i]; });
   y[dropped] = 0.0;
   return out;
 }

@@ -13,7 +13,10 @@
 // centrality vector z = (s + μτφ'(x)) / (μτ√φ''(x)), then take a damped
 // primal-dual Newton step for the weighted barrier system and shrink μ by
 // (1 - r/√(Στ)). The Newton step is NewtonSystem, which the robust IPM's
-// epoch re-centering takes too.
+// epoch re-centering takes too. On graphs of at most
+// IpmStepIngredient::newton_exact_max_cols (48) columns it solves the
+// Newton system exactly with linalg::GroundedFactor; above that it runs the
+// CG recovery ladder (DESIGN.md §10).
 
 #include <cstdint>
 #include <string>
@@ -23,6 +26,7 @@
 #include "core/solver_context.hpp"
 #include "graph/digraph.hpp"
 #include "linalg/incidence.hpp"
+#include "linalg/laplacian.hpp"
 #include "linalg/lewis.hpp"
 #include "linalg/sdd_solver.hpp"
 #include "linalg/kernels.hpp"
@@ -46,7 +50,9 @@ struct IpmOptions {
   double mu_end = 1e-4;          ///< path floor; duality_gap < 1 may stop sooner
   std::int32_t max_iters = 20000;
   linalg::LeverageOptions leverage;    ///< τ oracle: exact up to sketch_dim columns, else JL
-  linalg::SolveOptions solve;          ///< Newton system solver
+  /// Newton system CG target on graphs wider than the exact solve's 48
+  /// columns; narrower systems are solved exactly and ignore it.
+  linalg::SolveOptions solve;
   std::uint64_t seed = 7;
   /// Cross-solve Lewis-weight slot (DESIGN.md §15): when non-null and sized
   /// m, *tau_io seeds the regularized Lewis weights τ instead of the flat
@@ -79,15 +85,21 @@ struct NewtonStep {
   /// solve; kNumericalFailure when the solve ladder failed or the direction
   /// is non-finite. (x, y) only move on kOk.
   SolveStatus status = SolveStatus::kOk;
-  std::int32_t cg_escalations = 0;  ///< tolerance escalations of the Newton solve
-  bool dense_fallback = false;      ///< Newton solve done by dense elimination
+  std::int32_t cg_escalations = 0;  ///< tolerance escalations of the CG Newton solve
+  bool dense_fallback = false;      ///< CG Newton solve finished by dense elimination
 };
 
 /// The exact damped primal-dual Newton step of both IPMs: reference_ipm takes
 /// it every iteration, robust_ipm when it re-centers at an epoch boundary.
-/// Owns the step's work buffers, so steps allocate nothing apart from the
-/// sparse Laplacian rebuild and the CG solver's own state. Each step reads
-/// the point of the last eval_barrier and eval_center calls.
+/// Up to newton_exact_max_cols columns the step factors the grounded
+/// Laplacian with GroundedFactor and solves L δy = rhs by substitution,
+/// pinning to 0 every vertex whose pivot is at or below newton_pin_floor of
+/// the largest normalized conductance; it touches no AccelCache and, once
+/// the first step has sized its buffers, allocates nothing. Wider systems
+/// go through the context's cached Laplacian, the kNewton IC(0) factor, the
+/// Newton warm start and the CG recovery ladder, whose result is the one
+/// allocation of such a step. Each step reads the point of the last
+/// eval_barrier and eval_center calls.
 class NewtonSystem {
  public:
   /// Borrows `lp` and `a`; both must outlive the system.
@@ -115,7 +127,8 @@ class NewtonSystem {
   const IpmLp& lp_;
   const linalg::IncidenceOp& a_;
   linalg::Vec hess_, grad_, s_, z_, d_, resid_, dresid_, ay_, a_dy_, dx_, dn_;  // size m
-  linalg::Vec atx_, rp_, rhs_, rhsn_;                                        // size n
+  linalg::Vec atx_, rp_, rhs_, rhsn_, dy_;                                   // size n
+  linalg::GroundedFactor factor_;  // the exact solve's factor, refactored every step
 };
 
 /// Duality gap of (x, y) from s = c - Ay and r_p = b - A^T x:

@@ -35,7 +35,7 @@ namespace pmcf::linalg {
 /// sites separate means the Newton system's IC(0) factor is never evicted by
 /// a leverage-sketch solve against different weights in the same iteration.
 enum class AccelSite : std::uint8_t {
-  kNewton = 0,     ///< Newton/centering systems (both IPMs)
+  kNewton = 0,     ///< Newton/centering systems of more than 48 columns (both IPMs)
   kLeverage = 1,   ///< JL leverage-score sketch solves
   kLewisMaint = 2, ///< LeverageMaintenance rebuild solves
   kRobustStep = 3, ///< robust-step sparsified dy/q systems

@@ -50,6 +50,18 @@ inline void charge_passes(std::size_t n, std::uint64_t passes, std::uint64_t red
   par::charge((passes + reductions) * n, (passes + 2 * reductions) * par::ceil_log2(n));
 }
 
+/// charge_passes summed over a run of passes, charged once by charge().
+struct PassTally {
+  std::uint64_t work = 0;
+  std::uint64_t depth = 0;
+  void add(std::size_t n, std::uint64_t passes, std::uint64_t reductions) {
+    if (n == 0) return;
+    work += (passes + reductions) * n;
+    depth += (passes + 2 * reductions) * par::ceil_log2(n);
+  }
+  void charge() const { par::charge(work, depth); }
+};
+
 // ---------------------------------------------------------------------------
 // By-value helpers (cold paths; allocate their result).
 // ---------------------------------------------------------------------------

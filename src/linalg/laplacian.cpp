@@ -162,4 +162,106 @@ void Laplacian::refresh_values(const Vec& d) {
   });
 }
 
+void GroundedFactor::factor(const IncidenceOp& a, const Vec& conductance, double pin_floor) {
+  const std::size_t m = a.rows();
+  const std::size_t d = a.cols() - 1;
+  assert(conductance.size() == m);
+  d_ = d;
+  dropped_ = a.dropped();
+  // The passes below: zeroing the d×d conductance matrix and scattering
+  // the arcs; per pivot k, with r = d − 1 − k rows after it, the pivot sum,
+  // the multipliers, the ground update and the Schur update of the
+  // r(r − 1)/2 pairs after it.
+  PassTally cost;
+  cost.add(d * d, 1, 0);
+  cost.add(m, 1, 0);
+  for (std::size_t k = 0; k < d; ++k) {
+    const std::size_t r = d - 1 - k;
+    cost.add(r, 2, 1);
+    cost.add(r * (r - 1) / 2, 1, 0);
+  }
+  cost.charge();
+
+  // The upper triangle of c_ holds the conductances between the rows not
+  // yet eliminated, g_ their conductances to ground.
+  c_.assign(d * d, 0.0);
+  g_.assign(d, 0.0);
+  pivot_.assign(d, 0.0);
+  const std::int32_t* from = a.from().data();
+  const std::int32_t* to = a.to().data();
+  for (std::size_t e = 0; e < m; ++e) {
+    const std::size_t lo = std::min(row(from[e]), row(to[e]));
+    const std::size_t hi = std::max(row(from[e]), row(to[e]));
+    if (lo == hi) continue;
+    (hi == d ? g_[lo] : c_[lo * d + hi]) += conductance[e];
+  }
+
+  // GTH elimination in row order. Eliminating k adds c_ki c_kj / p_k to
+  // each later pair and c_ki g_k / p_k to ground, so every entry stays a
+  // sum of non-negative terms. Row k is then overwritten with the
+  // multipliers c_ki / p_k: column k of F.
+  for (std::size_t k = 0; k < d; ++k) {
+    double* ck = c_.data() + k * d;
+    double p = g_[k];
+    for (std::size_t i = k + 1; i < d; ++i) p += ck[i];
+    if (p <= pin_floor) {
+      // Pinned: k is held at ground potential, so its conductances to the
+      // later rows become theirs to ground. At floor 0 they are all 0.
+      for (std::size_t i = k + 1; i < d; ++i) {
+        g_[i] += ck[i];
+        ck[i] = 0.0;
+      }
+      continue;
+    }
+    pivot_[k] = p;
+    for (std::size_t i = k + 1; i < d; ++i) {
+      const double f = ck[i] / p;
+      if (f == 0.0) continue;
+      g_[i] += f * g_[k];
+      double* ci = c_.data() + i * d;
+      for (std::size_t j = i + 1; j < d; ++j) ci[j] += f * ck[j];
+    }
+    for (std::size_t i = k + 1; i < d; ++i) ck[i] /= p;
+  }
+}
+
+void GroundedFactor::solve(const Vec& b, Vec& x) {
+  const std::size_t d = d_;
+  const auto drop = static_cast<std::size_t>(dropped_);
+  assert(b.size() == d + 1 && x.size() == d + 1);
+  // The passes below: the gather of b, step k of each substitution over
+  // the r = d − 1 − k rows after k (an update, then a reduction), the
+  // pivot division and the scatter into x.
+  PassTally cost;
+  cost.add(d, 2, 0);
+  cost.add(d + 1, 1, 0);
+  for (std::size_t k = 0; k < d; ++k) cost.add(d - 1 - k, 1, 1);
+  cost.charge();
+
+  z_.resize(d);
+  std::copy_n(b.begin(), drop, z_.begin());
+  std::copy(b.begin() + static_cast<std::ptrdiff_t>(drop) + 1, b.end(),
+            z_.begin() + static_cast<std::ptrdiff_t>(drop));
+  // (I − F) u = b, column by column: u_i = b_i + Σ_{k<i} F_ik u_k.
+  for (std::size_t k = 0; k < d; ++k) {
+    const double t = z_[k];
+    if (t == 0.0) continue;
+    const double* fk = multipliers(k);
+    for (std::size_t i = k + 1; i < d; ++i) z_[i] += fk[i] * t;
+  }
+  // D w = u, with w = 0 on pinned rows.
+  for (std::size_t k = 0; k < d; ++k) z_[k] = pivot_[k] > 0.0 ? z_[k] / pivot_[k] : 0.0;
+  // (I − F)ᵀ x = w, last row first: x_k = w_k + Σ_{i>k} F_ik x_i.
+  for (std::size_t k = d; k-- > 0;) {
+    const double* fk = multipliers(k);
+    double s = z_[k];
+    for (std::size_t i = k + 1; i < d; ++i) s += fk[i] * z_[i];
+    z_[k] = s;
+  }
+  std::copy_n(z_.begin(), drop, x.begin());
+  x[drop] = 0.0;
+  std::copy(z_.begin() + static_cast<std::ptrdiff_t>(drop), z_.end(),
+            x.begin() + static_cast<std::ptrdiff_t>(drop) + 1);
+}
+
 }  // namespace pmcf::linalg

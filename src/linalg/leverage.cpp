@@ -16,34 +16,18 @@ namespace pmcf::linalg {
 
 namespace {
 
-/// PRAM cost of leverage_scores_exact on `d` grounded vertices and `m` arcs,
-/// as the passes it runs: zeroing the d×d conductance matrix and scattering
-/// the arcs; per pivot k, with r = d − 1 − k vertices after it, the pivot
-/// sum, the multipliers, the ground update and the Schur update of the
-/// r(r − 1)/2 pairs after it; step k of the forward substitution, one pass
-/// over the r rows after k in each of the k + 1 columns it reaches (the
+/// PRAM cost of leverage_scores_exact past its GroundedFactor, as the
+/// passes it runs: step k of the forward substitution, one pass over the
+/// r = d − 1 − k rows after k in each of the k + 1 columns it reaches (the
 /// columns run side by side); the p^{-1/2} scaling; and one reduction of
 /// length at most d per arc, all arcs side by side.
 void charge_exact(std::size_t d, std::size_t m) {
-  std::uint64_t work = 0;
-  std::uint64_t depth = 0;
-  const auto pass = [&](std::uint64_t n, std::uint64_t passes, std::uint64_t reductions) {
-    if (n == 0) return;
-    work += (passes + reductions) * n;
-    depth += (passes + 2 * reductions) * par::ceil_log2(n);
-  };
-  pass(d * d, 1, 0);
-  pass(m, 1, 0);
-  for (std::size_t k = 0; k < d; ++k) {
-    const std::size_t r = d - 1 - k;
-    pass(r, 2, 1);
-    pass(r * (r - 1) / 2, 1, 0);
-    pass((k + 1) * r, 1, 0);
-  }
-  pass(d * (d + 1) / 2, 1, 0);
-  work += m * d;
-  depth += 2 * par::ceil_log2(std::max<std::size_t>(d, 1)) + 1;
-  par::charge(work, depth);
+  PassTally cost;
+  for (std::size_t k = 0; k < d; ++k) cost.add((k + 1) * (d - 1 - k), 1, 0);
+  cost.add(d * (d + 1) / 2, 1, 0);
+  cost.work += m * d;
+  cost.depth += 2 * par::ceil_log2(std::max<std::size_t>(d, 1)) + 1;
+  cost.charge();
 }
 
 }  // namespace
@@ -53,61 +37,27 @@ Vec leverage_scores_exact(const IncidenceOp& a, const Vec& v) {
   const std::size_t d = a.cols() - 1;  // grounded vertices; the dropped one is ground
   const std::int32_t* from = a.from().data();
   const std::int32_t* to = a.to().data();
-  const std::int32_t drop = a.dropped();
-  charge_exact(d, m);
-  // Vertex → row of the grounded Laplacian; ground is row d.
-  const auto row = [drop, d](std::int32_t x) -> std::size_t {
-    return x == drop ? d : static_cast<std::size_t>(x < drop ? x : x - 1);
-  };
   // Leverage scores are invariant under uniform scaling of v; conductances
   // (v_e / max v)² lie in [0, 1], so none overflows.
   const double vmax = std::max(norm_inf(v), 1e-300);
-  const auto conductance = [&](std::size_t e) {
-    const double t = v[e] / vmax;
-    return t * t;
-  };
-
-  // The upper triangle of c holds the conductances between the vertices
-  // not yet eliminated, g their conductances to ground.
-  Vec c(d * d, 0.0);
-  Vec g(d, 0.0);
+  Vec conductance(m);
   for (std::size_t e = 0; e < m; ++e) {
-    const std::size_t lo = std::min(row(from[e]), row(to[e]));
-    const std::size_t hi = std::max(row(from[e]), row(to[e]));
-    if (lo == hi) continue;
-    (hi == d ? g[lo] : c[lo * d + hi]) += conductance(e);
+    const double t = v[e] / vmax;
+    conductance[e] = t * t;
   }
-
-  // GTH elimination in row order. The pivot p_k is the sum of vertex k's
-  // conductances to ground and to the vertices after it, never a
-  // difference, and eliminating k adds c_ki c_kj / p_k to each later pair
-  // and c_ki g_k / p_k to ground: every entry keeps its relative accuracy
-  // whatever the spread of the weights. Row k is then overwritten with the
-  // multipliers c_ki / p_k: column k of the strictly lower factor F.
-  Vec rsqrt_pivot(d, 0.0);
-  for (std::size_t k = 0; k < d; ++k) {
-    double* ck = c.data() + k * d;
-    double p = g[k];
-    for (std::size_t i = k + 1; i < d; ++i) p += ck[i];
-    if (p <= 0.0) {  // cut off from ground: no current passes through k
-      std::fill(ck + k + 1, ck + d, 0.0);
-      continue;
-    }
-    rsqrt_pivot[k] = 1.0 / std::sqrt(p);
-    for (std::size_t i = k + 1; i < d; ++i) {
-      const double f = ck[i] / p;
-      if (f == 0.0) continue;
-      g[i] += f * g[k];
-      double* ci = c.data() + i * d;
-      for (std::size_t j = i + 1; j < d; ++j) ci[j] += f * ck[j];
-    }
-    for (std::size_t i = k + 1; i < d; ++i) ck[i] /= p;
-  }
+  // Floor 0 pins only the vertices cut off from ground: no current passes
+  // through them.
+  GroundedFactor fac;
+  fac.factor(a, conductance, 0.0);
+  charge_exact(d, m);
 
   // Row j of q is column j of D^{-1/2} (I − F)^{-1}, where the grounded
   // Laplacian is (I − F) D (I − F)ᵀ. (I − F)^{-1} = I + F + F² + … has no
   // negative entry, so the forward substitution only adds. Row d, ground,
   // stays zero.
+  Vec rsqrt_pivot(d, 0.0);
+  for (std::size_t k = 0; k < d; ++k)
+    if (fac.pivot(k) > 0.0) rsqrt_pivot[k] = 1.0 / std::sqrt(fac.pivot(k));
   Vec q((d + 1) * d, 0.0);
   for (std::size_t j = 0; j < d; ++j) {
     double* qj = q.data() + j * d;
@@ -115,7 +65,7 @@ Vec leverage_scores_exact(const IncidenceOp& a, const Vec& v) {
     for (std::size_t k = j; k + 1 < d; ++k) {
       const double t = qj[k];
       if (t == 0.0) continue;
-      const double* fk = c.data() + k * d;
+      const double* fk = fac.multipliers(k);
       for (std::size_t i = k + 1; i < d; ++i) qj[i] += fk[i] * t;
     }
     for (std::size_t i = j; i < d; ++i) qj[i] *= rsqrt_pivot[i];
@@ -126,8 +76,8 @@ Vec leverage_scores_exact(const IncidenceOp& a, const Vec& v) {
   // can cancel.
   Vec sigma(m);
   for (std::size_t e = 0; e < m; ++e) {
-    const std::size_t u = row(from[e]);
-    const std::size_t x = row(to[e]);
+    const std::size_t u = fac.row(from[e]);
+    const std::size_t x = fac.row(to[e]);
     const double* qu = q.data() + u * d;
     const double* qx = q.data() + x * d;
     double s = 0.0;
@@ -135,7 +85,7 @@ Vec leverage_scores_exact(const IncidenceOp& a, const Vec& v) {
       const double t = qx[i] - qu[i];
       s += t * t;
     }
-    sigma[e] = std::clamp(conductance(e) * s, 0.0, 1.0);
+    sigma[e] = std::clamp(conductance[e] * s, 0.0, 1.0);
   }
   return sigma;
 }

@@ -2,10 +2,11 @@
 // Leverage scores sigma(VA)_i = (v_i a_i)^T (A^T V^2 A)^{-1} (v_i a_i).
 //
 // Two implementations:
-//  - exact: GTH elimination of the grounded Laplacian, O(n^3 + mn) work on
-//    the calling thread. leverage_scores takes it whenever the graph has no
-//    more columns than the JL sketch has rows (k solves would cost more),
-//    and after a sketch fails its validation;
+//  - exact: the GroundedFactor (GTH elimination, laplacian.hpp) of the
+//    grounded Laplacian at pin floor 0, then D^{-1/2}(I − F)^{-1}, O(n^3 +
+//    mn) work on the calling thread. leverage_scores takes it whenever the
+//    graph has no more columns than the JL sketch has rows (k solves would
+//    cost more), and after a sketch fails its validation;
 //  - sketched: the standard JL estimator [LS13 App. B.2, as cited in C.1] —
 //    O~(1/eps^2) SDD solves plus O(km) work, O~(1) depth per solve batch.
 //    sketched_leverage is its one JL pass: leverage_scores validates it and
@@ -21,7 +22,7 @@
 namespace pmcf::linalg {
 
 /// Exact leverage scores, clamped to [0, 1]: sigma_e = v_e² ‖D^{-1/2}
-/// (I − F)^{-1} (e_to − e_from)‖² from the GTH factorization (I − F) D
+/// (I − F)^{-1} (e_to − e_from)‖² from the GroundedFactor (I − F) D
 /// (I − F)ᵀ of A^T V^2 A with the dropped column removed. Every pivot is a
 /// sum of conductances and every factor entry a sum of positive terms, so
 /// the only cancellation is the final difference of two columns: the scores

@@ -21,7 +21,7 @@
 // One CG loop serves every entry point (sdd_solver.cpp): a template over
 // the column count of row-major n×k blocks, compiled with k fixed at 1
 // behind solve_sdd_into (so solve_sdd, solve_sdd_resilient and every Newton
-// solve) and with a runtime k behind solve_sdd_block, solve_sdd_multi and
+// CG solve) and with a runtime k behind solve_sdd_block, solve_sdd_multi and
 // the JL leverage sketch. The k columns share one nnz-balanced SpMV per
 // iteration; each column's iterate, SolveInfo and fault-injection draws are
 // bit for bit those of its own k = 1 solve (tests/accel_test.cpp), and each

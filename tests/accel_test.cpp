@@ -416,17 +416,40 @@ TEST_F(AccelTest, SolveStatsSurfacesAccelTelemetry) {
 
   // The Laplacian pattern is built once and refreshed every iteration after
   // that; preconditioners are built at least once; the leverage sketch goes
-  // through the blocked multi-RHS path; Newton warm starts hit after the
-  // first iteration.
+  // through the blocked multi-RHS path.
   EXPECT_GE(res.stats.laplacian_builds, 1u);
   EXPECT_GT(res.stats.laplacian_refreshes, 0u);
   EXPECT_GT(res.stats.precond_builds, 0u);
   EXPECT_GT(res.stats.precond_reuses, 0u);
   EXPECT_GT(res.stats.multi_rhs_solves, 0u);
   EXPECT_GT(res.stats.multi_rhs_columns, res.stats.multi_rhs_solves);
-  EXPECT_GT(res.stats.warm_start_hits, 0u);
   EXPECT_GT(res.stats.precond_hit_rate(), 0.0);
   EXPECT_LE(res.stats.precond_hit_rate(), 1.0);
+
+  // Newton warm starts hit after the first iteration once the Newton
+  // systems run CG: 49 columns, one past the exact solve.
+  const graph::Digraph wide = graph::random_flow_network(48, 192, 8, 8, rng);
+  const auto wide_res = mcf::min_cost_max_flow(wide, 0, 47, opts);
+  ASSERT_EQ(wide_res.status, SolveStatus::kOk);
+  EXPECT_GT(wide_res.stats.warm_start_hits, 0u);
+}
+
+TEST_F(AccelTest, SmallReferenceSolveBuildsNoLaplacian) {
+  // 17 columns: every τ comes from the exact leverage oracle and every
+  // Newton system from the exact factor, so the solve never assembles a
+  // sparse Laplacian or a preconditioner, and runs no CG.
+  par::Rng rng(42);
+  const graph::Digraph g = graph::random_flow_network(16, 128, 6, 6, rng);
+  mcf::SolveOptions opts;
+  opts.method = mcf::Method::kReferenceIpm;
+  const auto res = mcf::min_cost_max_flow(g, 0, 15, opts);
+  ASSERT_EQ(res.status, SolveStatus::kOk);
+  EXPECT_GT(res.stats.ipm_iterations, 0);
+  EXPECT_EQ(res.stats.laplacian_builds, 0u);
+  EXPECT_EQ(res.stats.laplacian_refreshes, 0u);
+  EXPECT_EQ(res.stats.precond_builds, 0u);
+  EXPECT_EQ(res.stats.cg_tolerance_escalations, 0u);
+  EXPECT_EQ(res.stats.dense_fallbacks, 0u);
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 
 #include "graph/generators.hpp"
 #include "core/solver_context.hpp"
+#include "ipm/reference_ipm.hpp"
 #include "linalg/accel_cache.hpp"
 #include "linalg/incidence.hpp"
 #include "linalg/laplacian.hpp"
@@ -250,6 +251,46 @@ TEST_F(AllocCountTest, SketchPassAllocationsDoNotGrowWithK) {
   EXPECT_EQ(narrow, wide) << "the k = 48 pass allocated " << wide << " times, the k = 8 pass "
                           << narrow << "; per-row buffers are back";
   EXPECT_GT(narrow, 0u);  // sanity: the counting allocator is active
+}
+
+TEST_F(AllocCountTest, ExactNewtonStepsAreAllocationFree) {
+  // Up to 48 columns NewtonSystem::step factors and solves the Newton
+  // system on buffers it owns: once the first step has sized them, a step
+  // (with its eval_barrier and eval_center) touches no heap.
+  par::Rng rng(77);
+  const graph::Digraph g = graph::random_flow_network(24, 160, 100, 100, rng);
+  ipm::IpmLp lp;
+  lp.graph = &g;
+  lp.dropped = g.num_vertices() - 1;
+  lp.b.assign(static_cast<std::size_t>(g.num_vertices()), 0.0);
+  for (const auto& arc : g.arcs()) {
+    lp.cost.push_back(static_cast<double>(arc.cost));
+    lp.cap.push_back(static_cast<double>(arc.cap));
+  }
+  const linalg::IncidenceOp a(g, lp.dropped);
+  ipm::NewtonSystem newton(lp, a);
+  linalg::Vec x(a.rows());
+  for (std::size_t e = 0; e < x.size(); ++e) x[e] = 0.5 * lp.cap[e];
+  linalg::Vec y(a.cols(), 0.0);
+  const linalg::Vec tau(a.rows(), static_cast<double>(a.cols()) / static_cast<double>(a.rows()) + 0.5);
+  double mu = ipm::initial_mu(lp);
+
+  core::SolverContext ctx({.instrument = false});
+  const core::ContextScope scope(ctx);
+  const auto newton_step = [&] {
+    newton.eval_barrier(x);
+    (void)newton.eval_center(x, y, mu, tau);
+    const ipm::NewtonStep st = newton.step(ctx, x, y, mu, tau, 0.95, {});
+    mu *= 0.9;
+    return st.status;
+  };
+  ASSERT_EQ(newton_step(), SolveStatus::kOk);  // sizes the factor's buffers
+  const std::uint64_t before = g_alloc_count.load();
+  for (int rep = 0; rep < 8; ++rep) EXPECT_EQ(newton_step(), SolveStatus::kOk);
+  const std::uint64_t after = g_alloc_count.load();
+  EXPECT_EQ(after - before, 0u) << "8 exact Newton steps allocated " << (after - before)
+                                << " times";
+  EXPECT_EQ(ctx.accel().laplacian_builds, 0u);
 }
 
 TEST_F(AllocCountTest, AdmissionShedFastPathIsAllocationFree) {

@@ -143,6 +143,91 @@ TEST(SddSolverTest, ZeroRhsReturnsZero) {
   EXPECT_EQ(res.x, Vec(3, 0.0));
 }
 
+/// ‖L x − b‖ / ‖b‖ over the grounded rows, in long double.
+long double grounded_residual(const graph::Digraph& g, const Vec& c, graph::Vertex dropped,
+                              const Vec& x, const Vec& b) {
+  std::vector<long double> r(b.size(), 0.0L);
+  for (graph::EdgeId e = 0; e < g.num_arcs(); ++e) {
+    const auto u = static_cast<std::size_t>(g.arc(e).from);
+    const auto v = static_cast<std::size_t>(g.arc(e).to);
+    const long double i = static_cast<long double>(c[static_cast<std::size_t>(e)]) *
+                          (static_cast<long double>(x[u]) - static_cast<long double>(x[v]));
+    r[u] += i;
+    r[v] -= i;
+  }
+  long double rr = 0.0L;
+  long double bb = 0.0L;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    if (i == static_cast<std::size_t>(dropped)) continue;
+    const long double t = r[i] - static_cast<long double>(b[i]);
+    rr += t * t;
+    bb += static_cast<long double>(b[i]) * b[i];
+  }
+  return std::sqrt(rr / bb);
+}
+
+TEST(GroundedFactorTest, SolvesAcrossTwelveDecadesOfConductance) {
+  // The Newton systems' shape late on the path: conductances log-uniform
+  // over 1e12. The factor's every entry is a sum of non-negative terms, so
+  // its solve keeps the residual at the rounding level.
+  GroundedFactor fac;
+  for (const std::uint64_t seed : {1, 2, 3, 4, 5, 6}) {
+    par::Rng rng(seed);
+    const auto n = static_cast<graph::Vertex>(8 + 8 * (seed % 6));
+    const graph::Digraph g = graph::random_flow_network(n, 6 * n, 5, 5, rng);
+    const IncidenceOp a(g);
+    Vec c(a.rows());
+    for (auto& x : c) x = std::pow(10.0, -12.0 * rng.next_double());
+    Vec b(a.cols());
+    for (auto& x : b) x = rng.next_double() - 0.5;
+    fac.factor(a, c, 0.0);
+    Vec x(a.cols(), 1.0);
+    fac.solve(b, x);
+    EXPECT_EQ(x[static_cast<std::size_t>(a.dropped())], 0.0);
+    EXPECT_LE(grounded_residual(g, c, a.dropped(), x, b), 1e-12L) << "seed " << seed;
+  }
+}
+
+TEST(GroundedFactorTest, PinnedVertexIsSolvedAsGround) {
+  // Vertex 10 hangs off vertex 3 by a 1e-29 conductance, far under the
+  // floor, and its right-hand side entry is noise: δy is 0 there, and the
+  // other entries solve the system in which vertex 10 is ground.
+  par::Rng rng(8);
+  const graph::Digraph g = graph::random_flow_network(10, 40, 5, 5, rng);
+  const graph::Vertex hung = 10;
+  graph::Digraph with_hung(11);
+  for (const auto& arc : g.arcs()) with_hung.add_arc(arc.from, arc.to, arc.cap, arc.cost);
+  with_hung.add_arc(3, hung, 1, 1);
+  const IncidenceOp a(with_hung, 0);
+  Vec c(a.rows());
+  for (auto& x : c) x = 0.1 + rng.next_double();
+  c.back() = 1e-29;
+  Vec b(a.cols());
+  for (auto& x : b) x = rng.next_double() - 0.5;
+  b[0] = 0.0;
+  b[static_cast<std::size_t>(hung)] = 1e-20;
+  GroundedFactor fac;
+  fac.factor(a, c, 1e-14);
+  Vec x(a.cols());
+  fac.solve(b, x);
+  EXPECT_EQ(fac.pivot(fac.row(hung)), 0.0);
+  EXPECT_EQ(x[static_cast<std::size_t>(hung)], 0.0);
+
+  // The reference: dense elimination of L with the hung vertex's row and
+  // column removed (its conductance stays on vertex 3's diagonal).
+  const Csr lap = reduced_laplacian(with_hung, c, a.dropped());
+  const std::size_t keep = a.cols() - 1;  // every vertex but the hung one
+  Dense dense(keep, keep);
+  for (std::size_t r = 0; r < keep; ++r)
+    for (std::int64_t k = lap.offsets()[r]; k < lap.offsets()[r + 1]; ++k) {
+      const auto col = static_cast<std::size_t>(lap.cols()[static_cast<std::size_t>(k)]);
+      if (col < keep) dense.at(r, col) += lap.vals()[static_cast<std::size_t>(k)];
+    }
+  const Vec want = dense.solve(Vec(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(keep)));
+  for (std::size_t i = 1; i < keep; ++i)
+    EXPECT_NEAR(x[i], want[i], 1e-12 * norm_inf(want)) << "vertex " << i;
+}
+
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 TEST(DenseTest, Solve) {

@@ -146,6 +146,7 @@ TEST_P(FaultedSolveSweep, PartialFaultRatesStillMatchOracleWhenOk) {
   opts.ipm.leverage.sketch_dim = 8;
   opts.ipm.max_iters = 2000;
   const auto ours = mcf::min_cost_max_flow(g, s, t, opts);
+  EXPECT_GT(ours.stats.injected_faults, 0u);
   if (ours.status == SolveStatus::kOk) {
     EXPECT_EQ(ours.flow_value, oracle.flow);
     EXPECT_EQ(ours.cost, oracle.cost);

@@ -251,6 +251,9 @@ TEST_P(FaultAcceptance, NeverCrashesNeverWrongCost) {
 
   const ScopedFault fault(GetParam().kind, 1.0, 99);
   const auto res = mcf::min_cost_max_flow(g, s, t, test_opts(GetParam().method));
+  // The armed fault fires (for kCgStagnation in the JL sketch's CG: the
+  // 13-column Newton systems are solved exactly).
+  EXPECT_GT(FaultInjector::instance().fired(GetParam().kind), 0u);
   if (res.status == SolveStatus::kOk) {
     EXPECT_EQ(res.flow_value, oracle.flow);
     EXPECT_EQ(res.cost, oracle.cost);
@@ -277,7 +280,9 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------- recovery policies engage and are reported ----------
 
 TEST_F(FaultFixture, CgStagnationRecoversViaDenseFallback) {
-  const Digraph g = seed_instance(6);
+  // 49 columns: one past the exact Newton solve, so every Newton system
+  // runs the CG ladder and stalls.
+  const Digraph g = seed_instance(6, 48, 192);
   const auto oracle = baselines::ssp_min_cost_max_flow(g, 0, g.num_vertices() - 1);
   const ScopedFault fault(FaultKind::kCgStagnation, 1.0, 3);
   const auto res = mcf::min_cost_max_flow(g, 0, g.num_vertices() - 1,
@@ -311,7 +316,8 @@ TEST_F(FaultFixture, HeavyHitterMissSolvesRobustStepsOnTheDenseEdgeSet) {
 }
 
 TEST_F(FaultFixture, RecenteringFallbacksAreNotRobustStepFallbacks) {
-  const Digraph g = seed_instance(6);
+  // 49 columns, so the re-centering Newton systems run the CG ladder.
+  const Digraph g = seed_instance(6, 48, 192);
   const auto oracle = baselines::ssp_min_cost_max_flow(g, 0, g.num_vertices() - 1);
   const ScopedFault fault(FaultKind::kCgStagnation, 1.0, 3);
   const auto res =
